@@ -111,25 +111,22 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     params = validate(args.p, args.ell, args.t)
-    max_q = _max_q_from_env(args.max_q)
     which = args.which
     reports: list[str] = []
+    # one table and one ring, built only for the checks that read them
+    table = build_field(params, max_q=_max_q_from_env(args.max_q)) if which != "walks" else None
+    ring = GaloisRing(table) if which in ("stickelberger", "blocks", "all") else None
     if which in ("srg", "all"):
-        table = build_field(params, max_q=max_q)
         report = verify_srg(table)
         if not report.ok:
             print(f"srg: FAIL ({report.detail})", file=sys.stderr)
             return 2
         reports.append(f"srg: pass {report.srg_params}")
     if which in ("stickelberger", "all"):
-        table = build_field(params, max_q=max_q)
-        ring = GaloisRing(table, precision=args.precision)
         rep = verify_stickelberger(table, ring, seed=args.seed)
         reports.append(f"stickelberger: pass ({rep.checked} pairs)")
     if which in ("blocks", "all"):
-        table = build_field(params, max_q=max_q)
-        ring = GaloisRing(table, precision=args.precision)
-        rep = verify_all_blocks(table, ring, threads=args.threads)
+        rep = verify_all_blocks(table, ring)
         reports.append(f"blocks: pass ({rep.checked} blocks)")
     if which in ("walks", "all"):
         if params.ell != 3:
@@ -174,19 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_method=False):
+    def add_common(sp):
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--ell", type=int, required=True)
         sp.add_argument("--t", type=int, required=True)
-        sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--max-q", type=int, default=None, help="brute-force table bound (env CYCLO_MAX_Q)")
-        sp.add_argument("--k-bound", type=int, default=DEFAULT_ENUM_BOUND)
-        sp.add_argument("--precision", type=int, default=None, help="ring precision override")
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     sp = sub.add_parser("compute", help="critical group of G(p, ell, t)")
     add_common(sp)
+    sp.add_argument("--format", choices=("json", "text"), default="json")
+    sp.add_argument("--k-bound", type=int, default=DEFAULT_ENUM_BOUND)
     sp.add_argument("--method", choices=("formula", "bruteforce", "both"), default="both")
     sp.add_argument("--export-laplacian", metavar="PATH", default=None)
     sp.add_argument("--export-adjacency", metavar="PATH", default=None)
@@ -194,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sp.add_argument(
         "--which",
         choices=("stickelberger", "blocks", "srg", "walks", "all"),

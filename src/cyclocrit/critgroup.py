@@ -89,12 +89,10 @@ def _formula_group(params: Params, enum_bound: int) -> tuple[AbelianGroupDesc, d
     return group, e_mult, (u_free, v_free)
 
 
-def _bruteforce_group(
-    params: Params, max_q: int, full_snf_max_q: int
-) -> tuple[AbelianGroupDesc, list[str]]:
+def _bruteforce_group(params: Params, max_q: int) -> tuple[AbelianGroupDesc, list[str]]:
     table = build_field(params, max_q=max_q)
-    if params.q <= full_snf_max_q:
-        return critical_group_by_snf(table, max_q=full_snf_max_q), ["bruteforce:full-snf"]
+    if params.q <= FULL_SNF_MAX_Q:
+        return critical_group_by_snf(table), ["bruteforce:full-snf"]
     return critical_group_by_local_snf(table), ["bruteforce:p-local-snf"]
 
 
@@ -104,7 +102,6 @@ def critical_group(
     *,
     enum_bound: int = DEFAULT_ENUM_BOUND,
     max_q: int = DEFAULT_MAX_Q,
-    full_snf_max_q: int = FULL_SNF_MAX_Q,
 ) -> CriticalGroupResult:
     """Compute the critical group by the requested pipeline(s).
 
@@ -119,7 +116,7 @@ def critical_group(
         group, e_mult, coprime_orders = _formula_group(params, enum_bound)
         checks.append("order-formula")
     if method in ("bruteforce", "both"):
-        bf_group, bf_checks = _bruteforce_group(params, max_q, full_snf_max_q)
+        bf_group, bf_checks = _bruteforce_group(params, max_q)
         checks.extend(bf_checks)
         if method == "bruteforce":
             e_mult = bf_group.p_multiplicities(params.p)

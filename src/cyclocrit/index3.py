@@ -258,23 +258,6 @@ def transfer_basis_matrix(p: int) -> list[list[BivarPoly]]:
     return M
 
 
-def _leibniz_det(entries) -> "BivarPoly":
-    n = len(entries)
-    det = BivarPoly()
-    for perm in permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = BivarPoly.const(-1 if inv % 2 else 1)
-        ok = True
-        for i in range(n):
-            if not entries[i][perm[i]]:
-                ok = False
-                break
-            term = term * entries[i][perm[i]]
-        if ok:
-            det = det + term
-    return det
-
-
 def char_poly_coeffs(p: int) -> dict[int, BivarPoly]:
     """Coefficients (by z-degree) of det(zI - M) for the 6x6 transfer matrix.
 
@@ -323,7 +306,8 @@ def verify_transfer_matrix(p: int) -> None:
     """Characteristic polynomial and determinant identities of the 6x6 matrix.
 
     Raises MismatchError unless det(zI - M) = z^6 - P z^4 + Q z^2 - R and
-    det(M) = -p^2 x^3 y^3.
+    det(M) = -p^2 x^3 y^3.  det(M) is the constant term det(-M) of the
+    characteristic polynomial, equal to det(M) because M has even order.
     """
     P, Q, R = recursion_coefficients(p)
     got = char_poly_coeffs(p)
@@ -331,7 +315,7 @@ def verify_transfer_matrix(p: int) -> None:
     want = {k: v for k, v in want.items() if v}
     if got != want:
         raise MismatchError(f"transfer matrix char poly mismatch for p={p}")
-    det = _leibniz_det(transfer_basis_matrix(p))
+    det = got.get(0, BivarPoly())
     if det != BivarPoly.monomial(3, 3, -p * p):
         raise MismatchError(f"transfer matrix determinant mismatch for p={p}: {det}")
 

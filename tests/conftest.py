@@ -22,8 +22,8 @@ def field_for(p, ell, t):
 
 
 @lru_cache(maxsize=None)
-def ring_for(p, ell, t, precision=None):
-    return GaloisRing(field_for(p, ell, t), precision=precision)
+def ring_for(p, ell, t):
+    return GaloisRing(field_for(p, ell, t))
 
 
 @lru_cache(maxsize=None)

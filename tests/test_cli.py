@@ -125,6 +125,25 @@ def test_missing_required_flag_exits_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("compute", "--threads", "2"),
+        ("compute", "--seed", "1"),
+        ("compute", "--precision", "12"),
+        ("verify", "--threads", "2"),
+        ("verify", "--precision", "12"),
+        ("verify", "--k-bound", "5"),
+        ("verify", "--format", "text"),
+    ],
+)
+def test_removed_options_exit_1(capsys, command, option, value):
+    tail = ["--method", "formula"] if command == "compute" else ["--which", "walks"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "2", "--ell", "3", "--t", "2", *tail, option, value])
+    assert exc.value.code == 1
+
+
 def test_mismatch_maps_to_exit_2(capsys, monkeypatch):
     from cyclocrit import cli
     from cyclocrit.errors import MethodMismatchError

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -128,9 +129,26 @@ def test_block_patterns_all_fixtures():
         assert rep.ok and rep.checked == tab.params.k
 
 
-def test_block_check_threads_agree():
+def test_block_check_cold_rings():
+    """Fresh rings shared by the block pool: no thread may see a half-built table."""
+    tab = field_for(2, 3, 4)
+    for _ in range(40):
+        rep = verify_all_blocks(tab, GaloisRing(tab))
+        assert rep.ok and rep.checked == tab.params.k
+
+
+def test_ring_not_mutated_by_use():
     tab = field_for(2, 3, 2)
-    assert verify_all_blocks(tab, ring_for(2, 3, 2), threads=2).ok
+    ring = GaloisRing(tab)
+    before = dict(vars(ring))
+    snapshot = pickle.dumps(before)
+    jacobi_sum(-3, -5, ring)
+    verify_block(tab, ring, 1)
+    verify_block(tab, ring, 0)
+    after = vars(ring)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+    assert pickle.dumps(after) == snapshot
 
 
 def test_three_way_multiplicity_agreement():

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -32,6 +33,21 @@ def test_laplacian_quadratic_identity_q16():
     J = np.ones((16, 16), dtype=np.int64)
     assert np.array_equal(L @ (L - 12 * I), 2 * J - 32 * I)
     assert np.array_equal((L - 8 * I) @ (L - 4 * I), 2 * J)
+    # the dense product stays the reference for verify_srg's scalar form
+    for trip in [(5, 3, 1), (3, 5, 1), (2, 3, 3)]:
+        tab = field_for(*trip)
+        P = tab.params
+        L = laplacian(tab)
+        I = np.eye(P.q, dtype=np.int64)
+        assert np.array_equal((L - P.u * I) @ (L - P.v * I), P.mu * np.ones_like(L))
+
+
+def test_srg_reports_laplacian_failure():
+    tab = field_for(2, 3, 2)
+    wrong = dataclasses.replace(tab, params=dataclasses.replace(tab.params, u=tab.params.u + 1))
+    report = verify_srg(wrong)
+    assert not report.ok
+    assert report.detail == "Laplacian identity fails at (0,0): 1 != 2"
 
 
 def test_eigenvalue_oracle():
