@@ -17,7 +17,7 @@ from .carries import DEFAULT_ENUM_BOUND, check_conservation, p_part_from_carries
 from .errors import MethodMismatchError
 from .field import DEFAULT_MAX_Q, build_field
 from .index3 import p_part_from_recursion
-from .params import Params
+from .params import Params, order_factorization
 from .snf import (
     FULL_SNF_MAX_Q,
     critical_group_by_local_snf,
@@ -50,18 +50,6 @@ def p_part_multiplicities(params: Params, enum_bound: int = DEFAULT_ENUM_BOUND) 
     if params.ell == 3:
         return p_part_from_recursion(params.p, params.t, params)
     return p_part_from_carries(params, enum_bound)
-
-
-def order_factorization(params: Params) -> dict[int, int]:
-    """Factored group order u^k v^(q-k-1) / q."""
-    out: dict[int, int] = {}
-    for base, mult in ((params.u, params.k), (params.v, params.q - params.k - 1)):
-        for prime, exp in factorint(base).items():
-            out[prime] = out.get(prime, 0) + exp * mult
-    out[params.p] -= params.ext_degree
-    if out[params.p] == 0:
-        del out[params.p]
-    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .abelian import factorint
 from .errors import DisconnectedError, NotPrimeError, NotPrimitiveError
 
 
@@ -139,3 +140,15 @@ def validate(p: int, ell: int, t: int) -> Params:
     # order formula well-defined: q | u^k v^(q-k-1), checked modularly
     assert (pow(u, k, q) * pow(v, q - k - 1, q)) % q == 0
     return params
+
+
+def order_factorization(params: Params) -> dict[int, int]:
+    """Factored group order u^k v^(q-k-1) / q."""
+    out: dict[int, int] = {}
+    for base, mult in ((params.u, params.k), (params.v, params.q - params.k - 1)):
+        for prime, exp in factorint(base).items():
+            out[prime] = out.get(prime, 0) + exp * mult
+    out[params.p] -= params.ext_degree
+    if out[params.p] == 0:
+        del out[params.p]
+    return dict(sorted(out.items()))

@@ -1,16 +1,20 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import field_for, snf_group_for
-from cyclocrit import p_local_multiplicities, p_rank, smith_normal_form
+from conftest import drop_edge, field_for, params_for, snf_group_for
+from cyclocrit import critical_group, p_local_multiplicities, p_rank, smith_normal_form, snf
 from cyclocrit.abelian import AbelianGroupDesc
-from cyclocrit.errors import BoundExceededError
+from cyclocrit.errors import BoundExceededError, MismatchError
 from cyclocrit.graph import laplacian
 from cyclocrit.snf import critical_group_by_local_snf, critical_group_by_snf
 
@@ -195,3 +199,72 @@ def test_invariant_factor_chain_roundtrip():
     chain = group.invariant_factors()
     assert chain == (4, 4, 4, 4, 8, 32, 32, 32, 32)
     assert AbelianGroupDesc.from_invariant_factors(chain, free_rank=1) == group
+
+
+def test_modular_snf_matches_exact_on_fixtures():
+    """SNF mod 2uv equals the unreduced object-dtype SNF on every fixture with q <= 64."""
+    for trip in [(2, 3, 2), (5, 3, 1), (2, 3, 3)]:
+        tab = field_for(*trip)
+        P = tab.params
+        L = laplacian(tab)
+        assert smith_normal_form(L, modulus=2 * P.u * P.v) == smith_normal_form(L), trip
+
+
+def test_modular_snf_against_sympy_nonsingular():
+    """Modulo 2|det| (int64 and, for large entries, object dtype) the factors are sympy's."""
+    rng = random.Random(314)
+    seen = 0
+    while seen < 16:
+        n = rng.randint(2, 6)
+        bound = 9 if seen % 2 else 999
+        M = _random_matrix(rng, n, n, -bound, bound)
+        det = int(sympy.Matrix(M).det())
+        if det == 0:
+            continue
+        seen += 1
+        ours, free = smith_normal_form(M, modulus=2 * abs(det))
+        ref = sympy_snf(sympy.Matrix(M), domain=sympy.ZZ)
+        assert sorted(ours) == sorted(abs(ref[i, i]) for i in range(n))
+        assert free == 0
+
+
+def test_p_local_int64_object_switch():
+    """Same histogram at the largest int64 precision and one digit past it (object)."""
+    for trip, prime in [((2, 3, 2), 2), ((2, 3, 3), 2), ((5, 3, 1), 5), ((5, 3, 1), 2)]:
+        L = laplacian(field_for(*trip))
+        n = L.shape[0]
+        B = 1
+        while n * prime ** (2 * B + 2) < 1 << 62:
+            B += 1
+        assert n * prime ** (2 * B) < 1 << 62 <= n * prime ** (2 * B + 2)
+        want = Counter()
+        for a in smith_normal_form(L)[0]:
+            want[sympy.multiplicity(prime, a)] += 1
+        assert p_local_multiplicities(L, prime, B) == (dict(want), 1), trip
+        assert p_local_multiplicities(L, prime, B + 1) == (dict(want), 1), trip
+
+
+@pytest.mark.parametrize("trip", [(2, 3, 2), (2, 5, 2), (17, 3, 1)])
+def test_dropped_edge_is_a_mismatch(monkeypatch, trip):
+    """The brute-force cross-check is not vacuous: one missing edge must be caught."""
+    monkeypatch.setattr(snf, "laplacian", lambda table: drop_edge(laplacian(table)))
+    with pytest.raises(MismatchError):
+        critical_group(params_for(*trip), "both")
+
+
+def test_dropped_edge_exits_2_under_optimize():
+    """The oracle's checks are raises, so python -O still reports a broken Laplacian."""
+    script = (
+        "import sys\n"
+        "from conftest import drop_edge\n"
+        "from cyclocrit import cli, snf\n"
+        "good = snf.laplacian\n"
+        "snf.laplacian = lambda table: drop_edge(good(table))\n"
+        "sys.exit(cli.main(['compute', '--p', '2', '--ell', '3', '--t', '2', '--method', 'bruteforce']))\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("mismatch:")
