@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .abelian import AbelianGroupDesc, factorint
 from .carries import DEFAULT_ENUM_BOUND, check_conservation, p_part_from_carries
-from .errors import MethodMismatchError
+from .errors import MethodMismatchError, MismatchError
 from .field import DEFAULT_MAX_Q, build_field
 from .index3 import p_part_from_recursion
 from .params import Params, order_factorization
@@ -66,14 +66,23 @@ class CriticalGroupResult:
         return self.group.order()
 
 
+def _check_order(group: AbelianGroupDesc, params: Params) -> None:
+    """Raise MismatchError unless the torsion order is the spanning-tree count.
+
+    The comparison is factored: the raw order is astronomically large for big q.
+    """
+    got, want = group.order_factorization(), order_factorization(params)
+    if got != want:
+        raise MismatchError(f"group order {got} != spanning-tree count {want}")
+
+
 def _formula_group(params: Params, enum_bound: int) -> tuple[AbelianGroupDesc, dict[int, int], tuple[int, int]]:
     e_mult = p_part_multiplicities(params, enum_bound)
     cop, u_free, v_free = coprime_part(params)
     entries = [(params.p, j, m) for j, m in e_mult.items() if j > 0]
     entries.extend(cop.divisors)
     group = AbelianGroupDesc.from_prime_powers(entries, free_rank=1)
-    # factored comparison: the raw order is astronomically large for big q
-    assert group.order_factorization() == order_factorization(params)
+    _check_order(group, params)
     return group, e_mult, (u_free, v_free)
 
 
@@ -121,7 +130,7 @@ def critical_group(
                 f"  formula:    {group}\n  bruteforce: {bf_group}"
             )
         checks.append("formula==bruteforce")
-    assert group.order_factorization() == order_factorization(params)
+    _check_order(group, params)
     return CriticalGroupResult(
         params=params,
         group=group,

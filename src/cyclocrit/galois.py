@@ -8,12 +8,15 @@ table of Teichmuller powers; their p-adic valuations realize carry
 counts (Stickelberger), which the verification suite checks pairwise.
 The Laplacian restricted to each multiplicative isotypic component is a
 small matrix over this ring whose local Smith form the block checks
-compare against the closed-form pattern.
+compare against the closed-form pattern.  Its off-diagonal entries are
+J(T^a, T^(-nk)), n = 1..ell-1, and T^(-nk)(1-x) depends only on the coset
+class dlog(1-x) mod ell; so each block row is one gather of Teichmuller
+powers summed per class, times a fixed matrix of powers of omega^k
+(jacobi_row).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 
@@ -38,17 +41,33 @@ class GaloisRing:
         self.precision = P.ext_degree + P.d + 4
         self.pN = P.p**self.precision
         self.mod_poly = field.mod_poly
-        # Every table is built here and never changed, so the block pool may
-        # share the ring.  The Jacobi-sum tables run over x in F_q minus {0, 1}.
-        q = field.q
+        # Every table is built here and never changed, so a ring can be
+        # shared freely.  The Jacobi-sum tables run over x in F_q minus {0, 1},
+        # sorted by the coset class c(x) = dlog(1-x) mod ell: class 0 holds
+        # k-1 >= 1 elements (1-x != 1) and every other class k.
+        q, ell, e, k = field.q, P.ell, self.e, P.k
         self._omega = self.omega_table()
         self._omega_np = np.array(
             self._omega, dtype=object if self.pN * q >= (1 << 62) else np.int64
         )
         xs = [x for x in range(q) if x not in (0, 1)]
-        self._dlog_x = np.array([int(field.dlog[x]) for x in xs], dtype=np.int64)
-        self._dlog_1mx = np.array(
-            [int(field.dlog[field.sub(1, x)]) for x in xs], dtype=np.int64
+        dlog_x = np.array([int(field.dlog[x]) for x in xs], dtype=np.int64)
+        dlog_1mx = np.array([int(field.dlog[field.sub(1, x)]) for x in xs], dtype=np.int64)
+        by_class = np.argsort(dlog_1mx % ell, kind="stable")
+        self._dlog_x = dlog_x[by_class]
+        self._dlog_1mx = dlog_1mx[by_class]
+        self._class_starts = np.searchsorted(self._dlog_1mx % ell, np.arange(ell))
+        # _row_map[(n-1)e + i, ce + j] is coefficient i of zeta^(-nc) X^j, with
+        # zeta = omega^k, so one product with the ell class sums gives the
+        # Jacobi row.  It is exact in int64 while ell*e*pN^2 < 2^62.
+        zeta_maps = [self._mul_matrix(self._omega[s * k]) for s in range(ell)]
+        self._row_map = np.array(
+            [
+                [zeta_maps[(-n * c) % ell][i][j] for c in range(ell) for j in range(e)]
+                for n in range(1, ell)
+                for i in range(e)
+            ],
+            dtype=object if ell * e * self.pN * self.pN >= (1 << 62) else np.int64,
         )
 
     # --- basic ring ops -------------------------------------------------
@@ -87,6 +106,12 @@ class GaloisRing:
                 for j in range(e):
                     res[i - e + j] -= c * f[j]
         return tuple(x % pN for x in res[:e])
+
+    def _mul_matrix(self, a: Elem) -> list[list[int]]:
+        """e x e integer matrix of x -> a*x on coefficient vectors."""
+        e = self.e
+        cols = [self.mul(a, tuple(int(i == j) for i in range(e))) for j in range(e)]
+        return [[cols[j][i] for j in range(e)] for i in range(e)]
 
     def pow(self, a: Elem, n: int) -> Elem:
         r = self.one()
@@ -129,7 +154,8 @@ class GaloisRing:
 
     def divide_by_p(self, a: Elem, v: int = 1) -> Elem:
         pv = self.p**v
-        assert all(c % pv == 0 for c in a)
+        if any(c % pv for c in a):
+            raise MismatchError(f"{a} is not divisible by p^{v}")
         return tuple(c // pv for c in a)
 
     def unit_inverse(self, a: Elem, exponent: int) -> Elem:
@@ -143,7 +169,8 @@ class GaloisRing:
             x = self.mul(x, self.sub(two, self.mul(a, x)))
             x = tuple(c % pe for c in x)
             correct *= 2
-        assert all(c % pe == 0 for c in self.sub(self.mul(a, x), self.one()))
+        if any(c % pe for c in self.sub(self.mul(a, x), self.one())):
+            raise MismatchError(f"Newton inverse of {a} fails modulo p^{exponent}")
         return tuple(c % pe for c in x)
 
     # --- Teichmuller lifts --------------------------------------------------
@@ -156,7 +183,10 @@ class GaloisRing:
             if y2 == y:
                 break
             y = y2
-        assert self.pow(y, q) == y
+        if self.pow(y, q) != y:
+            raise PrecisionError(
+                f"Teichmuller lift not fixed by x -> x^q within {self.precision + 1} steps"
+            )
         return y
 
     def omega_table(self) -> list[Elem]:
@@ -166,7 +196,8 @@ class GaloisRing:
         table = [self.one()]
         for _ in range(q - 2):
             table.append(self.mul(table[-1], w))
-        assert self.mul(table[-1], w) == self.one()
+        if self.mul(table[-1], w) != self.one():
+            raise MismatchError(f"Teichmuller generator does not have order q-1 = {q - 1}")
         return table
 
     def teichmuller(self, x: int) -> Elem:
@@ -204,6 +235,24 @@ def jacobi_sum(a: int, b: int, ring: GaloisRing) -> Elem:
     extra = (1 if a_ones else 0) + (1 if b_ones else 0)  # x = 1 and x = 0 terms
     out = tuple((int(c) + (extra if i == 0 else 0)) % ring.pN for i, c in enumerate(acc))
     return out
+
+
+def jacobi_row(a: int, ring: GaloisRing) -> list[Elem]:
+    """[J(T^a, T^(-nk)) for n = 1..ell-1], exactly mod p^N, in one gather.
+
+    T^(-nk) has order dividing ell, so T^(-nk)(1-x) = zeta^(-n c(x)) with
+    zeta = omega^k and c(x) = dlog(1-x) mod ell.  Hence
+    J(T^a, T^(-nk)) = sum_c zeta^(-nc) S_c(a), where the class sum S_c(a)
+    adds T^a(x) over x not in {0, 1} with c(x) = c.  Exponent conventions
+    are those of jacobi_sum.
+    """
+    q = ring.field.q
+    ra, a_ones = _character_class(a, q)
+    sums = np.add.reduceat(ring._omega_np[(ra * ring._dlog_x) % (q - 1)], ring._class_starts)
+    sums[0, 0] += a_ones  # x = 0 term: T^a(0) T^(-nk)(1), and 1 lies in class 0
+    sums = (sums % ring.pN).astype(ring._row_map.dtype).reshape(-1)
+    rows = (ring._row_map @ sums) % ring.pN
+    return [tuple(r) for r in rows.reshape(-1, ring.e).tolist()]
 
 
 @dataclass(frozen=True)
@@ -277,11 +326,11 @@ def laplacian_block(table: FieldTable, ring: GaloisRing, i: int) -> list[list[El
         raise ValueError(f"block index must lie in 1..k-1, got {i}")
     rows = []
     for m in range(ell):
+        jac = jacobi_row(-(i + m * k), ring)
         row = [ring.zero()] * ell
         row[m] = ring.scalar(q)
         for n in range(1, ell):
-            col = (m + n) % ell
-            row[col] = ring.neg(jacobi_sum(-(i + m * k), -(n * k), ring))
+            row[(m + n) % ell] = ring.neg(jac[n - 1])
         rows.append(row)
     return rows
 
@@ -303,6 +352,7 @@ def laplacian_block_zero(table: FieldTable, ring: GaloisRing) -> list[list[Elem]
     for m in range(1, ell):
         rows[1][1 + m] = ring.scalar(-1)
     for j in range(1, ell):
+        jac = jacobi_row(-(j * k), ring)
         row = rows[1 + j]
         row[0] = ring.one()
         row[1] = ring.scalar(-q)
@@ -311,7 +361,7 @@ def laplacian_block_zero(table: FieldTable, ring: GaloisRing) -> list[list[Elem]
             if (j + m) % ell == 0:
                 continue
             col = 1 + (j + m) % ell
-            row[col] = ring.neg(jacobi_sum(-(j * k), -(m * k), ring))
+            row[col] = ring.neg(jac[m - 1])
     return rows
 
 
@@ -406,19 +456,6 @@ def _block_valuations(table: FieldTable, ring: GaloisRing, i: int) -> tuple[list
     return ring_divisor_valuations(block, ring)
 
 
-def _map_blocks(fn, table: FieldTable, ring: GaloisRing) -> list:
-    """[fn(table, ring, i) for every block i], on a pool of one thread per CPU.
-
-    Sharing the ring is safe because it is never mutated after
-    construction.  On two CPUs the pool measured no slower than one thread
-    on the 13x13 blocks at q=4096.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # not paid by `import cyclocrit`
-
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        return list(pool.map(lambda i: fn(table, ring, i), range(table.params.k)))
-
-
 def verify_block(table: FieldTable, ring: GaloisRing, i: int) -> CheckReport:
     exps, zeros = _block_valuations(table, ring, i)
     want, want_zeros = expected_block_valuations(table, i)
@@ -432,7 +469,9 @@ def verify_block(table: FieldTable, ring: GaloisRing, i: int) -> CheckReport:
 
 def verify_all_blocks(table: FieldTable, ring: GaloisRing | None = None) -> CheckReport:
     """Local Smith form of every isotypic block against the closed form."""
-    _map_blocks(verify_block, table, ring or GaloisRing(table))
+    ring = ring or GaloisRing(table)
+    for i in range(table.params.k):
+        verify_block(table, ring, i)
     return CheckReport(True, table.params.k)
 
 
@@ -440,12 +479,14 @@ def block_p_multiplicities(table: FieldTable, ring: GaloisRing | None = None) ->
     """p-part multiplicities assembled from all block local Smith forms."""
     P = table.params
     hist: dict[int, int] = {}
-    blocks = _map_blocks(_block_valuations, table, ring or GaloisRing(table))
-    for i, (exps, zeros) in enumerate(blocks):
+    ring = ring or GaloisRing(table)
+    for i in range(P.k):
+        exps, zeros = _block_valuations(table, ring, i)
         expected_zeros = 1 if i == 0 else 0
         if zeros != expected_zeros:
             raise MismatchError(f"block {i} has {zeros} zero divisors, expected {expected_zeros}")
         for e in exps:
             hist[e] = hist.get(e, 0) + 1
-    assert sum(hist.values()) == P.q - 1
+    if sum(hist.values()) != P.q - 1:
+        raise MismatchError(f"blocks give {sum(hist.values())} divisors, expected q-1 = {P.q - 1}")
     return hist

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import both_result_for, params_for, snf_group_for
@@ -92,3 +97,25 @@ def test_group_desc_canonical_form():
     assert a.invariant_factors() == (5, 5, 5, 5, 20)
     chain_back = AbelianGroupDesc.from_invariant_factors(a.invariant_factors())
     assert chain_back == a
+
+
+def test_wrong_p_part_exits_2_under_optimize():
+    """order-formula is a raise, so python -O still reports a p-part of the wrong order."""
+    script = (
+        "import sys\n"
+        "from cyclocrit import cli, critgroup\n"
+        "good = critgroup.p_part_multiplicities\n"
+        "def shifted(params, *args):\n"
+        "    mult = dict(good(params, *args))\n"
+        "    mult[2] -= 1\n"
+        "    mult[0] += 1\n"
+        "    return mult\n"
+        "critgroup.p_part_multiplicities = shifted\n"
+        "sys.exit(cli.main(['compute', '--p', '2', '--ell', '3', '--t', '2', '--method', 'formula']))\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("mismatch:")

@@ -4,12 +4,13 @@ import random
 import pytest
 
 from conftest import field_for, params_for, ring_for, snf_group_for
-from cyclocrit import carry_count, jacobi_sum, p_part_from_carries
+from cyclocrit import carry_count, galois, jacobi_sum, p_part_from_carries
 from cyclocrit.errors import MismatchError, ZeroElementError
 from cyclocrit.galois import (
     GaloisRing,
     block_p_multiplicities,
     expected_block_valuations,
+    jacobi_row,
     laplacian_block,
     laplacian_block_zero,
     ring_divisor_valuations,
@@ -86,6 +87,37 @@ def test_jacobi_reflection_symmetry():
         assert jacobi_sum(-a, -b, ring) == jacobi_sum(-b, -a, ring)
 
 
+@pytest.mark.parametrize("trip", [(2, 3, 2), (5, 3, 1), (3, 5, 1), (2, 5, 2), (3, 7, 1)])
+def test_jacobi_row_matches_jacobi_sum(trip):
+    """The coset-class row equals the direct sums J(T^a, T^(-nk)), n = 1..ell-1."""
+    ring = ring_for(*trip)
+    P = ring.field.params
+    for a in range(1, P.q - 1):
+        row = jacobi_row(a, ring)
+        assert row == [jacobi_sum(a, -(n * P.k), ring) for n in range(1, P.ell)], a
+
+
+def test_jacobi_row_object_contraction():
+    """q = 41^2: ell*e*pN^2 >= 2^62, so the class-sum contraction runs in object dtype."""
+    tab, ring = field_for(41, 3, 1), ring_for(41, 3, 1)
+    assert tab.params.ell * ring.e * ring.pN**2 >= 1 << 62
+    assert ring._row_map.dtype == object
+    assert block_p_multiplicities(tab, ring) == p_part_from_carries(tab.params)
+
+
+def test_block_count_is_a_mismatch(monkeypatch):
+    """A block that loses one divisor must fail the q-1 count, under python -O too."""
+    good = galois._block_valuations
+
+    def short(table, ring, i):
+        exps, zeros = good(table, ring, i)
+        return (exps[1:] if i == 1 else exps), zeros
+
+    monkeypatch.setattr(galois, "_block_valuations", short)
+    with pytest.raises(MismatchError):
+        block_p_multiplicities(field_for(2, 3, 2), ring_for(2, 3, 2))
+
+
 def test_jacobi_valuation_example():
     ring = ring_for(2, 3, 2)
     P = ring.field.params
@@ -130,7 +162,7 @@ def test_block_patterns_all_fixtures():
 
 
 def test_block_check_cold_rings():
-    """Fresh rings shared by the block pool: no thread may see a half-built table."""
+    """Forty freshly built rings each pass the block check at q=256."""
     tab = field_for(2, 3, 4)
     for _ in range(40):
         rep = verify_all_blocks(tab, GaloisRing(tab))
@@ -143,6 +175,7 @@ def test_ring_not_mutated_by_use():
     before = dict(vars(ring))
     snapshot = pickle.dumps(before)
     jacobi_sum(-3, -5, ring)
+    jacobi_row(-3, ring)
     verify_block(tab, ring, 1)
     verify_block(tab, ring, 0)
     after = vars(ring)
