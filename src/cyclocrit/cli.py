@@ -99,11 +99,10 @@ def cmd_compute(args) -> int:
     result = critical_group(
         params, args.method, enum_bound=args.k_bound, max_q=max_q
     )
+    table = build_field(params, max_q=max_q) if args.export_laplacian or args.export_adjacency else None
     if args.export_laplacian:
-        table = build_field(params, max_q=max_q)
         write_matrix(args.export_laplacian, laplacian(table))
     if args.export_adjacency:
-        table = build_field(params, max_q=max_q)
         write_matrix(args.export_adjacency, adjacency(table))
     _emit(result_to_json(result), args.format)
     return 0

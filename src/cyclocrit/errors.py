@@ -54,10 +54,6 @@ class PrecisionError(CyclocritError):
     """Ring precision too small to resolve a required valuation."""
 
 
-class SrgViolationError(CyclocritError):
-    pass
-
-
 class MismatchError(CyclocritError):
     """Two independent exact computations disagreed."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundExceededError, ZeroElementError
+from .errors import BoundExceededError, MismatchError, ZeroElementError
 from .params import Params
 
 DEFAULT_MAX_Q = 1 << 16
@@ -256,7 +256,8 @@ def build_field(params: Params, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
 
     The dlog fill doubles as a correctness guard: it visits every nonzero
     index exactly once iff the modulus is irreducible and the generator
-    has full order.
+    has full order.  Any failed construction check raises MismatchError,
+    also under python -O.
     """
     p, e, q, ell = params.p, params.ext_degree, params.q, params.ell
     if q > max_q:
@@ -292,17 +293,20 @@ def build_field(params: Params, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
         if all(idx_pow(cand, (q - 1) // r) != 1 for r in prime_divs):
             generator = cand
             break
-    assert generator is not None
+    if generator is None:
+        raise MismatchError(f"no element of order {q - 1}: modulus {mod_poly} not irreducible?")
 
     dlog = np.full(q, -1, dtype=np.int64)
     antilog = np.zeros(q - 1, dtype=np.int64)
     x = 1
     for j in range(q - 1):
-        assert dlog[x] == -1, "generator order defect; modulus not irreducible?"
+        if dlog[x] != -1:
+            raise MismatchError(f"dlog fill revisits index {x} at step {j}: modulus {mod_poly} not irreducible?")
         dlog[x] = j
         antilog[j] = x
         x = idx_mul(x, generator)
-    assert x == 1
+    if x != 1:
+        raise MismatchError(f"generator^{q - 1} = index {x}, not 1")
 
     subgroup = frozenset(int(antilog[j]) for j in range(0, q - 1, ell))
     table = FieldTable(
@@ -313,6 +317,8 @@ def build_field(params: Params, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
         antilog=antilog,
         subgroup=subgroup,
     )
-    assert len(subgroup) == params.k
-    assert table.neg(1) in subgroup, "-1 must lie in the connection subgroup"
+    if len(subgroup) != params.k:
+        raise MismatchError(f"connection subgroup has {len(subgroup)} elements, not k = {params.k}")
+    if table.neg(1) not in subgroup:
+        raise MismatchError("-1 must lie in the connection subgroup")
     return table

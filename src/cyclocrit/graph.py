@@ -1,8 +1,12 @@
 """Cayley graph construction and strongly-regular identity checks.
 
 The vertex set is F_q in the field module's index order; x ~ y iff
-x - y lies in the connection subgroup.  Matrices are dense int64
-(entries stay far below overflow at table scale q <= 2^16).
+y - x lies in the connection subgroup S.  `adjacency` and `laplacian`
+build dense q x q int64 matrices for the eliminations and the exports,
+and refuse before allocating once one such matrix would exceed
+`DENSE_MAX_BYTES`.  `verify_srg` never forms a q x q array: the graph
+is a Cayley graph, so it checks every identity on row 0, in O(q) memory
+and O(q*k) integer work.
 """
 
 from __future__ import annotations
@@ -11,11 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BoundExceededError
 from .field import FieldTable
+
+# Largest dense q x q int64 matrix: 256 MiB holds q = 4096 (the p-local
+# bound, 128 MiB) and refuses q = 2^14 (2 GiB per matrix).
+DENSE_MAX_BYTES = 1 << 28
 
 
 def adjacency(table: FieldTable) -> np.ndarray:
     q = table.q
+    nbytes = q * q * 8
+    if nbytes > DENSE_MAX_BYTES:
+        raise BoundExceededError(
+            f"a dense {q}x{q} int64 matrix needs {nbytes} bytes, over the bound "
+            f"DENSE_MAX_BYTES = {DENSE_MAX_BYTES}"
+        )
     A = np.zeros((q, q), dtype=np.int64)
     xs = np.arange(q, dtype=np.int64)
     for s in sorted(table.subgroup):
@@ -44,31 +59,47 @@ def verify_srg(table: FieldTable) -> SrgReport:
     A^2 = kI + lam*A + mu*(J - I - A), and the Laplacian factorization
     (L - uI)(L - vI) = mu*J, which packages the same information through
     the eigenvalues (uv = mu*q makes it vanish on the all-ones vector).
-    Returns the first violation found, if any.
+    Returns the first violation found, if any, with the detail a dense
+    check scanning its matrices in row-major order would give.
+
+    Why row 0 is enough: A = sum over s in S of the translation matrices
+    T_s (x -> x + s), which commute.  So A[x, y] = 1_S(y - x) and
+    A^2[x, y] = #{(s, s') in S^2 : s + s' = y - x}; I and J are
+    translation invariant too.  Every entry of both sides of each identity
+    depends only on the difference y - x, so any failure at (x, y) is also
+    one at (0, y - x), and the first row-major failure is at (0, d) with d
+    the smallest failing difference.  A is symmetric iff S = -S, its
+    diagonal is zero iff 0 is not in S, and every row sums to |S|.
+    Row 0 of A^2 is r[d] = sum over s in S of 1_S(d + s) (S = -S by then):
+    k shifted gathers of the indicator of S.
     """
     P = table.params
     q, k, lam, mu, u, v = P.q, P.k, P.lam, P.mu, P.u, P.v
-    A = adjacency(table)
+    S = sorted(table.subgroup)
 
-    if not np.array_equal(A, A.T):
+    if any(table.neg(s) not in table.subgroup for s in S):
         return SrgReport(False, (q, k, lam, mu), "adjacency not symmetric")
-    if A.diagonal().any():
+    if 0 in table.subgroup:
         return SrgReport(False, (q, k, lam, mu), "nonzero diagonal entry")
-    deg = A.sum(axis=1)
-    if not (deg == k).all():
-        i = int(np.argmax(deg != k))
-        return SrgReport(False, (q, k, lam, mu), f"vertex {i} has degree {int(deg[i])} != {k}")
+    if len(S) != k:
+        return SrgReport(False, (q, k, lam, mu), f"vertex 0 has degree {len(S)} != {k}")
 
-    I = np.eye(q, dtype=np.int64)
-    J = np.ones((q, q), dtype=np.int64)
-    lhs = A @ A
-    rhs = k * I + lam * A + mu * (J - I - A)
+    # int32 halves the memory traffic of the k gathers; counts stay <= k < q
+    xs = np.arange(q, dtype=np.int32)
+    ind = np.zeros(q, dtype=np.int32)
+    ind[S] = 1
+    lhs = np.zeros(q, dtype=np.int32)
+    for s in S:
+        lhs += ind[table.add_many(xs, s)]
+    rhs = np.full(q, mu, dtype=np.int32)
+    rhs[S] = lam
+    rhs[0] = k
     if not np.array_equal(lhs, rhs):
-        i, j = np.unravel_index(int(np.argmax(lhs != rhs)), lhs.shape)
+        j = int(np.argmax(lhs != rhs))
         return SrgReport(
             False,
             (q, k, lam, mu),
-            f"A^2 identity fails at ({i},{j}): {int(lhs[i, j])} != {int(rhs[i, j])}",
+            f"A^2 identity fails at (0,{j}): {int(lhs[j])} != {int(rhs[j])}",
         )
 
     # Given the A^2 identity, (L - uI)(L - vI) - mu*J = c0*I + c1*A.  A has a
@@ -77,13 +108,18 @@ def verify_srg(table: FieldTable) -> SrgReport:
     c0 = (k - u) * (k - v) + k - mu
     c1 = u + v - 2 * k + lam - mu
     if c0 or c1:
-        j, c = (0, c0) if c0 else (min(table.subgroup), c1)
+        j, c = (0, c0) if c0 else (S[0], c1)
         return SrgReport(
             False,
             (q, k, lam, mu),
             f"Laplacian identity fails at (0,{j}): {mu + c} != {mu}",
         )
-    assert u * v == mu * q  # why the factorization kills the all-ones vector
+    if u * v != mu * q:  # what makes the factorization vanish on the all-ones vector
+        return SrgReport(
+            False,
+            (q, k, lam, mu),
+            f"Laplacian identity fails on the all-ones vector: u*v = {u * v} != mu*q = {mu * q}",
+        )
     return SrgReport(True, (q, k, lam, mu))
 
 

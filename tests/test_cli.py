@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cyclocrit import cli
 from cyclocrit.cli import json_to_group, main, result_to_json
 from cyclocrit.critgroup import critical_group
 from cyclocrit.params import validate
@@ -185,6 +186,39 @@ def test_export_laplacian(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 16
     assert lines[0].split()[0] == "5"
+
+
+def test_export_refused_over_dense_bound(capsys, tmp_path):
+    # q = 2^14: the formula path runs, but a dense Laplacian would take 2 GiB
+    path = tmp_path / "lap.txt"
+    code, out, err = run_cli(
+        capsys, "compute", "--p", "2", "--ell", "3", "--t", "7",
+        "--method", "formula", "--export-laplacian", str(path),
+    )
+    assert code == 1
+    assert "BoundExceeded" in err and "DENSE_MAX_BYTES" in err
+    assert out == ""
+    assert not path.exists()
+
+
+def test_exports_share_one_table(capsys, tmp_path, monkeypatch):
+    calls = []
+    build = cli.build_field
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_field", counting)
+    lap, adj = tmp_path / "lap.txt", tmp_path / "adj.txt"
+    code, _, _ = run_cli(
+        capsys, "compute", "--p", "2", "--ell", "3", "--t", "2", "--method", "formula",
+        "--export-laplacian", str(lap), "--export-adjacency", str(adj),
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert lap.read_text().splitlines()[0].split()[0] == "5"
+    assert adj.read_text().splitlines()[0].split()[0] == "0"
 
 
 def test_env_max_q(capsys, monkeypatch):

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import field_for, params_for
-from cyclocrit import build_field
-from cyclocrit.errors import BoundExceededError, ZeroElementError
+from cyclocrit import build_field, field
+from cyclocrit.errors import BoundExceededError, MismatchError, ZeroElementError
 from cyclocrit.field import smallest_irreducible
 
 
@@ -121,3 +126,29 @@ def test_known_small_irreducibles():
 def test_bound_enforced():
     with pytest.raises(BoundExceededError):
         build_field(params_for(2, 3, 2), max_q=8)
+
+
+def test_reducible_modulus_is_a_mismatch(monkeypatch):
+    # x^4 + 1 = (x + 1)^4 over F_2: the "field" has zero divisors
+    monkeypatch.setattr(field, "smallest_irreducible", lambda p, e: (1, 0, 0, 0))
+    with pytest.raises(MismatchError, match="not irreducible"):
+        build_field(params_for(2, 3, 2))
+
+
+def test_reducible_modulus_exits_2_under_optimize(tmp_path):
+    """The table checks are raises, so python -O exports no adjacency of a corrupt table."""
+    path = tmp_path / "adj.txt"
+    script = (
+        "import sys\n"
+        "from cyclocrit import cli, field\n"
+        "field.smallest_irreducible = lambda p, e: (1, 0, 0, 0)\n"
+        "sys.exit(cli.main(['compute', '--p', '2', '--ell', '3', '--t', '2', '--method', 'formula',\n"
+        f"                  '--export-adjacency', {str(path)!r}]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("mismatch:")
+    assert proc.stdout == ""
+    assert not path.exists()

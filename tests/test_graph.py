@@ -1,10 +1,64 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import field_for
-from cyclocrit.graph import adjacency, laplacian, verify_srg, write_matrix
+from cyclocrit import graph
+from cyclocrit.errors import BoundExceededError
+from cyclocrit.graph import SrgReport, adjacency, laplacian, verify_srg, write_matrix
+
+# every q <= 256 fixture of the suite, plus one odd-p case at each of q = 729, 625
+SRG_REFERENCE_FIXTURES = [
+    (2, 3, 2), (5, 3, 1), (3, 5, 1), (2, 3, 3), (2, 3, 4), (2, 5, 2), (11, 3, 1), (3, 7, 1), (5, 3, 2),
+]
+
+
+def dense_verify_srg(table) -> SrgReport:
+    """Reference for verify_srg: the same identities on the dense q x q matrices."""
+    P = table.params
+    q, k, lam, mu, u, v = P.q, P.k, P.lam, P.mu, P.u, P.v
+    A = adjacency(table)
+
+    if not np.array_equal(A, A.T):
+        return SrgReport(False, (q, k, lam, mu), "adjacency not symmetric")
+    if A.diagonal().any():
+        return SrgReport(False, (q, k, lam, mu), "nonzero diagonal entry")
+    deg = A.sum(axis=1)
+    if not (deg == k).all():
+        i = int(np.argmax(deg != k))
+        return SrgReport(False, (q, k, lam, mu), f"vertex {i} has degree {int(deg[i])} != {k}")
+
+    I = np.eye(q, dtype=np.int64)
+    J = np.ones((q, q), dtype=np.int64)
+    lhs = A @ A
+    rhs = k * I + lam * A + mu * (J - I - A)
+    if not np.array_equal(lhs, rhs):
+        i, j = np.unravel_index(int(np.argmax(lhs != rhs)), lhs.shape)
+        return SrgReport(
+            False,
+            (q, k, lam, mu),
+            f"A^2 identity fails at ({i},{j}): {int(lhs[i, j])} != {int(rhs[i, j])}",
+        )
+
+    L = k * I - A
+    lhs = (L - u * I) @ (L - v * I)
+    rhs = mu * J
+    if not np.array_equal(lhs, rhs):
+        i, j = np.unravel_index(int(np.argmax(lhs != rhs)), lhs.shape)
+        return SrgReport(
+            False,
+            (q, k, lam, mu),
+            f"Laplacian identity fails at ({i},{j}): {int(lhs[i, j])} != {int(rhs[i, j])}",
+        )
+    return SrgReport(True, (q, k, lam, mu))
 
 
 def test_clebsch_parameters():
@@ -87,3 +141,107 @@ def test_matrix_export(tmp_path):
     assert len(lines) == 16
     first = [int(x) for x in lines[0].split()]
     assert first[0] == 5 and sum(first) == 0
+
+
+@pytest.mark.parametrize("trip", SRG_REFERENCE_FIXTURES)
+def test_srg_matches_dense_reference(trip):
+    tab = field_for(*trip)
+    report = verify_srg(tab)
+    assert report.ok and report == dense_verify_srg(tab)
+    # the Cayley structure the row-0 check rests on: A[x, y] = A[0, y - x]
+    A = adjacency(tab)
+    xs = np.arange(tab.q, dtype=np.int64)
+    for x in range(tab.q):
+        assert np.array_equal(A[x, tab.add_many(xs, x)], A[0])
+
+
+def _mutate(tab, data):
+    """A copy of tab whose connection set lost or gained elements (one to three edits)."""
+    S = set(tab.subgroup)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["drop", "drop-pair", "add-nonsymmetric", "add-zero"]))
+        if kind == "drop" and S:
+            S.discard(data.draw(st.sampled_from(sorted(S))))
+        elif kind == "drop-pair" and S:
+            s = data.draw(st.sampled_from(sorted(S)))
+            S -= {s, tab.neg(s)}
+        elif kind == "add-nonsymmetric":
+            # -x is kept out unless the characteristic is 2, where x = -x
+            outside = sorted(x for x in range(1, tab.q) if x not in S and tab.neg(x) not in S)
+            if outside:
+                S.add(data.draw(st.sampled_from(outside)))
+        elif kind == "add-zero":
+            S.add(0)
+    return dataclasses.replace(tab, subgroup=frozenset(S))
+
+
+def _perturb_params(tab, data):
+    """A copy of tab with one SRG parameter or eigenvalue off by one, or tab itself."""
+    name = data.draw(st.sampled_from([None, "k", "lam", "mu", "u", "v"]))
+    if name is None:
+        return tab
+    delta = data.draw(st.sampled_from([-1, 1]))
+    P = tab.params
+    return dataclasses.replace(tab, params=dataclasses.replace(P, **{name: getattr(P, name) + delta}))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_srg_mutations_match_dense_reference(data):
+    """Same verdict and byte-identical detail as the dense check on broken inputs.
+
+    F_25 joins F_16 and F_64 because only in odd characteristic can an added
+    element leave S non-symmetric, and a pair {s, -s} differ from one element.
+    """
+    tab = field_for(*data.draw(st.sampled_from([(2, 3, 2), (2, 3, 3), (5, 3, 1)])))
+    if data.draw(st.booleans()):
+        tab = _mutate(tab, data)
+    else:
+        tab = _perturb_params(tab, data)
+    assert verify_srg(tab) == dense_verify_srg(tab)
+
+
+def test_srg_allocates_no_dense_matrix(monkeypatch):
+    def refuse(table):
+        raise AssertionError("verify_srg built a dense adjacency matrix")
+
+    monkeypatch.setattr(graph, "adjacency", refuse)
+    monkeypatch.setattr(graph, "laplacian", refuse)
+    assert verify_srg(field_for(2, 3, 4)).ok
+
+
+def test_dense_guard(monkeypatch):
+    tab = field_for(2, 3, 4)
+    monkeypatch.setattr(graph, "DENSE_MAX_BYTES", 256 * 256 * 8)
+    assert adjacency(tab).shape == (256, 256)
+    monkeypatch.setattr(graph, "DENSE_MAX_BYTES", 256 * 256 * 8 - 1)
+    with pytest.raises(BoundExceededError, match="DENSE_MAX_BYTES = 524287"):
+        adjacency(tab)
+    with pytest.raises(BoundExceededError):
+        laplacian(tab)
+
+
+def test_dense_guard_bounds():
+    assert 4096 * 4096 * 8 <= graph.DENSE_MAX_BYTES < 16384 * 16384 * 8
+
+
+def test_srg_q16384():
+    """verify --which srg at q = 2^14 runs in O(q) memory (a dense int64 A alone is 2 GiB).
+
+    A child's ru_maxrss starts from the peak RSS of the process it was exec'd
+    from, so the CLI runs under a small launcher that reports its os.wait4.
+    """
+    launcher = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:])\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "cyclocrit", "verify", "--p", "2", "--ell", "3", "--t", "7", "--which", "srg"]
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env, capture_output=True, text=True)
+    out, status = proc.stdout.splitlines(), proc.stdout.splitlines()[-1].split()
+    assert int(status[0]) == 0, proc.stderr
+    assert out[:-1] == ["srg: pass (16384, 5461, 1848, 1806)"]
+    assert int(status[1]) < 100 * 1024  # KiB on Linux
