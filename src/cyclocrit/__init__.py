@@ -12,7 +12,6 @@ from .abelian import AbelianGroupDesc, factorint
 from .carries import (
     DigitVec,
     carry_count,
-    carry_count_by_addition,
     digit_sum,
     digit_vector,
     min_carries,
@@ -61,7 +60,6 @@ __all__ = [
     "adjacency",
     "build_field",
     "carry_count",
-    "carry_count_by_addition",
     "closed_walk_poly",
     "coprime_part",
     "critical_group",

@@ -161,11 +161,3 @@ class AbelianGroupDesc:
                     a *= prime ** exps_sorted[i]
             chain.append(a)
         return tuple(reversed(chain))
-
-    def text_lines(self) -> list[str]:
-        lines = []
-        if self.free_rank:
-            lines.append(f"Z^{self.free_rank}")
-        for prime, exp, mult in self.divisors:
-            lines.append(f"{prime}^{exp} x {mult}")
-        return lines or ["trivial"]

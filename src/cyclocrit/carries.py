@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     BoundExceededError,
     ConservationError,
+    MismatchError,
     UndefinedSumError,
     ZeroResidueError,
 )
@@ -59,45 +60,10 @@ def carry_count(a: int, b: int, params: Params) -> int:
     if (a + b) % (q - 1) == 0:
         raise UndefinedSumError("a + b is divisible by q-1; expansion undefined")
     s = digit_sum(a, params) + digit_sum(b, params) - digit_sum(a + b, params)
-    assert s % (p - 1) == 0
-    c = s // (p - 1)
-    assert 0 <= c <= params.ext_degree
+    c, rem = divmod(s, p - 1)
+    if rem or not 0 <= c <= params.ext_degree:
+        raise MismatchError(f"digit sums of ({a}, {b}) give {s}/(p-1) carries, not 0..{params.ext_degree}")
     return c
-
-
-def carry_count_by_addition(a: int, b: int, params: Params) -> int:
-    """Same count by running the add-with-carry loop on the digit strings.
-
-    The carry out of the top digit wraps around to position 0 (addition
-    is modulo q-1 = p^e - 1), and wraparound cascades are counted too.
-    Kept as an independent implementation to cross-check the digit-sum
-    formula.
-    """
-    p = params.p
-    da = list(digit_vector(a, params).digits)
-    db = digit_vector(b, params).digits
-    if (a + b) % (params.q - 1) == 0:
-        raise UndefinedSumError("a + b is divisible by q-1; expansion undefined")
-    e = len(da)
-    count = 0
-    carry = 0
-    for i in range(e):
-        tot = da[i] + db[i] + carry
-        carry = tot // p
-        da[i] = tot % p
-        if carry:
-            count += 1
-    if carry:  # carry out of the top digit wraps to position 0 and may cascade
-        pos = 0
-        while True:
-            tot = da[pos] + 1
-            da[pos] = tot % p
-            if tot < p:
-                break
-            count += 1
-            pos = (pos + 1) % e
-    assert sum(d * p**i for i, d in enumerate(da)) == (a + b) % (params.q - 1)
-    return count
 
 
 def min_carries(i: int, params: Params) -> int:
@@ -113,7 +79,8 @@ def min_carries(i: int, params: Params) -> int:
             c = (s_res[m] + s_k[n - 1] - s_res[(m + n) % ell]) // (params.p - 1)
             if best is None or c < best:
                 best = c
-    assert 0 <= best <= params.ext_degree // 2
+    if not 0 <= best <= params.ext_degree // 2:
+        raise MismatchError(f"min_carries({i}) = {best} lies outside 0..{params.ext_degree // 2}")
     return best
 
 

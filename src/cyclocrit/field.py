@@ -224,31 +224,35 @@ class FieldTable:
             raise ZeroElementError("coset index of zero")
         return int(self.dlog[x]) % self.params.ell
 
-    def in_subgroup(self, x: int) -> bool:
-        return x != 0 and self.coset_index(x) == 0
-
     # --- vectorized add (adjacency construction) ------------------------
     def digit_table(self) -> np.ndarray:
-        """(q, e) array of base-p digits of every index; built on first use."""
+        """(e, q) array: row i holds base-p digit i of every index; built on first use."""
         if self._digit_table is None:
             p, e, q = self.params.p, self.params.ext_degree, self.q
-            D = np.zeros((q, e), dtype=np.int64)
+            D = np.zeros((e, q), dtype=np.int64)
             v = np.arange(q, dtype=np.int64)
             for i in range(e):
-                D[:, i] = v % p
+                D[i] = v % p
                 v //= p
             self._digit_table = D
         return self._digit_table
 
     def add_many(self, xs: np.ndarray, s: int) -> np.ndarray:
-        """Index of x + s for every x in xs."""
-        p, e = self.params.p, self.params.ext_degree
+        """Index of x + s for every x in xs.
+
+        Digit i of the sum is d_i(x) + s_i, less p exactly when
+        d_i(x) >= p - s_i, so the index of x + s is the integer
+        x + s - sum_i p^(i+1) [d_i(x) >= p - s_i].
+        """
+        p = self.params.p
         if p == 2:
             return xs ^ s
         D = self.digit_table()
-        ds = np.array(self.coeffs(s), dtype=np.int64)
-        pw = p ** np.arange(e, dtype=np.int64)
-        return ((D[xs] + ds) % p) @ pw
+        out = xs + s
+        for i, si in enumerate(self.coeffs(s)):
+            if si:
+                np.subtract(out, p ** (i + 1), out=out, where=np.take(D[i], xs) >= p - si)
+        return out
 
 
 def build_field(params: Params, max_q: int = DEFAULT_MAX_Q) -> FieldTable:

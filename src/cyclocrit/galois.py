@@ -1,18 +1,27 @@
 """Galois ring arithmetic, Teichmuller lifts, Jacobi sums, and block checks.
 
-GR(p^N, e) is modeled as coefficient tuples of length e with entries in
+GR(p^N, e) is modeled as coefficient vectors of length e with entries in
 0..p^N-1, reduced modulo the same irreducible polynomial the field
 tables use (lifted coefficientwise), so reduction mod p lands exactly on
-the field module's representation.  Jacobi sums are evaluated through a
+the field module's representation.  Single elements are tuples; the
+block route holds whole stacks of them as numpy arrays whose last axis
+is the e coefficients, multiplied by a broadcast convolution followed by
+one (2e-1) x e reduction matrix.  Jacobi sums are evaluated through a
 table of Teichmuller powers; their p-adic valuations realize carry
 counts (Stickelberger), which the verification suite checks pairwise.
+
 The Laplacian restricted to each multiplicative isotypic component is a
 small matrix over this ring whose local Smith form the block checks
 compare against the closed-form pattern.  Its off-diagonal entries are
 J(T^a, T^(-nk)), n = 1..ell-1, and T^(-nk)(1-x) depends only on the coset
-class dlog(1-x) mod ell; so each block row is one gather of Teichmuller
-powers summed per class, times a fixed matrix of powers of omega^k
-(jacobi_row).
+class c(x) = dlog(1-x) mod ell; so each block row is the class sums
+S_c(a) (T^a(x) summed over x not in {0, 1} with c(x) = c) times a fixed
+matrix of powers of omega^k.  The class sums obey S_c(p*r) = S_{p*c}(r):
+x -> x^p permutes F_q minus {0, 1}, multiplies dlog x by p, and
+multiplies c(x) by p because 1 - x^p = (1 - x)^p.  So one gather per
+orbit of r -> p*r mod q-1 gives the class sums of every exponent (a
+fixed sample of the others is gathered directly as a check), and all
+blocks of one shape are eliminated together as one (nb, n, n, e) array.
 """
 
 from __future__ import annotations
@@ -28,6 +37,13 @@ from .field import FieldTable
 
 Elem = tuple[int, ...]
 
+# Bytes of the largest array of one class-sum gather or one block batch:
+# it bounds peak memory whatever q and the number of blocks.
+BATCH_BYTES = 1 << 18
+# Exponents that are not their orbit's representative, gathered directly
+# to check the orbit identity on every run.
+ORBIT_SAMPLE = 8
+
 
 class GaloisRing:
     """Arithmetic context for GR(p^N, (ell-1)t) tied to a FieldTable."""
@@ -41,77 +57,58 @@ class GaloisRing:
         self.precision = P.ext_degree + P.d + 4
         self.pN = P.p**self.precision
         self.mod_poly = field.mod_poly
+        q, ell, e, k = field.q, P.ell, self.e, P.k
+        # A product of reduced elements sums at most 2e-1 terms below pN^2
+        # per coefficient, and so does every other contraction here.
+        self.dtype = object if (2 * e - 1) * self.pN**2 >= 1 << 62 else np.int64
+        # _reduce[i] holds the coefficients of X^i modulo the lifted modulus
+        red = np.zeros((2 * e - 1, e), dtype=self.dtype)
+        red[:e] = np.eye(e, dtype=self.dtype)
+        for i in range(e, 2 * e - 1):
+            red[i, 1:] = red[i - 1, :-1]
+            red[i] = (red[i] - red[i - 1, -1] * np.array(self.mod_poly, dtype=self.dtype)) % self.pN
+        self._reduce = red
+        # with b padded by e-1 zeros on each side, row i of padded[..., _shifts]
+        # holds the coefficients of X^i * b: entry j is b[j - i]
+        self._shifts = np.arange(2 * e - 1) - np.arange(e)[:, None] + e - 1
         # Every table is built here and never changed, so a ring can be
         # shared freely.  The Jacobi-sum tables run over x in F_q minus {0, 1},
         # sorted by the coset class c(x) = dlog(1-x) mod ell: class 0 holds
         # k-1 >= 1 elements (1-x != 1) and every other class k.
-        q, ell, e, k = field.q, P.ell, self.e, P.k
-        self._omega = self.omega_table()
-        self._omega_np = np.array(
-            self._omega, dtype=object if self.pN * q >= (1 << 62) else np.int64
-        )
-        xs = [x for x in range(q) if x not in (0, 1)]
-        dlog_x = np.array([int(field.dlog[x]) for x in xs], dtype=np.int64)
-        dlog_1mx = np.array([int(field.dlog[field.sub(1, x)]) for x in xs], dtype=np.int64)
+        self._omega_np = self.omega_table()
+        dlog_1mx = np.array([int(field.dlog[field.sub(1, x)]) for x in range(2, q)], dtype=np.int64)
         by_class = np.argsort(dlog_1mx % ell, kind="stable")
-        self._dlog_x = dlog_x[by_class]
+        self._dlog_x = field.dlog[2:][by_class]
         self._dlog_1mx = dlog_1mx[by_class]
         self._class_starts = np.searchsorted(self._dlog_1mx % ell, np.arange(ell))
-        # _row_map[(n-1)e + i, ce + j] is coefficient i of zeta^(-nc) X^j, with
-        # zeta = omega^k, so one product with the ell class sums gives the
-        # Jacobi row.  It is exact in int64 while ell*e*pN^2 < 2^62.
-        zeta_maps = [self._mul_matrix(self._omega[s * k]) for s in range(ell)]
-        self._row_map = np.array(
-            [
-                [zeta_maps[(-n * c) % ell][i][j] for c in range(ell) for j in range(e)]
-                for n in range(1, ell)
-                for i in range(e)
-            ],
-            dtype=object if ell * e * self.pN * self.pN >= (1 << 62) else np.int64,
-        )
+        # _row_map[c, j, (n-1)e + i] is coefficient i of zeta^(-nc) X^j, with
+        # zeta = omega^k, so the class sums times it give the Jacobi row.
+        powers = self._mul(self._omega_np[np.arange(ell) * k, None, :], red[:e])
+        s = -np.arange(ell)[:, None] * np.arange(1, ell) % ell
+        self._row_map = powers[s].transpose(0, 2, 1, 3).reshape(ell, e, (ell - 1) * e)
 
     # --- basic ring ops -------------------------------------------------
-    def zero(self) -> Elem:
-        return (0,) * self.e
-
     def one(self) -> Elem:
         return (1,) + (0,) * (self.e - 1)
 
-    def scalar(self, c: int) -> Elem:
-        return (c % self.pN,) + (0,) * (self.e - 1)
+    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Broadcast product of coefficient arrays (last axis e), reduced mod pN.
 
-    def add(self, a: Elem, b: Elem) -> Elem:
-        pN = self.pN
-        return tuple((x + y) % pN for x, y in zip(a, b))
-
-    def neg(self, a: Elem) -> Elem:
-        pN = self.pN
-        return tuple(-x % pN for x in a)
-
-    def sub(self, a: Elem, b: Elem) -> Elem:
-        pN = self.pN
-        return tuple((x - y) % pN for x, y in zip(a, b))
+        The convolution is one matmul of a against the e shifted copies
+        X^i * b of b; the (2e-1) x e reduction matrix then takes X^i,
+        i < 2e-1, back below degree e.
+        """
+        e = self.e
+        padded = np.zeros(b.shape[:-1] + (3 * e - 2,), dtype=self.dtype)
+        padded[..., e - 1 : 2 * e - 1] = b
+        conv = (a[..., None, :] @ padded[..., self._shifts])[..., 0, :]
+        conv %= self.pN
+        out = conv @ self._reduce
+        out %= self.pN
+        return out
 
     def mul(self, a: Elem, b: Elem) -> Elem:
-        e, pN, f = self.e, self.pN, self.mod_poly
-        res = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] += ai * bj
-        for i in range(2 * e - 2, e - 1, -1):
-            c = res[i] % pN
-            if c:
-                res[i] = 0
-                for j in range(e):
-                    res[i - e + j] -= c * f[j]
-        return tuple(x % pN for x in res[:e])
-
-    def _mul_matrix(self, a: Elem) -> list[list[int]]:
-        """e x e integer matrix of x -> a*x on coefficient vectors."""
-        e = self.e
-        cols = [self.mul(a, tuple(int(i == j) for i in range(e))) for j in range(e)]
-        return [[cols[j][i] for j in range(e)] for i in range(e)]
+        return tuple(self._mul(np.array(a, dtype=self.dtype), np.array(b, dtype=self.dtype)).tolist())
 
     def pow(self, a: Elem, n: int) -> Elem:
         r = self.one()
@@ -122,14 +119,6 @@ class GaloisRing:
             b = self.mul(b, b)
             n >>= 1
         return r
-
-    # --- field interface --------------------------------------------------
-    def lift(self, x: int) -> Elem:
-        """Coefficientwise lift of a field element index."""
-        return tuple(self.field.coeffs(x))
-
-    def reduce_to_field(self, a: Elem) -> int:
-        return self.field.from_coeffs(c % self.p for c in a)
 
     # --- valuations -------------------------------------------------------
     def valuation(self, a: Elem) -> int | None:
@@ -152,32 +141,33 @@ class GaloisRing:
                         return 0
         return best
 
-    def divide_by_p(self, a: Elem, v: int = 1) -> Elem:
-        pv = self.p**v
-        if any(c % pv for c in a):
-            raise MismatchError(f"{a} is not divisible by p^{v}")
-        return tuple(c // pv for c in a)
+    def unit_inverse(self, a: np.ndarray, modulus) -> np.ndarray:
+        """Inverses of the units in a (last axis e) modulo p-powers, by Newton lifting.
 
-    def unit_inverse(self, a: Elem, exponent: int) -> Elem:
-        """Inverse of a unit modulo p^exponent by Newton lifting."""
-        x0 = self.field.inv(self.reduce_to_field(a))
-        x = self.lift(x0)
-        pe = self.p**exponent
+        Starts from the field inverse tables; `modulus` broadcasts against
+        a[..., :1].  Each step doubles the number of correct p-adic digits.
+        """
+        field, powers = self.field, self.p ** np.arange(self.e, dtype=np.int64)
+        idx = (a % self.p).astype(np.int64) @ powers
+        inv = field.antilog[-field.dlog[idx] % (field.q - 1)]
+        x = (inv[..., None] // powers % self.p).astype(self.dtype)
         correct = 1
-        while correct < exponent:
-            two = self.scalar(2)
-            x = self.mul(x, self.sub(two, self.mul(a, x)))
-            x = tuple(c % pe for c in x)
+        while correct < self.precision:
+            y = -self._mul(a, x)
+            y[..., 0] += 2
+            x = self._mul(x, y) % modulus
             correct *= 2
-        if any(c % pe for c in self.sub(self.mul(a, x), self.one())):
-            raise MismatchError(f"Newton inverse of {a} fails modulo p^{exponent}")
-        return tuple(c % pe for c in x)
+        check = self._mul(a, x)
+        check[..., 0] -= 1
+        if (check % modulus).any():
+            raise MismatchError(f"Newton inverse fails modulo p^k for some of {a.shape[:-1]} units")
+        return x
 
     # --- Teichmuller lifts --------------------------------------------------
     def teichmuller_generator(self) -> Elem:
         """Lift of the field generator fixed by x -> x^q."""
         q = self.field.q
-        y = self.lift(self.field.generator)
+        y = tuple(self.field.coeffs(self.field.generator))  # coefficientwise lift
         for _ in range(self.precision + 1):
             y2 = self.pow(y, q)
             if y2 == y:
@@ -189,21 +179,26 @@ class GaloisRing:
             )
         return y
 
-    def omega_table(self) -> list[Elem]:
-        """All Teichmuller lifts as powers of the lifted generator."""
+    def omega_table(self) -> np.ndarray:
+        """(q-1, e) array of all Teichmuller lifts omega^j, filled by doubling."""
         q = self.field.q
-        w = self.teichmuller_generator()
-        table = [self.one()]
-        for _ in range(q - 2):
-            table.append(self.mul(table[-1], w))
-        if self.mul(table[-1], w) != self.one():
+        w = np.array(self.teichmuller_generator(), dtype=self.dtype)
+        table = np.zeros((q - 1, self.e), dtype=self.dtype)
+        table[0, 0] = 1
+        n = 1
+        while n < q - 1:  # w = omega^n here
+            m = min(n, q - 1 - n)
+            table[n : n + m] = self._mul(table[:m], w)
+            w = self._mul(w, w)
+            n += m
+        if not np.array_equal(self._mul(table[-1], table[1]), table[0]):
             raise MismatchError(f"Teichmuller generator does not have order q-1 = {q - 1}")
         return table
 
     def teichmuller(self, x: int) -> Elem:
         if x == 0:
             raise ZeroElementError("Teichmuller lift of zero")
-        return self._omega[int(self.field.dlog[x])]
+        return tuple(self._omega_np[int(self.field.dlog[x])].tolist())
 
 
 # --- Jacobi sums ---------------------------------------------------------
@@ -233,26 +228,74 @@ def jacobi_sum(a: int, b: int, ring: GaloisRing) -> Elem:
     idx = (ra * ring._dlog_x + rb * ring._dlog_1mx) % (q - 1)
     acc = ring._omega_np[idx].sum(axis=0)
     extra = (1 if a_ones else 0) + (1 if b_ones else 0)  # x = 1 and x = 0 terms
-    out = tuple((int(c) + (extra if i == 0 else 0)) % ring.pN for i, c in enumerate(acc))
+    return tuple((int(c) + (extra if i == 0 else 0)) % ring.pN for i, c in enumerate(acc))
+
+
+def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
+    """(len(rs), ell, e) class sums S_c(r) mod pN, one gather per exponent r."""
+    q, e, ell = ring.field.q, ring.e, ring.field.params.ell
+    per = max(1, BATCH_BYTES // ((q - 2) * e * 8))
+    out = np.zeros((len(rs), ell, e), dtype=ring.dtype)
+    for lo in range(0, len(rs), per):
+        idx = rs[lo : lo + per, None] * ring._dlog_x % (q - 1)
+        out[lo : lo + per] = np.add.reduceat(ring._omega_np[idx], ring._class_starts, axis=1) % ring.pN
     return out
 
 
-def jacobi_row(a: int, ring: GaloisRing) -> list[Elem]:
-    """[J(T^a, T^(-nk)) for n = 1..ell-1], exactly mod p^N, in one gather.
+def _class_sums(ring: GaloisRing, rs: np.ndarray):
+    """Lookup from residues in rs (mod q-1) to their class sums, (len, ell, e).
 
-    T^(-nk) has order dividing ell, so T^(-nk)(1-x) = zeta^(-n c(x)) with
-    zeta = omega^k and c(x) = dlog(1-x) mod ell.  Hence
-    J(T^a, T^(-nk)) = sum_c zeta^(-nc) S_c(a), where the class sum S_c(a)
-    adds T^a(x) over x not in {0, 1} with c(x) = c.  Exponent conventions
-    are those of jacobi_sum.
+    Gathers only the least residue of each orbit of r -> p*r that meets
+    rs.  With r = p^j * rep, S_c(r) = S_{p^j c mod ell}(rep).  Up to
+    ORBIT_SAMPLE other residues of rs, spread evenly, are also gathered
+    directly; any difference raises MismatchError.
     """
-    q = ring.field.q
-    ra, a_ones = _character_class(a, q)
-    sums = np.add.reduceat(ring._omega_np[(ra * ring._dlog_x) % (q - 1)], ring._class_starts)
-    sums[0, 0] += a_ones  # x = 0 term: T^a(0) T^(-nk)(1), and 1 lies in class 0
-    sums = (sums % ring.pN).astype(ring._row_map.dtype).reshape(-1)
-    rows = (ring._row_map @ sums) % ring.pN
-    return [tuple(r) for r in rows.reshape(-1, ring.e).tolist()]
+    P = ring.field.params
+    q, p, e, ell = P.q, P.p, ring.e, P.ell
+    cur = np.arange(q - 1, dtype=np.int64)
+    rep, back = cur.copy(), np.zeros(q - 1, dtype=np.int64)
+    for j in range(1, e):  # p^j * r = rep means r = p^(e-j) * rep
+        cur = cur * p % (q - 1)
+        better = cur < rep
+        rep[better], back[better] = cur[better], e - j
+    mult = np.array([pow(p, j, ell) for j in range(e)])[back]
+    reps = np.flatnonzero(np.bincount(rep[rs], minlength=q - 1))
+    sums = _gather_class_sums(ring, reps)
+    at = np.searchsorted(reps, rep)
+
+    def lookup(r: np.ndarray) -> np.ndarray:
+        return sums[at[r][:, None], mult[r][:, None] * np.arange(ell) % ell]
+
+    others = np.flatnonzero(np.bincount(rs[rep[rs] != rs], minlength=q - 1))
+    n = min(ORBIT_SAMPLE, len(others))
+    sample = others[np.arange(n) * (len(others) - 1) // max(n - 1, 1)]
+    for r, direct, via in zip(sample.tolist(), _gather_class_sums(ring, sample), lookup(sample)):
+        if not np.array_equal(direct, via):
+            raise MismatchError(
+                f"class sums of exponent {r} differ from those of its Frobenius orbit "
+                f"representative {int(rep[r])}"
+            )
+    return lookup
+
+
+def _jacobi_rows(ring: GaloisRing, sums: np.ndarray) -> np.ndarray:
+    """(R, ell-1, e) Jacobi rows J(T^r, T^(-nk)), n = 1..ell-1, from (R, ell, e) class sums."""
+    rows = np.zeros((len(sums), ring._row_map.shape[2]), dtype=ring.dtype)
+    for c, zeta_map in enumerate(ring._row_map):
+        rows = (rows + sums[:, c] @ zeta_map) % ring.pN
+    return rows.reshape(len(sums), -1, ring.e)
+
+
+def jacobi_row(a: int, ring: GaloisRing) -> list[Elem]:
+    """[J(T^a, T^(-nk)) for n = 1..ell-1], exactly mod p^N, from one gather.
+
+    T^(-nk)(1-x) = zeta^(-n c(x)) with zeta = omega^k, so J(T^a, T^(-nk))
+    = sum_c zeta^(-nc) S_c(a).  Exponent conventions are those of jacobi_sum.
+    """
+    r, a_ones = _character_class(a, ring.field.q)
+    sums = _gather_class_sums(ring, np.array([r]))
+    sums[0, 0, 0] += a_ones  # x = 0 term: T^a(0) T^(-nk)(1), and 1 lies in class 0
+    return [tuple(row) for row in _jacobi_rows(ring, sums % ring.pN)[0].tolist()]
 
 
 @dataclass(frozen=True)
@@ -313,127 +356,101 @@ def verify_stickelberger(
 # --- isotypic blocks of the Laplacian -------------------------------------
 
 
-def laplacian_block(table: FieldTable, ring: GaloisRing, i: int) -> list[list[Elem]]:
-    """ell x ell matrix of ell*L restricted to the i-th isotypic component.
+def _row_residues(P, idx: np.ndarray) -> np.ndarray:
+    """(len(idx), ell) exponents -(i + m*k) mod q-1 of the Jacobi rows of each block i."""
+    if not 0 <= idx.min() <= idx.max() <= P.k - 1:
+        raise ValueError(f"block indices must lie in 0..k-1, got {idx.min()}..{idx.max()}")
+    return -(idx[:, None] + np.arange(P.ell) * P.k) % (P.q - 1)
 
-    Row m holds the image of the basis character-sum vector indexed by
-    i + m*k: q on the diagonal, minus Jacobi sums elsewhere.  Requires
-    1 <= i <= k-1.
+
+def _blocks(table: FieldTable, ring: GaloisRing, idx: np.ndarray, lookup) -> np.ndarray:
+    """(len(idx), n, n, e) stack of ell*L on the isotypic components i in idx.
+
+    For i > 0 (n = ell), row m holds the image of the basis character-sum
+    vector indexed by i + m*k: q on the diagonal, minus Jacobi sums
+    elsewhere.  idx = [0] gives the trivial-character component (n =
+    ell+1) in the basis: all-ones vector, the zero-vertex indicator, then
+    the subgroup-coset character sums.
     """
     P = table.params
-    ell, k, q = P.ell, P.k, P.q
-    if not 1 <= i <= k - 1:
-        raise ValueError(f"block index must lie in 1..k-1, got {i}")
-    rows = []
-    for m in range(ell):
-        jac = jacobi_row(-(i + m * k), ring)
-        row = [ring.zero()] * ell
-        row[m] = ring.scalar(q)
-        for n in range(1, ell):
-            row[(m + n) % ell] = ring.neg(jac[n - 1])
-        rows.append(row)
-    return rows
-
-
-def laplacian_block_zero(table: FieldTable, ring: GaloisRing) -> list[list[Elem]]:
-    """(ell+1) x (ell+1) matrix of ell*L on the trivial-character component.
-
-    Basis order: all-ones vector, the zero-vertex indicator, then the
-    subgroup-coset character sums.
-    """
-    P = table.params
-    ell, k, q = P.ell, P.k, P.q
-    size = ell + 1
-    Z = ring.zero()
-    rows = [[Z] * size for _ in range(size)]
-    # image of the all-ones vector is 0
-    rows[1][0] = ring.scalar(-1)
-    rows[1][1] = ring.scalar(q)
-    for m in range(1, ell):
-        rows[1][1 + m] = ring.scalar(-1)
+    ell, q, pN = P.ell, P.q, ring.pN
+    jac = -_jacobi_rows(ring, lookup(_row_residues(P, idx).ravel())) % pN
+    if idx[0] > 0:
+        out = np.zeros((len(idx), ell, ell, ring.e), dtype=ring.dtype)
+        m = np.arange(ell)
+        out[:, m, m, 0] = q % pN
+        out[:, m[:, None], (m[:, None] + np.arange(1, ell)) % ell] = jac.reshape(len(idx), ell, ell - 1, -1)
+        return out
+    out = np.zeros((1, ell + 1, ell + 1, ring.e), dtype=ring.dtype)
+    out[0, 1, :, 0] = pN - 1  # the image of the all-ones vector (row 0) is 0
+    out[0, 1, 1, 0] = q % pN
     for j in range(1, ell):
-        jac = jacobi_row(-(j * k), ring)
-        row = rows[1 + j]
-        row[0] = ring.one()
-        row[1] = ring.scalar(-q)
-        row[1 + j] = ring.scalar(q)
-        for m in range(1, ell):
-            if (j + m) % ell == 0:
-                continue
-            col = 1 + (j + m) % ell
-            row[col] = ring.neg(jac[m - 1])
-    return rows
+        out[0, 1 + j, :2, 0] = 1, -q % pN
+        out[0, 1 + j, 1 + j, 0] = q % pN
+        for n in range(1, ell):
+            if (j + n) % ell:
+                out[0, 1 + j, 1 + (j + n) % ell] = jac[j, n - 1]
+    return out
 
 
-def ring_divisor_valuations(block: list[list[Elem]], ring: GaloisRing) -> tuple[list[int], int]:
-    """Valuations of the local Smith form diagonal, plus count of zeros.
+def laplacian_block(table: FieldTable, ring: GaloisRing, i: int) -> np.ndarray:
+    """(n, n, e) array of ell*L on the i-th isotypic component (0 is the trivial one)."""
+    idx = np.array([i])
+    return _blocks(table, ring, idx, _class_sums(ring, _row_residues(table.params, idx).ravel()))[0]
 
-    Valuation-pivot elimination: divide out the minimum valuation of the
-    remaining submatrix (all later divisors inherit it), then pivot on a
-    unit, which costs no precision beyond the accumulated shift.
+
+def _valuations(M: np.ndarray, p: int, zero: int) -> np.ndarray:
+    """Least coefficient valuation of every entry of M (last axis e); `zero` for zero entries."""
+    g = np.gcd.reduce(M, axis=-1)
+    v = np.where(g == 0, zero, 0)
+    while (step := (g % p == 0) & (g != 0)).any():
+        v += step
+        g = np.where(step, g // p, g)
+    return v
+
+
+def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[list[int], int]]:
+    """Local Smith form of each block of an (nb, n, n, e) stack: (valuations, zero count).
+
+    Valuation-pivot elimination, on every block at once.  Take the first
+    entry of least valuation in row-major order of the remaining
+    submatrix and divide that valuation out of it (all later divisors
+    inherit it), which makes the entry a unit; move it to the corner and
+    replace the rest by its Schur complement.  Entries stay reduced mod
+    p^avail, the precision left after the accumulated shift, so a
+    nonzero entry has valuation below avail; a block stops once its
+    remaining submatrix is zero.
     """
-    M = [row[:] for row in block]
-    n = len(M)
-    avail = ring.precision
-    shift = 0
-    exps: list[int] = []
-    t = 0
-    while t < n:
-        vmin = None
-        pos = None
-        for i in range(t, n):
-            for j in range(t, n):
-                v = ring.valuation(M[i][j])
-                if v is not None and (vmin is None or v < vmin):
-                    vmin, pos = v, (i, j)
-                    if v == 0:
-                        break
-            if vmin == 0:
-                break
-        if vmin is None:
-            break  # remaining block vanishes at available precision
-        if vmin > 0:
-            if vmin >= avail:
-                break
-            for i in range(t, n):
-                for j in range(t, n):
-                    M[i][j] = ring.divide_by_p(M[i][j], vmin)
-            shift += vmin
-            avail -= vmin
-            # rescan for a unit pivot after the shift
-            pos = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if ring.valuation(M[i][j]) == 0:
-                        pos = (i, j)
-                        break
-                if pos:
-                    break
-        if avail <= 0:
-            raise PrecisionError("ring precision exhausted during block elimination")
-        i0, j0 = pos
-        M[t], M[i0] = M[i0], M[t]
-        for row in M:
-            row[t], row[j0] = row[j0], row[t]
-        pe = ring.p**avail
-
-        def trunc(el: Elem) -> Elem:
-            return tuple(c % pe for c in el)
-
-        inv = ring.unit_inverse(trunc(M[t][t]), avail)
-        for i in range(t + 1, n):
-            factor = ring.mul(trunc(M[i][t]), inv)
-            if any(c % pe for c in factor):
-                for j in range(t, n):
-                    M[i][j] = trunc(ring.sub(M[i][j], ring.mul(factor, trunc(M[t][j]))))
-        for j in range(t + 1, n):
-            factor = ring.mul(trunc(M[t][j]), inv)
-            if any(c % pe for c in factor):
-                for i in range(t, n):
-                    M[i][j] = trunc(ring.sub(M[i][j], ring.mul(trunc(M[i][t]), factor)))
-        exps.append(shift)
-        t += 1
-    return exps, n - t
+    p, prec = ring.p, ring.precision
+    M = np.asarray(blocks, dtype=ring.dtype) % ring.pN
+    nb, n = M.shape[:2]
+    live, shift, rank = np.arange(nb), np.zeros(nb, dtype=np.int64), np.zeros(nb, dtype=np.int64)
+    exps = np.zeros((nb, n), dtype=np.int64)
+    for t in range(n):
+        V = _valuations(M, p, prec).reshape(len(live), -1)
+        pos = V.argmin(axis=1)
+        vmin = V[np.arange(len(live)), pos]
+        going = vmin < prec
+        live, M, pos, vmin = live[going], M[going], pos[going], vmin[going]
+        if not len(live):
+            break
+        shift[live] += vmin
+        M = M // np.array([p**v for v in vmin.tolist()], dtype=ring.dtype)[:, None, None, None]
+        modulus = np.array([p ** (prec - s) for s in shift[live].tolist()], dtype=ring.dtype)[:, None]
+        # swap rows 0 and i0, and columns 0 and j0, to put the pivot in the corner
+        at, m = np.arange(len(live)), n - t
+        perm = np.tile(np.arange(m), (2, len(live), 1))
+        perm[0, at, pos // m], perm[1, at, pos % m] = 0, 0
+        perm[:, :, 0] = pos // m, pos % m
+        M = M[at[:, None, None], perm[0, :, :, None], perm[1, :, None, :]]
+        inv = ring.unit_inverse(M[:, 0, 0], modulus)
+        factor = ring._mul(inv[:, None], M[:, 0, 1:]) % modulus[:, None]
+        update = ring._mul(M[:, 1:, :1], factor[:, None])
+        M = np.subtract(M[:, 1:, 1:], update, out=update)
+        M %= modulus[:, None, None]
+        exps[live, t] = shift[live]
+        rank[live] += 1
+    return [(row[:r].tolist(), n - r) for row, r in zip(exps, rank.tolist())]
 
 
 def expected_block_valuations(table: FieldTable, i: int) -> tuple[list[int], int]:
@@ -448,30 +465,50 @@ def expected_block_valuations(table: FieldTable, i: int) -> tuple[list[int], int
     return sorted(vals), 0
 
 
-def _block_valuations(table: FieldTable, ring: GaloisRing, i: int) -> tuple[list[int], int]:
-    """Local Smith valuations and zero count of block i (0 means the trivial block)."""
-    block = (
-        laplacian_block_zero(table, ring) if i == 0 else laplacian_block(table, ring, i)
-    )
-    return ring_divisor_valuations(block, ring)
+def _block_valuations(table: FieldTable, ring: GaloisRing, indices):
+    """Yield (i, valuations, zero count) of each block i of the increasing indices.
+
+    Class sums come from one gather per Frobenius orbit; the blocks are
+    built and eliminated in batches, the trivial block on its own.
+    """
+    P = table.params
+    idx = np.asarray(indices, dtype=np.int64)
+    lookup = _class_sums(ring, _row_residues(P, idx).ravel())
+    # the Schur update's products and shifted copies of its factor row
+    per = max(1, BATCH_BYTES // (8 * (2 * ring.e - 1) * P.ell * (P.ell + ring.e)))
+    first = int(idx[0] == 0)  # the trivial block has a shape of its own
+    batches = [idx[lo : lo + per] for lo in range(first, len(idx), per)]
+    if first:
+        batches.insert(0, idx[:1])
+    for batch in batches:
+        found = ring_divisor_valuations(_blocks(table, ring, batch, lookup), ring)
+        for i, (exps, zeros) in zip(batch.tolist(), found):
+            yield i, exps, zeros
 
 
-def verify_block(table: FieldTable, ring: GaloisRing, i: int) -> CheckReport:
-    exps, zeros = _block_valuations(table, ring, i)
+def _check_block(table: FieldTable, i: int, exps: list[int], zeros: int) -> None:
     want, want_zeros = expected_block_valuations(table, i)
     if sorted(exps) != want or zeros != want_zeros:
         raise MismatchError(
             f"block {i}: local Smith valuations {sorted(exps)} (zeros {zeros}) "
             f"!= expected {want} (zeros {want_zeros})"
         )
+
+
+def verify_block(table: FieldTable, ring: GaloisRing, i: int) -> CheckReport:
+    for found in _block_valuations(table, ring, [i]):
+        _check_block(table, *found)
     return CheckReport(True, 1)
 
 
 def verify_all_blocks(table: FieldTable, ring: GaloisRing | None = None) -> CheckReport:
-    """Local Smith form of every isotypic block against the closed form."""
+    """Local Smith form of every isotypic block against the closed form.
+
+    Raises MismatchError naming the lowest block index that fails.
+    """
     ring = ring or GaloisRing(table)
-    for i in range(table.params.k):
-        verify_block(table, ring, i)
+    for found in _block_valuations(table, ring, range(table.params.k)):
+        _check_block(table, *found)
     return CheckReport(True, table.params.k)
 
 
@@ -480,8 +517,7 @@ def block_p_multiplicities(table: FieldTable, ring: GaloisRing | None = None) ->
     P = table.params
     hist: dict[int, int] = {}
     ring = ring or GaloisRing(table)
-    for i in range(P.k):
-        exps, zeros = _block_valuations(table, ring, i)
+    for i, exps, zeros in _block_valuations(table, ring, range(P.k)):
         expected_zeros = 1 if i == 0 else 0
         if zeros != expected_zeros:
             raise MismatchError(f"block {i} has {zeros} zero divisors, expected {expected_zeros}")

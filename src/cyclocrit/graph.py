@@ -125,7 +125,7 @@ def verify_srg(table: FieldTable) -> SrgReport:
 
 def write_matrix(path: str, M: np.ndarray) -> None:
     """One line per row, space-separated decimal entries."""
+    line = " ".join(["%d"] * M.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for row in M:
-            fh.write(" ".join(str(int(x)) for x in row))
-            fh.write("\n")
+        for row in M.tolist():
+            fh.write(line % tuple(row))

@@ -128,7 +128,8 @@ def smith_normal_form(mat, modulus: int | None = None) -> tuple[tuple[int, ...],
         divisors.append(abs(int(M[t, t])) if modulus is None else math.gcd(int(M[t, t]), modulus))
         t += 1
     for a, b in zip(divisors, divisors[1:]):
-        assert b % a == 0
+        if b % a:
+            raise MismatchError(f"invariant factors {a}, {b} break the divisibility chain")
     return tuple(divisors), n - len(divisors)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import field_for, params_for
 from cyclocrit import (
     carry_count,
-    carry_count_by_addition,
+    carries,
     digit_sum,
     digit_vector,
     laplacian_p_multiplicities,
@@ -15,7 +15,41 @@ from cyclocrit import (
     min_carries_histogram,
     p_part_from_carries,
 )
-from cyclocrit.errors import BoundExceededError, UndefinedSumError, ZeroResidueError
+from cyclocrit.errors import BoundExceededError, MismatchError, UndefinedSumError, ZeroResidueError
+
+
+def carry_count_by_addition(a, b, params):
+    """Reference for carry_count: the add-with-carry loop on the digit strings.
+
+    The carry out of the top digit wraps around to position 0 (addition
+    is modulo q-1 = p^e - 1), and wraparound cascades are counted too.
+    An implementation independent of the digit-sum formula.
+    """
+    p = params.p
+    da = list(digit_vector(a, params).digits)
+    db = digit_vector(b, params).digits
+    if (a + b) % (params.q - 1) == 0:
+        raise UndefinedSumError("a + b is divisible by q-1; expansion undefined")
+    e = len(da)
+    count = 0
+    carry = 0
+    for i in range(e):
+        tot = da[i] + db[i] + carry
+        carry = tot // p
+        da[i] = tot % p
+        if carry:
+            count += 1
+    if carry:  # carry out of the top digit wraps to position 0 and may cascade
+        pos = 0
+        while True:
+            tot = da[pos] + 1
+            da[pos] = tot % p
+            if tot < p:
+                break
+            count += 1
+            pos = (pos + 1) % e
+    assert sum(d * p**i for i, d in enumerate(da)) == (a + b) % (params.q - 1)
+    return count
 
 
 def test_digit_expansion_of_one():
@@ -166,3 +200,15 @@ def test_p_part_ell5_fixture():
     got = p_part_from_carries(P)
     assert got == {0: 36, 1: 16, 4: 152, 6: 1, 9: 16, 10: 34}
     assert got == laplacian_p_multiplicities(field_for(2, 5, 2))
+
+
+def test_carry_invariants_raise_mismatch(monkeypatch):
+    """Broken digit sums fail as MismatchError (exit 2), not as an assert that -O strips."""
+    P3 = params_for(3, 5, 1)  # p - 1 = 2, so an odd digit-sum difference is impossible
+    good = carries.digit_sum
+    monkeypatch.setattr(carries, "digit_sum", lambda a, P: good(a, P) + (a == 1))
+    with pytest.raises(MismatchError, match="carries"):
+        carry_count(1, 2, P3)
+    monkeypatch.setattr(carries, "digit_sum", lambda a, P: good(a, P) + 10 * (a == 1))
+    with pytest.raises(MismatchError, match="min_carries"):
+        min_carries(1, params_for(2, 3, 2))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -104,6 +105,37 @@ def test_add_many_matches_scalar():
         vec = tab.add_many(xs, s)
         for x in range(tab.q):
             assert int(vec[x]) == tab.add(x, s)
+
+
+def add_many_by_digits(tab, xs, s):
+    """Reference for add_many at odd p: digitwise sum mod p, re-encoded by a matmul."""
+    p, e = tab.params.p, tab.params.ext_degree
+    D = tab.digit_table().T
+    return ((D[xs] + np.array(tab.coeffs(s))) % p) @ (p ** np.arange(e))
+
+
+def _digits_only_table(p, e):
+    """A FieldTable carrying only what digit arithmetic reads, for F_p^e outside the graph family."""
+    params = dataclasses.replace(params_for(3, 5, 1), p=p, ell=e + 1, t=1, q=p**e)
+    return dataclasses.replace(field_for(3, 5, 1), params=params, _digit_table=None)
+
+
+@pytest.mark.parametrize("tab", [field_for(5, 3, 1), _digits_only_table(3, 3)], ids=["F25", "F27"])
+def test_add_many_carry_formula_every_shift(tab):
+    xs32 = np.arange(tab.q, dtype=np.int32)
+    for s in range(tab.q):
+        want = add_many_by_digits(tab, xs32, s)
+        got = tab.add_many(xs32, s)
+        assert got.dtype == np.int32 and np.array_equal(got, want), s
+        assert np.array_equal(tab.add_many(xs32[::-1].astype(np.int64), s), want[::-1])
+
+
+def test_add_many_carry_formula_q15625():
+    tab = field_for(5, 3, 3)
+    xs = np.arange(tab.q, dtype=np.int32)
+    rng = np.random.default_rng(500)
+    for s in rng.integers(0, tab.q, 500).tolist():
+        assert np.array_equal(tab.add_many(xs, s), add_many_by_digits(tab, xs, s)), s
 
 
 def test_deterministic_construction():

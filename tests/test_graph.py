@@ -143,6 +143,22 @@ def test_matrix_export(tmp_path):
     assert first[0] == 5 and sum(first) == 0
 
 
+def write_matrix_by_entries(path, M):
+    """Reference for write_matrix: every entry formatted on its own."""
+    with open(path, "w") as fh:
+        for row in M:
+            fh.write(" ".join(str(int(x)) for x in row))
+            fh.write("\n")
+
+
+def test_matrix_export_bytes_match_reference(tmp_path):
+    tab = field_for(2, 3, 3)  # q = 64
+    for M in (laplacian(tab), adjacency(tab)):
+        write_matrix(str(tmp_path / "new.txt"), M)
+        write_matrix_by_entries(str(tmp_path / "ref.txt"), M)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
 @pytest.mark.parametrize("trip", SRG_REFERENCE_FIXTURES)
 def test_srg_matches_dense_reference(trip):
     tab = field_for(*trip)
