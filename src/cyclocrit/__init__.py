@@ -10,10 +10,8 @@ the oracle can reach.
 
 from .abelian import AbelianGroupDesc, factorint
 from .carries import (
-    DigitVec,
     carry_count,
-    digit_sum,
-    digit_vector,
+    digit_sums,
     min_carries,
     min_carries_histogram,
     p_part_from_carries,
@@ -43,7 +41,6 @@ from .snf import (
     critical_group_by_snf,
     laplacian_p_multiplicities,
     p_local_multiplicities,
-    p_rank,
     smith_normal_form,
 )
 
@@ -53,7 +50,6 @@ __all__ = [
     "AbelianGroupDesc",
     "BivarPoly",
     "CriticalGroupResult",
-    "DigitVec",
     "FieldTable",
     "GaloisRing",
     "Params",
@@ -65,8 +61,7 @@ __all__ = [
     "critical_group",
     "critical_group_by_local_snf",
     "critical_group_by_snf",
-    "digit_sum",
-    "digit_vector",
+    "digit_sums",
     "factorint",
     "jacobi_sum",
     "laplacian",
@@ -76,7 +71,6 @@ __all__ = [
     "p_local_multiplicities",
     "p_part_from_carries",
     "p_part_from_recursion",
-    "p_rank",
     "p_rank_closed_form",
     "recursion_coefficients",
     "smith_normal_form",

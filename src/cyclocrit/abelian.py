@@ -137,11 +137,6 @@ class AbelianGroupDesc:
             0, tuple(dv for dv in self.divisors if dv[0] == p)
         )
 
-    def prime_to(self, p: int) -> "AbelianGroupDesc":
-        return AbelianGroupDesc(
-            0, tuple(dv for dv in self.divisors if dv[0] != p)
-        )
-
     def p_multiplicities(self, p: int) -> dict[int, int]:
         """Map exponent -> multiplicity for the prime p (exponent >= 1 only)."""
         return {exp: mult for prime, exp, mult in self.divisors if prime == p}

@@ -1,16 +1,15 @@
-"""Base-p digit expansions mod q-1, carry counting, and the p-part multiplicities.
+"""Base-p digit sums mod q-1, carry counting, and the p-part multiplicities.
 
 Residues in 1..q-2 have a unique (ell-1)t-digit expansion in base p;
 the number of carries when two such residues are added modulo q-1
 equals (s(a) + s(b) - s(a+b)) / (p-1), where s is the digit sum.  The
 Sylow p-part of the critical group is determined by the minimum carry
-count over each index coset, which this module enumerates (vectorized
-over all cosets) and converts into elementary divisor multiplicities.
+count over each index coset.  Every function here takes int64 arrays
+(any shape, broadcast together) and returns arrays: the histogram and
+the block checks run the same kernels on chunks of cosets.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,96 +23,72 @@ from .errors import (
 from .params import Params
 
 DEFAULT_ENUM_BOUND = 1 << 24
+# Cosets per min_carries call in the histogram: its arrays are (ell, chunk)
+# int64, small enough to stay in cache, so peak memory does not grow with k.
+HIST_CHUNK = 1 << 12
 
 
-@dataclass(frozen=True)
-class DigitVec:
-    """Base-p digits (least significant first) of a residue in 1..q-2."""
+def digit_sums(x, params: Params) -> np.ndarray:
+    """Base-p digit sums of the residues x mod q-1, which must be nonzero.
 
-    digits: tuple[int, ...]
-    value: int
-
-    @property
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
-
-def digit_vector(a: int, params: Params) -> DigitVec:
-    r = a % (params.q - 1)
-    if r == 0:
-        raise ZeroResidueError(f"{a} is divisible by q-1 = {params.q - 1}")
-    digits = []
-    x = r
-    for _ in range(params.ext_degree):
-        digits.append(x % params.p)
-        x //= params.p
-    return DigitVec(digits=tuple(digits), value=r)
+    Legendre's identity s(r) = r - (p-1) * sum_{i>=1} floor(r / p^i)
+    needs one floor division per digit.
+    """
+    p = params.p
+    r = np.asarray(x, dtype=np.int64) % (params.q - 1)
+    if not r.all():
+        raise ZeroResidueError(f"{np.asarray(x).ravel()[np.argmin(r)]} is divisible by q-1 = {params.q - 1}")
+    y, floors = np.array(r), np.zeros_like(r)
+    for _ in range(params.ext_degree - 1):
+        np.floor_divide(y, p, out=y)
+        floors += y
+    return r - (p - 1) * floors
 
 
-def digit_sum(a: int, params: Params) -> int:
-    return digit_vector(a, params).digit_sum
-
-
-def carry_count(a: int, b: int, params: Params) -> int:
+def carry_count(a, b, params: Params) -> np.ndarray:
     """Carries in the cyclic addition of a and b mod q-1, via digit sums."""
-    q, p = params.q, params.p
-    if (a + b) % (q - 1) == 0:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    if ((a + b) % (params.q - 1) == 0).any():
         raise UndefinedSumError("a + b is divisible by q-1; expansion undefined")
-    s = digit_sum(a, params) + digit_sum(b, params) - digit_sum(a + b, params)
-    c, rem = divmod(s, p - 1)
-    if rem or not 0 <= c <= params.ext_degree:
-        raise MismatchError(f"digit sums of ({a}, {b}) give {s}/(p-1) carries, not 0..{params.ext_degree}")
+    s = digit_sums(a, params) + digit_sums(b, params) - digit_sums(a + b, params)
+    c, rem = np.divmod(s, params.p - 1)
+    if (bad := (rem != 0) | (c < 0) | (c > params.ext_degree)).any():
+        j = np.argmax(bad)
+        raise MismatchError(
+            f"digit sums of ({a.flat[j]}, {b.flat[j]}) give {s.flat[j]}/(p-1) carries, "
+            f"not 0..{params.ext_degree}"
+        )
     return c
 
 
-def min_carries(i: int, params: Params) -> int:
-    """Minimum of c(i + m*k, n*k) over 0 <= m < ell, 1 <= n < ell."""
-    ell, k = params.ell, params.k
-    if not 1 <= i <= k - 1:
-        raise ValueError(f"coset representative must lie in 1..k-1, got {i}")
-    s_res = [digit_sum(i + m * k, params) for m in range(ell)]
-    s_k = [digit_sum(n * k, params) for n in range(1, ell)]
+def min_carries(idx, params: Params) -> np.ndarray:
+    """Minimum of c(i + m*k, n*k) over 0 <= m < ell, 1 <= n < ell, for each i in idx."""
+    p, ell, k = params.p, params.ell, params.k
+    idx = np.asarray(idx, dtype=np.int64)
+    if ((idx < 1) | (idx > k - 1)).any():
+        raise ValueError(f"coset representatives must lie in 1..k-1, got {idx.min()}..{idx.max()}")
+    sums = digit_sums(np.arange(ell).reshape((ell,) + (1,) * idx.ndim) * k + idx, params)
+    s_k = digit_sums(np.arange(1, ell) * k, params)
     best = None
-    for m in range(ell):
-        for n in range(1, ell):
-            c = (s_res[m] + s_k[n - 1] - s_res[(m + n) % ell]) // (params.p - 1)
-            if best is None or c < best:
-                best = c
-    if not 0 <= best <= params.ext_degree // 2:
-        raise MismatchError(f"min_carries({i}) = {best} lies outside 0..{params.ext_degree // 2}")
+    for n in range(1, ell):  # np.roll(sums, -n, axis=0)[m] = sums[(m + n) % ell]
+        c = (sums + s_k[n - 1] - np.roll(sums, -n, axis=0)).min(axis=0) // (p - 1)
+        best = c if best is None else np.minimum(best, c)
+    if (bad := (best < 0) | (best > params.ext_degree // 2)).any():
+        j = np.argmax(bad)
+        raise MismatchError(f"min_carries({idx.flat[j]}) = {best.flat[j]} lies outside 0..{params.ext_degree // 2}")
     return best
 
 
 def min_carries_histogram(params: Params, enum_bound: int = DEFAULT_ENUM_BOUND) -> dict[int, int]:
-    """Multiset {min_carries(i) : 1 <= i <= k-1} as a histogram.
-
-    Vectorized over all cosets at once: for each of the ell translates
-    the digit sums come from e strip-mined divmod passes, after which
-    the ell(ell-1) carry counts per coset are pure array arithmetic.
-    """
-    p, ell, k, q, e = params.p, params.ell, params.k, params.q, params.ext_degree
+    """Multiset {min_carries(i) : 1 <= i <= k-1} as a histogram, HIST_CHUNK cosets at a time."""
+    k, q, half = params.k, params.q, params.ext_degree // 2
     if k - 1 > enum_bound:
         raise BoundExceededError(f"k - 1 = {k - 1} exceeds enumeration bound {enum_bound}")
-    if q > (1 << 62) // (ell + 1):
+    if q > (1 << 62) // (params.ell + 1):
         raise BoundExceededError("q too large for int64 coset enumeration")
-    idx = np.arange(1, k, dtype=np.int64)
-    sums = []
-    for m in range(ell):
-        x = (idx + m * k) % (q - 1)
-        tot = np.zeros_like(x)
-        for _ in range(e):
-            tot += x % p
-            x //= p
-        sums.append(tot)
-    s_k = []
-    for n in range(1, ell):
-        s_k.append(digit_sum(n * k, params))
-    cmin = None
-    for m in range(ell):
-        for n in range(1, ell):
-            c = (sums[m] + s_k[n - 1] - sums[(m + n) % ell]) // (p - 1)
-            cmin = c if cmin is None else np.minimum(cmin, c)
-    counts = np.bincount(cmin)
+    counts = np.zeros(half + 1, dtype=np.int64)
+    for lo in range(1, k, HIST_CHUNK):
+        counts += np.bincount(min_carries(np.arange(lo, min(lo + HIST_CHUNK, k)), params), minlength=half + 1)
     return {j: int(cnt) for j, cnt in enumerate(counts) if cnt}
 
 

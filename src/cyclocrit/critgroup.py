@@ -120,9 +120,7 @@ def critical_group(
             e_mult[0] = params.q - 1 - sum(e_mult.values())
             check_conservation(e_mult, params)
             group = bf_group
-            u_free = params.u // params.p ** params.vp(params.u)
-            v_free = params.v // params.p ** params.vp(params.v)
-            coprime_orders = (u_free, v_free)
+            coprime_orders = coprime_part(params)[1:]
     if method == "both":
         if group != bf_group:
             raise MethodMismatchError(

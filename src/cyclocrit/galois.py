@@ -3,12 +3,13 @@
 GR(p^N, e) is modeled as coefficient vectors of length e with entries in
 0..p^N-1, reduced modulo the same irreducible polynomial the field
 tables use (lifted coefficientwise), so reduction mod p lands exactly on
-the field module's representation.  Single elements are tuples; the
-block route holds whole stacks of them as numpy arrays whose last axis
-is the e coefficients, multiplied by a broadcast convolution followed by
-one (2e-1) x e reduction matrix.  Jacobi sums are evaluated through a
-table of Teichmuller powers; their p-adic valuations realize carry
-counts (Stickelberger), which the verification suite checks pairwise.
+the field module's representation.  Elements are numpy arrays whose
+last axis is the e coefficients, a single element as much as a stack of
+blocks, multiplied by a broadcast convolution followed by one
+(2e-1) x e reduction matrix.  Jacobi sums are gathered from a table of
+Teichmuller powers, any batch of exponent pairs at once; their p-adic
+valuations realize carry counts (Stickelberger), which the verification
+suite checks pair by pair, a batch per gather.
 
 The Laplacian restricted to each multiplicative isotypic component is a
 small matrix over this ring whose local Smith form the block checks
@@ -32,13 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carries import carry_count, min_carries
-from .errors import MismatchError, PrecisionError, ZeroElementError
+from .errors import MismatchError, PrecisionError
 from .field import FieldTable
 
-Elem = tuple[int, ...]
-
-# Bytes of the largest array of one class-sum gather or one block batch:
-# it bounds peak memory whatever q and the number of blocks.
+# Bytes of the largest array of one class-sum gather, one block batch or
+# one batch of Jacobi sums: it bounds peak memory whatever q and the
+# number of blocks or pairs.
 BATCH_BYTES = 1 << 18
 # Exponents that are not their orbit's representative, gathered directly
 # to check the orbit identity on every run.
@@ -88,9 +88,6 @@ class GaloisRing:
         self._row_map = powers[s].transpose(0, 2, 1, 3).reshape(ell, e, (ell - 1) * e)
 
     # --- basic ring ops -------------------------------------------------
-    def one(self) -> Elem:
-        return (1,) + (0,) * (self.e - 1)
-
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Broadcast product of coefficient arrays (last axis e), reduced mod pN.
 
@@ -106,40 +103,6 @@ class GaloisRing:
         out = conv @ self._reduce
         out %= self.pN
         return out
-
-    def mul(self, a: Elem, b: Elem) -> Elem:
-        return tuple(self._mul(np.array(a, dtype=self.dtype), np.array(b, dtype=self.dtype)).tolist())
-
-    def pow(self, a: Elem, n: int) -> Elem:
-        r = self.one()
-        b = a
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
-
-    # --- valuations -------------------------------------------------------
-    def valuation(self, a: Elem) -> int | None:
-        """Smallest coefficient valuation; None when a = 0 mod p^precision.
-
-        Valid because the extension is unramified: p^j * R meets the
-        coefficient lattice exactly in coefficientwise multiples of p^j.
-        """
-        p = self.p
-        best: int | None = None
-        for c in a:
-            if c:
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                if best is None or v < best:
-                    best = v
-                    if best == 0:
-                        return 0
-        return best
 
     def unit_inverse(self, a: np.ndarray, modulus) -> np.ndarray:
         """Inverses of the units in a (last axis e) modulo p-powers, by Newton lifting.
@@ -164,25 +127,30 @@ class GaloisRing:
         return x
 
     # --- Teichmuller lifts --------------------------------------------------
-    def teichmuller_generator(self) -> Elem:
-        """Lift of the field generator fixed by x -> x^q."""
+    def teichmuller_generator(self) -> np.ndarray:
+        """Lift of the field generator fixed by x -> x^q, as an (e,) array."""
         q = self.field.q
-        y = tuple(self.field.coeffs(self.field.generator))  # coefficientwise lift
-        for _ in range(self.precision + 1):
-            y2 = self.pow(y, q)
-            if y2 == y:
-                break
+        y = np.array(self.field.coeffs(self.field.generator), dtype=self.dtype)  # coefficientwise lift
+
+        def frobenius(x):  # x^q by square-and-multiply
+            r, n = np.eye(1, self.e, dtype=self.dtype)[0], q
+            while n:
+                if n & 1:
+                    r = self._mul(r, x)
+                x, n = self._mul(x, x), n >> 1
+            return r
+
+        for _ in range(self.precision + 2):
+            y2 = frobenius(y)
+            if np.array_equal(y2, y):
+                return y
             y = y2
-        if self.pow(y, q) != y:
-            raise PrecisionError(
-                f"Teichmuller lift not fixed by x -> x^q within {self.precision + 1} steps"
-            )
-        return y
+        raise PrecisionError(f"Teichmuller lift not fixed by x -> x^q within {self.precision + 1} steps")
 
     def omega_table(self) -> np.ndarray:
         """(q-1, e) array of all Teichmuller lifts omega^j, filled by doubling."""
         q = self.field.q
-        w = np.array(self.teichmuller_generator(), dtype=self.dtype)
+        w = self.teichmuller_generator()
         table = np.zeros((q - 1, self.e), dtype=self.dtype)
         table[0, 0] = 1
         n = 1
@@ -195,40 +163,31 @@ class GaloisRing:
             raise MismatchError(f"Teichmuller generator does not have order q-1 = {q - 1}")
         return table
 
-    def teichmuller(self, x: int) -> Elem:
-        if x == 0:
-            raise ZeroElementError("Teichmuller lift of zero")
-        return tuple(self._omega_np[int(self.field.dlog[x])].tolist())
-
 
 # --- Jacobi sums ---------------------------------------------------------
 
 
-def _character_class(a: int, q: int) -> tuple[int, bool]:
-    """(reduced exponent, acts-as-all-ones-at-zero).
-
-    Exponent multiples of q-1 split into two conventional characters:
-    the literal zero exponent is the everywhere-1 character, any other
-    multiple is the unit-indicator character vanishing at 0.
-    """
-    r = a % (q - 1)
-    return r, (a == 0)
-
-
-def jacobi_sum(a: int, b: int, ring: GaloisRing) -> Elem:
+def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
     """J(T^a, T^b) = sum over x in K of T^a(x) T^b(1-x), exactly mod p^N.
 
-    Exponents are taken mod q-1; a literal 0 selects the all-ones
-    character (nonzero multiples of q-1 select the character vanishing
-    at zero), matching the usual boundary conventions.
+    a and b are broadcast exponent arrays; the result has shape
+    (..., e).  Exponents are taken mod q-1; a literal 0 selects the
+    all-ones character (nonzero multiples of q-1 select the character
+    vanishing at zero), matching the usual boundary conventions.  Over
+    x not in {0, 1} the sum is sum_r N(r) omega^r, where N(r) counts the
+    x with a*dlog(x) + b*dlog(1-x) = r mod q-1: one bincount for all
+    pairs, then one product with the Teichmuller table.
     """
     q = ring.field.q
-    ra, a_ones = _character_class(a, q)
-    rb, b_ones = _character_class(b, q)
-    idx = (ra * ring._dlog_x + rb * ring._dlog_1mx) % (q - 1)
-    acc = ring._omega_np[idx].sum(axis=0)
-    extra = (1 if a_ones else 0) + (1 if b_ones else 0)  # x = 1 and x = 0 terms
-    return tuple((int(c) + (extra if i == 0 else 0)) % ring.pN for i, c in enumerate(acc))
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    idx = a.reshape(-1, 1) % (q - 1) * ring._dlog_x
+    idx += b.reshape(-1, 1) % (q - 1) * ring._dlog_1mx
+    idx %= q - 1
+    idx += np.arange(a.size)[:, None] * (q - 1)  # pair j counts into bins j(q-1)..(j+1)(q-1)-1
+    counts = np.bincount(idx.ravel(), minlength=a.size * (q - 1)).reshape(a.shape + (q - 1,))
+    acc = counts.astype(ring.dtype, copy=False) @ ring._omega_np
+    acc[..., 0] += ((a == 0).astype(np.int64) + (b == 0)).astype(ring.dtype)  # x = 1 and x = 0 terms
+    return acc % ring.pN
 
 
 def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
@@ -286,18 +245,6 @@ def _jacobi_rows(ring: GaloisRing, sums: np.ndarray) -> np.ndarray:
     return rows.reshape(len(sums), -1, ring.e)
 
 
-def jacobi_row(a: int, ring: GaloisRing) -> list[Elem]:
-    """[J(T^a, T^(-nk)) for n = 1..ell-1], exactly mod p^N, from one gather.
-
-    T^(-nk)(1-x) = zeta^(-n c(x)) with zeta = omega^k, so J(T^a, T^(-nk))
-    = sum_c zeta^(-nc) S_c(a).  Exponent conventions are those of jacobi_sum.
-    """
-    r, a_ones = _character_class(a, ring.field.q)
-    sums = _gather_class_sums(ring, np.array([r]))
-    sums[0, 0, 0] += a_ones  # x = 0 term: T^a(0) T^(-nk)(1), and 1 lies in class 0
-    return [tuple(row) for row in _jacobi_rows(ring, sums % ring.pN)[0].tolist()]
-
-
 @dataclass(frozen=True)
 class CheckReport:
     ok: bool
@@ -314,42 +261,36 @@ def verify_stickelberger(
 ) -> CheckReport:
     """Jacobi valuation == carry count over admissible exponent pairs.
 
-    Exhaustive when q <= exhaustive_limit, otherwise a seeded sample.
-    Raises MismatchError on the first failing pair.
+    Exhaustive (in lexicographic order) when q <= exhaustive_limit,
+    otherwise a seeded sample; one jacobi_sum and one carry_count per
+    batch of pairs.  Raises MismatchError on the first failing pair; a
+    Jacobi sum that vanishes mod p^N counts as valuation N.
     """
     P = table.params
     ring = ring or GaloisRing(table)
     q = P.q
-    if q <= exhaustive_limit:
-        pairs = (
-            (a, b)
-            for a in range(1, q - 1)
-            for b in range(1, q - 1)
-            if (a + b) % (q - 1) != 0
-        )
+    per = max(1, BATCH_BYTES // (24 * (q - 1)))  # jacobi_sum's indices, one temporary and counts
+    if q <= exhaustive_limit:  # lexicographic order, built a batch at a time
+        total = (q - 2) ** 2
+        batches = (np.array(np.divmod(np.arange(lo, min(lo + per, total)), q - 2)) + 1 for lo in range(0, total, per))
     else:
-        rng = random.Random(seed)
-
-        def gen():
-            made = 0
-            while made < sample:
-                a = rng.randrange(1, q - 1)
-                b = rng.randrange(1, q - 1)
-                if (a + b) % (q - 1) == 0:
-                    continue
+        rng, pairs, made = random.Random(seed), np.zeros((2, sample), dtype=np.int64), 0
+        while made < sample:
+            pair = rng.randrange(1, q - 1), rng.randrange(1, q - 1)
+            if sum(pair) % (q - 1):
+                pairs[:, made] = pair
                 made += 1
-                yield a, b
-
-        pairs = gen()
+        batches = (pairs[:, lo : lo + per] for lo in range(0, sample, per))
     checked = 0
-    for a, b in pairs:
+    for a, b in batches:
+        keep = (a + b) % (q - 1) != 0
+        a, b = a[keep], b[keep]
         c = carry_count(a, b, P)
-        v = ring.valuation(jacobi_sum(-a, -b, ring))
-        if v != c:
-            raise MismatchError(
-                f"Stickelberger fails at (a,b)=({a},{b}): valuation {v} != carries {c}"
-            )
-        checked += 1
+        v = _valuations(jacobi_sum(-a, -b, ring), P.p, ring.precision)
+        if (bad := v != c).any():
+            j = np.argmax(bad)
+            raise MismatchError(f"Stickelberger fails at (a,b)=({a[j]},{b[j]}): valuation {v[j]} != carries {c[j]}")
+        checked += len(a)
     return CheckReport(True, checked)
 
 
@@ -453,20 +394,22 @@ def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[
     return [(row[:r].tolist(), n - r) for row, r in zip(exps, rank.tolist())]
 
 
-def expected_block_valuations(table: FieldTable, i: int) -> tuple[list[int], int]:
-    """Closed-form local Smith pattern for block i (0 means the trivial block)."""
+def expected_block_valuations(table: FieldTable, idx) -> tuple[np.ndarray, int]:
+    """Closed-form local Smith patterns of a batch of blocks: (sorted valuations per block, zeros).
+
+    idx is [0], the trivial block, or indices in 1..k-1, whose patterns
+    come from one array min_carries.
+    """
     P = table.params
-    half = P.ext_degree // 2
-    if i == 0:
-        vals = [0, 0] + [half] * (P.ell - 3) + [P.vp(P.u)]
-        return sorted(vals), 1
-    c = min_carries(i, P)
-    vals = [c] + [half] * (P.ell - 2) + [P.vp(P.u * P.v) - c]
-    return sorted(vals), 0
+    half, idx = P.ext_degree // 2, np.asarray(idx, dtype=np.int64)
+    if idx.tolist() == [0]:
+        return np.array([sorted([0, 0] + [half] * (P.ell - 3) + [P.vp(P.u)])]), 1
+    c = min_carries(idx, P)[:, None]
+    return np.sort(np.hstack([c, np.full((len(idx), P.ell - 2), half), P.vp(P.u * P.v) - c]), axis=1), 0
 
 
 def _block_valuations(table: FieldTable, ring: GaloisRing, indices):
-    """Yield (i, valuations, zero count) of each block i of the increasing indices.
+    """Yield (batch, [(valuations, zero count) per block]) over the increasing indices.
 
     Class sums come from one gather per Frobenius orbit; the blocks are
     built and eliminated in batches, the trivial block on its own.
@@ -481,23 +424,22 @@ def _block_valuations(table: FieldTable, ring: GaloisRing, indices):
     if first:
         batches.insert(0, idx[:1])
     for batch in batches:
-        found = ring_divisor_valuations(_blocks(table, ring, batch, lookup), ring)
-        for i, (exps, zeros) in zip(batch.tolist(), found):
-            yield i, exps, zeros
+        yield batch, ring_divisor_valuations(_blocks(table, ring, batch, lookup), ring)
 
 
-def _check_block(table: FieldTable, i: int, exps: list[int], zeros: int) -> None:
-    want, want_zeros = expected_block_valuations(table, i)
-    if sorted(exps) != want or zeros != want_zeros:
-        raise MismatchError(
-            f"block {i}: local Smith valuations {sorted(exps)} (zeros {zeros}) "
-            f"!= expected {want} (zeros {want_zeros})"
-        )
+def _check_blocks(table: FieldTable, batch: np.ndarray, found) -> None:
+    want, want_zeros = expected_block_valuations(table, batch)
+    for i, (exps, zeros), w in zip(batch.tolist(), found, want.tolist()):
+        if sorted(exps) != w or zeros != want_zeros:
+            raise MismatchError(
+                f"block {i}: local Smith valuations {sorted(exps)} (zeros {zeros}) "
+                f"!= expected {w} (zeros {want_zeros})"
+            )
 
 
 def verify_block(table: FieldTable, ring: GaloisRing, i: int) -> CheckReport:
     for found in _block_valuations(table, ring, [i]):
-        _check_block(table, *found)
+        _check_blocks(table, *found)
     return CheckReport(True, 1)
 
 
@@ -508,7 +450,7 @@ def verify_all_blocks(table: FieldTable, ring: GaloisRing | None = None) -> Chec
     """
     ring = ring or GaloisRing(table)
     for found in _block_valuations(table, ring, range(table.params.k)):
-        _check_block(table, *found)
+        _check_blocks(table, *found)
     return CheckReport(True, table.params.k)
 
 
@@ -517,12 +459,13 @@ def block_p_multiplicities(table: FieldTable, ring: GaloisRing | None = None) ->
     P = table.params
     hist: dict[int, int] = {}
     ring = ring or GaloisRing(table)
-    for i, exps, zeros in _block_valuations(table, ring, range(P.k)):
-        expected_zeros = 1 if i == 0 else 0
-        if zeros != expected_zeros:
-            raise MismatchError(f"block {i} has {zeros} zero divisors, expected {expected_zeros}")
-        for e in exps:
-            hist[e] = hist.get(e, 0) + 1
+    for batch, found in _block_valuations(table, ring, range(P.k)):
+        for i, (exps, zeros) in zip(batch.tolist(), found):
+            expected_zeros = 1 if i == 0 else 0
+            if zeros != expected_zeros:
+                raise MismatchError(f"block {i} has {zeros} zero divisors, expected {expected_zeros}")
+            for e in exps:
+                hist[e] = hist.get(e, 0) + 1
     if sum(hist.values()) != P.q - 1:
         raise MismatchError(f"blocks give {sum(hist.values())} divisors, expected q-1 = {P.q - 1}")
     return hist

@@ -349,7 +349,8 @@ def p_part_from_recursion(p: int, t: int, params: Params | None = None) -> dict[
     if (p, t) == (2, 1):
         raise BadResidueError("(p, t) = (2, 1) is excluded (disconnected graph)")
     params = params or validate(p, 3, t)
-    assert params.ell == 3 and params.p == p and params.t == t
+    if (params.p, params.ell, params.t) != (p, 3, t):
+        raise ValueError(f"params are for {(params.p, params.ell, params.t)}, not {(p, 3, t)}")
     q, k = params.q, params.k
     delta = 1 if p == 2 else 0
     C = closed_walk_poly(p, t)

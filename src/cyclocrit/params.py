@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import factorint
-from .errors import DisconnectedError, NotPrimeError, NotPrimitiveError
+from .errors import DisconnectedError, MismatchError, NotPrimeError, NotPrimitiveError
 
 
 def is_prime(n: int) -> bool:
@@ -97,8 +97,10 @@ class Params:
 def validate(p: int, ell: int, t: int) -> Params:
     """Check admissibility of (p, ell, t) and derive all constants.
 
-    Raises NotPrimeError, NotPrimitiveError or DisconnectedError; on
-    success every Params invariant has been asserted.
+    Raises NotPrimeError, NotPrimitiveError or DisconnectedError; an
+    invariant that fails raises MismatchError where output rests on it
+    (the valuations of u, v and uv, the lam/mu divisibility and
+    q | u^k v^(q-k-1)) and ValueError otherwise.
     """
     for name, n in (("p", p), ("ell", ell), ("t", t)):
         if not isinstance(n, int) or n < 1:
@@ -126,19 +128,25 @@ def validate(p: int, ell: int, t: int) -> Params:
     d = p_adic_valuation(ell - 1, p) if (ell - 1) % p == 0 else 0
     lam_num = q - 3 * ell + 1 - sign * (ell - 1) * (ell - 2) * sqrt_q
     mu_num = q - ell + 1 + sign * (ell - 2) * sqrt_q
-    assert lam_num % (ell * ell) == 0 and mu_num % (ell * ell) == 0
+    if lam_num % (ell * ell) or mu_num % (ell * ell):
+        raise MismatchError(f"lam, mu numerators {lam_num}, {mu_num} are not divisible by ell^2 = {ell * ell}")
     lam = lam_num // (ell * ell)
     mu = mu_num // (ell * ell)
 
     params = Params(p=p, ell=ell, t=t, q=q, k=k, sqrt_q=sqrt_q, u=u, v=v, d=d, lam=lam, mu=mu)
 
-    # eigenvalue valuations and order-formula divisibility
-    assert u > 0 and v > 0
-    assert params.vp(u) == half + d and params.vp(v) == half
-    assert params.vp(u * v) == (ell - 1) * t + d
-    assert mu >= 0 and lam >= 0
+    # eigenvalue valuations and order-formula divisibility back the output
+    if u <= 0 or v <= 0:
+        raise ValueError(f"eigenvalues u = {u}, v = {v} must be positive")
+    if params.vp(u) != half + d or params.vp(v) != half:
+        raise MismatchError(f"v_p(u) = {params.vp(u)}, v_p(v) = {params.vp(v)} != {half + d}, {half}")
+    if params.vp(u * v) != (ell - 1) * t + d:
+        raise MismatchError(f"v_p(uv) = {params.vp(u * v)} != (ell-1)t + d = {(ell - 1) * t + d}")
+    if mu < 0 or lam < 0:
+        raise ValueError(f"lam = {lam}, mu = {mu} must be nonnegative")
     # order formula well-defined: q | u^k v^(q-k-1), checked modularly
-    assert (pow(u, k, q) * pow(v, q - k - 1, q)) % q == 0
+    if (pow(u, k, q) * pow(v, q - k - 1, q)) % q:
+        raise MismatchError(f"q = {q} does not divide u^k v^(q-k-1)")
     return params
 
 

@@ -23,7 +23,7 @@ from .abelian import AbelianGroupDesc
 from .errors import BoundExceededError, MismatchError
 from .field import FieldTable
 from .graph import laplacian
-from .params import order_factorization
+from .params import order_factorization, p_adic_valuation
 
 FULL_SNF_MAX_Q = 256
 PLOCAL_MAX_Q = 1 << 12
@@ -133,30 +133,6 @@ def smith_normal_form(mat, modulus: int | None = None) -> tuple[tuple[int, ...],
     return tuple(divisors), n - len(divisors)
 
 
-def p_rank(mat, p: int) -> int:
-    """Rank over F_p by Gaussian elimination (int64; p^2 must fit)."""
-    M = np.array(mat, dtype=np.int64) % p
-    n, m = M.shape
-    rank = 0
-    for j in range(m):
-        col = M[rank:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i0 = rank + int(nz[0])
-        if i0 != rank:
-            M[[rank, i0], :] = M[[i0, rank], :]
-        inv = pow(int(M[rank, j]), -1, p)
-        M[rank, :] = (M[rank, :] * inv) % p
-        rows = np.nonzero(M[rank + 1:, j])[0] + rank + 1
-        if rows.size:
-            M[rows, :] = (M[rows, :] - np.outer(M[rows, j], M[rank, :])) % p
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
 def p_local_multiplicities(mat, p: int, precision: int) -> tuple[dict[int, int], int]:
     """Multiplicities of p^j among invariant factors, working mod p^precision.
 
@@ -219,11 +195,7 @@ def laplacian_p_multiplicities(
     p = P.p if p is None else p
     if P.q > PLOCAL_MAX_Q:
         raise BoundExceededError(f"q = {P.q} exceeds the p-local bound {PLOCAL_MAX_Q}")
-    peak = 0
-    uv = P.u * P.v
-    while uv % p == 0:
-        uv //= p
-        peak += 1
+    peak = p_adic_valuation(P.u * P.v, p)
     hist, zeros = p_local_multiplicities(laplacian(table), p, peak + margin)
     if zeros != 1 or sum(hist.values()) != P.q - 1:
         raise MismatchError(f"p-local SNF at p={p}: free rank {zeros}, {sum(hist.values())} factors")

@@ -1,6 +1,10 @@
 """Shared cached constructors so expensive objects build once per session."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +44,15 @@ def both_result_for(p, ell, t):
     return critical_group(params_for(p, ell, t), "both")
 
 
+def run_optimized(script, timeout=120):
+    """Run a script under python -O with the package and these test helpers importable."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    cmd = [sys.executable, "-O", "-c", script]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def drop_edge(L):
     """A copy of Laplacian L with the edge from vertex 0 to its first neighbour deleted."""
     L = L.copy()
@@ -48,3 +61,23 @@ def drop_edge(L):
     L[0, 0] -= 1
     L[j, j] -= 1
     return L
+
+
+def p_rank(mat, p):
+    """Rank over F_p by Gaussian elimination (int64; p^2 must fit): a reference for the tests."""
+    M = np.array(mat, dtype=np.int64) % p
+    n, m = M.shape
+    rank = 0
+    for j in range(m):
+        nz = np.nonzero(M[rank:, j])[0]
+        if nz.size == 0:
+            continue
+        i0 = rank + int(nz[0])
+        M[[rank, i0], :] = M[[i0, rank], :]
+        M[rank, :] = (M[rank, :] * pow(int(M[rank, j]), -1, p)) % p
+        rows = np.nonzero(M[rank + 1 :, j])[0] + rank + 1
+        M[rows, :] = (M[rows, :] - np.outer(M[rows, j], M[rank, :])) % p
+        rank += 1
+        if rank == n:
+            break
+    return rank

@@ -10,11 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import both_result_for, field_for, params_for, ring_for, snf_group_for
+from conftest import both_result_for, field_for, p_rank, params_for, ring_for, snf_group_for
 from cyclocrit import (
     critical_group,
     p_part_from_recursion,
-    p_rank,
     p_rank_closed_form,
     verify_all_blocks,
     verify_srg,

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,14 +9,21 @@ from conftest import field_for, params_for
 from cyclocrit import (
     carry_count,
     carries,
-    digit_sum,
-    digit_vector,
+    digit_sums,
     laplacian_p_multiplicities,
     min_carries,
     min_carries_histogram,
     p_part_from_carries,
 )
 from cyclocrit.errors import BoundExceededError, MismatchError, UndefinedSumError, ZeroResidueError
+
+
+def digits(a, params):
+    """Base-p digits (least significant first) of a mod q-1, by repeated division."""
+    x = a % (params.q - 1)
+    if x == 0:
+        raise ZeroResidueError(f"{a} is divisible by q-1")
+    return tuple(x // params.p**i % params.p for i in range(params.ext_degree))
 
 
 def carry_count_by_addition(a, b, params):
@@ -26,8 +34,8 @@ def carry_count_by_addition(a, b, params):
     An implementation independent of the digit-sum formula.
     """
     p = params.p
-    da = list(digit_vector(a, params).digits)
-    db = digit_vector(b, params).digits
+    da = list(digits(a, params))
+    db = digits(b, params)
     if (a + b) % (params.q - 1) == 0:
         raise UndefinedSumError("a + b is divisible by q-1; expansion undefined")
     e = len(da)
@@ -54,30 +62,38 @@ def carry_count_by_addition(a, b, params):
 
 def test_digit_expansion_of_one():
     P = params_for(2, 3, 2)
-    dv = digit_vector(1, P)
-    assert dv.digits == (1, 0, 0, 0) and dv.digit_sum == 1
+    assert digits(1, P) == (1, 0, 0, 0) and digit_sums(1, P) == 1
 
 
 def test_digits_of_k_q25():
     P = params_for(5, 3, 1)
-    dv = digit_vector(P.k, P)
-    assert dv.digits == (3, 1) and dv.digit_sum == 4 == P.t * (P.p - 1)
+    assert digits(P.k, P) == (3, 1) and digit_sums(P.k, P) == 4 == P.t * (P.p - 1)
 
 
 def test_digits_q16_wraparound_value():
     P = params_for(2, 3, 2)
-    assert digit_vector(14, P).digits == (0, 1, 1, 1)
-    assert digit_sum(14, P) == 3
+    assert digits(14, P) == (0, 1, 1, 1)
+    assert digit_sums(14, P) == 3
     # residues are taken mod q-1
-    assert digit_vector(16, P).digits == (1, 0, 0, 0)
+    assert digit_sums(16, P) == 1
 
 
 def test_zero_residue_rejected():
     P = params_for(2, 3, 2)
-    with pytest.raises(ZeroResidueError):
-        digit_vector(15, P)
-    with pytest.raises(ZeroResidueError):
-        digit_vector(0, P)
+    with pytest.raises(ZeroResidueError, match="^15 "):
+        digit_sums(15, P)
+    with pytest.raises(ZeroResidueError, match="^30 "):
+        digit_sums(np.array([[1, 2], [30, 0]]), P)
+
+
+@pytest.mark.parametrize("trip", [(2, 3, 2), (5, 3, 1), (3, 5, 1), (2, 3, 3), (3, 7, 1)])
+def test_digit_sums_match_digit_strings(trip):
+    """Legendre's identity equals the sum of the digit strings, for every residue and any shape."""
+    P = params_for(*trip)
+    r = np.arange(1, P.q - 1)
+    want = [sum(digits(int(a), P)) for a in r]
+    assert digit_sums(r, P).tolist() == want
+    assert digit_sums(r.reshape(-1, 1) + (P.q - 1), P).ravel().tolist() == want
 
 
 def test_carry_count_examples():
@@ -107,20 +123,23 @@ def test_carry_count_properties(data):
     if (a + b) % (q - 1) == 0:
         return
     c = carry_count(a, b, P)
-    assert c == carry_count(b, a, P)
+    assert c.shape == () and c == carry_count(b, a, P)
     assert c == carry_count_by_addition(a, b, P)
     assert 0 <= c <= P.ext_degree
 
 
 def test_carry_implementations_agree_exhaustively():
+    """One broadcast carry_count over every admissible pair equals the addition loop."""
     for trip in [(2, 3, 2), (5, 3, 1)]:
         P = params_for(*trip)
         q = P.q
-        for a in range(1, q - 1):
-            for b in range(a, q - 1):
-                if (a + b) % (q - 1) == 0:
-                    continue
-                assert carry_count(a, b, P) == carry_count_by_addition(a, b, P)
+        a, b = np.arange(1, q - 1)[:, None], np.arange(1, q - 1)
+        ok = (a + b) % (q - 1) != 0
+        got = carry_count(np.where(ok, a, 1), np.where(ok, b, 1), P)
+        for x in range(1, q - 1):
+            for y in range(1, q - 1):
+                if ok[x - 1, y - 1]:
+                    assert got[x - 1, y - 1] == carry_count_by_addition(x, y, P)
 
 
 def test_complementary_carries():
@@ -134,34 +153,50 @@ def test_complementary_carries():
                     lhs = carry_count(i + m * k, n * k, P)
                     rhs = carry_count(i + (m + n) * k, (ell - n) * k, P)
                     assert lhs + rhs == e
+        i = np.arange(1, P.k)[:, None, None]
+        m, n = np.arange(ell)[:, None], np.arange(1, ell)
+        assert (carry_count(i + m * k, n * k, P) + carry_count(i + (m + n) * k, (ell - n) * k, P) == e).all()
 
 
 def test_subgroup_coset_digit_rotation():
     """Digits of m*k are a permutation of the digits of k; all share one digit sum."""
     for trip in [(5, 3, 1), (2, 3, 3), (3, 5, 1), (3, 7, 1)]:
         P = params_for(*trip)
-        base = sorted(digit_vector(P.k, P).digits)
+        base = sorted(digits(P.k, P))
         target = P.ext_degree * (P.p - 1) // 2
         for m in range(1, P.ell):
-            dv = digit_vector(m * P.k, P)
-            assert sorted(dv.digits) == base
-            assert dv.digit_sum == target
+            assert sorted(digits(m * P.k, P)) == base
+        assert (digit_sums(np.arange(1, P.ell) * P.k, P) == target).all()
+
+
+def min_carries_by_pairs(i, P):
+    """Reference for min_carries: the least carry_count_by_addition over the coset's ell(ell-1) pairs."""
+    return min(
+        carry_count_by_addition(i + m * P.k, n * P.k, P) for m in range(P.ell) for n in range(1, P.ell)
+    )
 
 
 def test_min_carries_examples():
     P = params_for(5, 3, 1)
-    multiset = Counter(min_carries(i, P) for i in range(1, P.k))
+    multiset = Counter(min_carries(np.arange(1, P.k), P).tolist())
     assert multiset == {0: 6, 1: 1}
     P16 = params_for(2, 3, 2)
-    assert all(min_carries(i, P16) == 0 for i in range(1, 5))
+    assert (min_carries(np.arange(1, 5), P16) == 0).all()
+    assert min_carries(3, P16).shape == () and min_carries([[1, 2], [3, 4]], P16).shape == (2, 2)
+    for bad in (0, P16.k, [1, P16.k]):
+        with pytest.raises(ValueError):
+            min_carries(bad, P16)
 
 
-def test_histogram_matches_scalar_path():
+def test_histogram_matches_scalar_path(monkeypatch):
+    """The chunked histogram counts the addition-loop minimum over every coset, whatever the chunk."""
     for trip in [(2, 3, 2), (5, 3, 1), (2, 3, 3), (3, 5, 1)]:
         P = params_for(*trip)
-        hist = min_carries_histogram(P)
-        scalar = Counter(min_carries(i, P) for i in range(1, P.k))
-        assert hist == dict(scalar)
+        ref = [min_carries_by_pairs(i, P) for i in range(1, P.k)]
+        assert min_carries(np.arange(1, P.k), P).tolist() == ref
+        for chunk in (1, 3, carries.HIST_CHUNK):
+            monkeypatch.setattr(carries, "HIST_CHUNK", chunk)
+            assert min_carries_histogram(P) == dict(Counter(ref))
 
 
 def test_enumeration_bound():
@@ -205,10 +240,10 @@ def test_p_part_ell5_fixture():
 def test_carry_invariants_raise_mismatch(monkeypatch):
     """Broken digit sums fail as MismatchError (exit 2), not as an assert that -O strips."""
     P3 = params_for(3, 5, 1)  # p - 1 = 2, so an odd digit-sum difference is impossible
-    good = carries.digit_sum
-    monkeypatch.setattr(carries, "digit_sum", lambda a, P: good(a, P) + (a == 1))
-    with pytest.raises(MismatchError, match="carries"):
-        carry_count(1, 2, P3)
-    monkeypatch.setattr(carries, "digit_sum", lambda a, P: good(a, P) + 10 * (a == 1))
-    with pytest.raises(MismatchError, match="min_carries"):
-        min_carries(1, params_for(2, 3, 2))
+    good = carries.digit_sums
+    monkeypatch.setattr(carries, "digit_sums", lambda a, P: good(a, P) + (np.asarray(a) == 1))
+    with pytest.raises(MismatchError, match=r"^digit sums of \(1, 2\) give 3/\(p-1\) carries"):
+        carry_count([3, 1], [4, 2], P3)
+    monkeypatch.setattr(carries, "digit_sums", lambda a, P: good(a, P) + 10 * (np.asarray(a) == 1))
+    with pytest.raises(MismatchError, match=r"^min_carries\(1\)"):
+        min_carries(np.arange(1, 5), params_for(2, 3, 2))

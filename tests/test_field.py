@@ -1,15 +1,11 @@
 import dataclasses
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_for, params_for
+from conftest import field_for, params_for, run_optimized
 from cyclocrit import build_field, field
 from cyclocrit.errors import BoundExceededError, MismatchError, ZeroElementError
 from cyclocrit.field import smallest_irreducible
@@ -177,9 +173,7 @@ def test_reducible_modulus_exits_2_under_optimize(tmp_path):
         "sys.exit(cli.main(['compute', '--p', '2', '--ell', '3', '--t', '2', '--method', 'formula',\n"
         f"                  '--export-adjacency', {str(path)!r}]))\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    proc = run_optimized(script)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("mismatch:")
     assert proc.stdout == ""

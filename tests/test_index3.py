@@ -109,6 +109,13 @@ def test_excluded_case():
         p_part_from_recursion(2, 1)
 
 
+def test_params_must_match_p_and_t():
+    """Params for another triple raise ValueError, under python -O too (no assert)."""
+    for p, t, other in [(2, 3, (2, 3, 2)), (5, 1, (2, 3, 2)), (2, 2, (2, 5, 2))]:
+        with pytest.raises(ValueError, match="params are for"):
+            p_part_from_recursion(p, t, params_for(*other))
+
+
 def test_recursion_matches_enumeration():
     """Closed form against the general-ell carry enumeration."""
     for p, t in [(2, 2), (2, 3), (2, 4), (5, 1), (5, 2), (11, 1), (2, 6)]:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import run_optimized
 from cyclocrit import validate
 from cyclocrit.errors import DisconnectedError, NotPrimeError, NotPrimitiveError
 from cyclocrit.params import is_prime, multiplicative_order, p_adic_valuation
@@ -42,7 +43,7 @@ def test_non_prime_rejected():
 
 
 def test_derived_invariants_sample():
-    # validate() asserts the eigenvalue valuations, mu/lambda integrality
+    # validate() checks the eigenvalue valuations, mu/lambda integrality
     # and the order divisibility internally; reaching here means they hold
     for trip in [(2, 3, 2), (2, 3, 4), (5, 3, 1), (3, 5, 1), (2, 11, 1), (3, 7, 1), (7, 5, 1)]:
         P = validate(*trip)
@@ -73,3 +74,17 @@ def test_validate_total(p, ell, t):
     assert P.q - 1 == ell * P.k
     assert P.u > 0 and P.v > 0
     assert P.sqrt_q * P.sqrt_q == P.q
+
+
+def test_wrong_valuation_exits_2_under_optimize():
+    """validate's output-backing identities raise MismatchError, so python -O cannot skip them."""
+    code = (
+        "import sys\n"
+        "from cyclocrit import cli, params\n"
+        "good = params.p_adic_valuation\n"
+        "params.p_adic_valuation = lambda x, p: good(x, p) + (x == 8)\n"
+        "sys.exit(cli.main(['compute', '--p', '2', '--ell', '3', '--t', '2', '--method', 'formula']))\n"
+    )
+    res = run_optimized(code)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "mismatch: v_p(u) = 4, v_p(v) = 2 != 3, 2\n" and not res.stdout

@@ -1,18 +1,14 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import drop_edge, field_for, params_for, snf_group_for
-from cyclocrit import critical_group, p_local_multiplicities, p_rank, smith_normal_form, snf
+from conftest import drop_edge, field_for, p_rank, params_for, run_optimized, snf_group_for
+from cyclocrit import critical_group, p_local_multiplicities, smith_normal_form, snf
 from cyclocrit.abelian import AbelianGroupDesc
 from cyclocrit.errors import BoundExceededError, MismatchError
 from cyclocrit.graph import laplacian
@@ -262,9 +258,6 @@ def test_dropped_edge_exits_2_under_optimize():
         "snf.laplacian = lambda table: drop_edge(good(table))\n"
         "sys.exit(cli.main(['compute', '--p', '2', '--ell', '3', '--t', '2', '--method', 'bruteforce']))\n"
     )
-    here = Path(__file__).resolve().parent
-    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    proc = run_optimized(script)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("mismatch:")
