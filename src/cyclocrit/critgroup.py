@@ -11,6 +11,7 @@ elementary-divisor-level agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import zip_longest
 
 from .abelian import AbelianGroupDesc, factorint
 from .carries import DEFAULT_ENUM_BOUND, check_conservation, p_part_from_carries
@@ -76,6 +77,16 @@ def _check_order(group: AbelianGroupDesc, params: Params) -> None:
         raise MismatchError(f"group order {got} != spanning-tree count {want}")
 
 
+def _first_difference(formula: AbelianGroupDesc, bruteforce: AbelianGroupDesc) -> str:
+    """The first [prime, exp, mult] on which two groups differ, and its prime."""
+    for a, b in zip_longest(formula.divisors, bruteforce.divisors):
+        if a != b:
+            prime = min(d[0] for d in (a, b) if d is not None)
+            a, b = (list(d) if d is not None and d[0] == prime else None for d in (a, b))
+            return f"at prime {prime}, formula has {a}, bruteforce has {b}"
+    return f"free rank {formula.free_rank} (formula) vs {bruteforce.free_rank} (bruteforce)"
+
+
 def _formula_group(params: Params, enum_bound: int) -> tuple[AbelianGroupDesc, dict[int, int], tuple[int, int]]:
     e_mult = p_part_multiplicities(params, enum_bound)
     cop, u_free, v_free = coprime_part(params)
@@ -124,8 +135,7 @@ def critical_group(
     if method == "both":
         if group != bf_group:
             raise MethodMismatchError(
-                "formula and brute-force groups disagree:\n"
-                f"  formula:    {group}\n  bruteforce: {bf_group}"
+                f"formula and brute-force groups disagree: {_first_difference(group, bf_group)}"
             )
         checks.append("formula==bruteforce")
     _check_order(group, params)

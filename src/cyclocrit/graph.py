@@ -39,8 +39,8 @@ def adjacency(table: FieldTable) -> np.ndarray:
 
 
 def laplacian(table: FieldTable) -> np.ndarray:
-    A = adjacency(table)
-    L = -A
+    L = adjacency(table)
+    np.negative(L, out=L)
     np.fill_diagonal(L, table.params.k)
     return L
 

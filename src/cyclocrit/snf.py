@@ -8,8 +8,11 @@ divisibility fix-up so the diagonal comes out as the invariant-factor
 chain.  Without a modulus the entries are exact Python integers (the
 sympy-checked reference); the Laplacian oracle runs it modulo 2uv in
 int64, which is exact once the quadratic Laplacian identity has been
-checked.  A p-local variant tracks only valuations working modulo p^B
-with delayed reduction, which is what makes q up to 2^12 tractable.
+checked.  A p-local variant tracks only valuations, working modulo p^B
+on balanced residues held exactly in float64: pending pivots are applied
+to the trailing block as one BLAS dgemm per panel of rows (the delayed
+updates of FFLAS-FFPACK, Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008),
+which is what makes q up to 2^12 tractable.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .params import order_factorization, p_adic_valuation
 
 FULL_SNF_MAX_Q = 256
 PLOCAL_MAX_Q = 1 << 12
+FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
+PANEL_ROWS = 128  # rows per flush, reduction and scan step through one scratch buffer
 
 
 def _find_min_pivot(M: np.ndarray, t: int):
@@ -133,70 +138,181 @@ def smith_normal_form(mat, modulus: int | None = None) -> tuple[tuple[int, ...],
     return tuple(divisors), n - len(divisors)
 
 
+def _block_width(n: int, mod: int) -> int:
+    """Pending pivots per dgemm: n // 16, at least 16, and b*mod^2 + mod < 2^53.
+
+    Balanced residues are at most mod/2, so a flush sums at most
+    b*mod^2/4 + mod/2 in magnitude; the bound keeps a factor 4 of slack
+    for the last-ulp drift of the rint reduction.  Raises
+    BoundExceededError when not even b = 1 fits.
+    """
+    b = min((FLOAT_EXACT - 1 - mod) // (mod * mod), max(16, n // 16))
+    if b < 1:
+        raise BoundExceededError(f"p-local modulus {mod}: mod^2 + mod reaches 2^53, past exact float64")
+    return b
+
+
+def _reduce(X: np.ndarray, mod: int, tmp: np.ndarray) -> None:
+    """X -= mod * rint(X / mod) in place: balanced residues, congruence exact."""
+    np.divide(X, mod, out=tmp)
+    np.rint(tmp, out=tmp)
+    tmp *= mod
+    X -= tmp
+
+
+def _reduced(x: np.ndarray, mod: int) -> np.ndarray:
+    return x - mod * np.rint(x / mod)
+
+
+def _is_unit(x: np.ndarray, p: int) -> np.ndarray:
+    return np.rint(x / p) * p != x
+
+
 def p_local_multiplicities(mat, p: int, precision: int) -> tuple[dict[int, int], int]:
     """Multiplicities of p^j among invariant factors, working mod p^precision.
 
     Returns ({j: multiplicity}, count of factors indistinguishable from
-    zero at the available precision); for a graph Laplacian the latter is
-    exactly the free rank provided precision exceeds the largest p-adic
-    elementary divisor exponent plus the accumulated shift.  The pivot is
-    the first unit of the current column, else of the current row, else
-    the first unit of the remaining submatrix in row-major order.  Only
-    the pivot row and column are reduced each step; the trailing block
-    just grows by one product below p^(2B) per step, so it is reduced
-    (and the minimum valuation divided out, the only precision loss) when
-    neither the column nor the row has a unit.  int64 holds these delayed
-    entries while n * p^(2B) < 2^62.
+    zero at the available precision).  A factor p^j with j < precision is
+    read exactly; one with j >= precision, or a free summand, reads as
+    zero.  Treats an n x m input as a map Z^m -> Z^n and stops after
+    min(n, m) pivots.
+
+    Entries are balanced residues mod p^(precision - shift) held exactly
+    in float64.  Up to b pivots stay pending in n x b and b x m buffers
+    (the LU multipliers and pivot rows since the last flush); column t,
+    and the pivot row, are read through one gemv against them, and a
+    flush applies them to the trailing block as one dgemm per panel of
+    PANEL_ROWS rows, then reduces.  Exactness needs b*mod^2 + mod < 2^53
+    (see _block_width); a precision past that raises BoundExceededError
+    before anything is allocated.
+
+    The pivot is the first unit of column t; else the first unit of row
+    t; else the first unit of the first of the next b columns that held a
+    unit at the last flush, probed in batches of 1, 2, 4, ... columns with
+    one gemm each; else the pending pivots are flushed, and the trailing
+    block is divided by p (shift += 1, the only precision loss) while it
+    has no unit.  Every flush also refreshes the list of columns holding
+    a unit.  Any unit pivot gives the same valuations, so the pivot rule
+    only costs time.
     """
-    pB = p**precision
-    n, m = np.shape(mat)
-    if min(n, m) * pB * pB < 1 << 62:
-        M = np.array(mat, dtype=np.int64) % pB
-    else:
-        M = np.array([[int(x) % pB for x in row] for row in mat], dtype=object)
-    shift = 0
+    M = np.asarray(mat)
+    b = _block_width(M.shape[0], p**precision)
+    return _eliminate(M, np.empty(M.shape), p, precision, b)
+
+
+def _eliminate(M: np.ndarray, A: np.ndarray, p: int, precision: int, b: int) -> tuple[dict[int, int], int]:
+    """The p_local_multiplicities kernel, loading M's residues into the float64 array A.
+
+    The load goes one panel of rows at a time, M's before A's, so A may be
+    M's own memory viewed as float64.
+    """
+    n, ncols = M.shape
+    mod = p**precision
+    L = np.empty((n, b))
+    U = np.empty((b, ncols))
+    flat = np.empty(min(n, PANEL_ROWS) * ncols)
+    flat_units = np.empty(flat.size, dtype=bool)
+
+    def panels(t):
+        for r0 in range(t, n, PANEL_ROWS):
+            X = A[r0 : r0 + PANEL_ROWS, t:]
+            yield r0, X, flat[: X.size].reshape(X.shape)
+
+    for r0, X, S in panels(0):
+        X[...] = M[r0 : r0 + PANEL_ROWS] % mod
+        _reduce(X, mod, S)
+
+    def flush(t, k):
+        """Apply the k pending pivots to the trailing block; return its columns holding a unit."""
+        found = np.zeros(ncols - t, dtype=bool)
+        for r0, X, S in panels(t):
+            if k:
+                np.matmul(L[r0 : r0 + len(X), :k], U[:k, t:], out=S)
+                X -= S
+                _reduce(X, mod, S)
+            np.divide(X, p, out=S)
+            np.rint(S, out=S)
+            S *= p
+            units = flat_units[: X.size].reshape(X.shape)
+            np.not_equal(S, X, out=units)
+            found |= units.any(axis=0)
+        return found
+
+    rank_cap = min(n, ncols)
+    cand = np.zeros(ncols, dtype=bool)  # columns that held a unit at the last flush
     exps: list[int] = []
-    t = 0
-    while t < min(n, m):
-        mod = p ** (precision - shift)
-        col, row = M[t:, t] % p != 0, M[t, t:] % p != 0
-        if col.any() or row.any():
-            i0, j0 = (int(np.argmax(col)), 0) if col.any() else (0, int(np.argmax(row)))
-        else:
-            sub = M[t:, t:]
-            sub %= mod
-            if not sub.any():
-                break
-            while not (units := sub % p != 0).any():  # ends: sub is nonzero mod p^(precision-shift)
-                sub //= p
-                shift += 1
-            mod = p ** (precision - shift)
-            i0, j0 = divmod(int(np.argmax(units)), sub.shape[1])
-        _swap_into_pivot(M, t, t + i0, t + j0)
-        inv = pow(int(M[t, t]) % mod, -1, mod)
-        colmul = (M[t + 1:, t] % mod * inv) % mod
-        M[t + 1:, t + 1:] -= np.outer(colmul, M[t, t + 1:] % mod)
+    shift = k = t = 0
+    while t < rank_cap:
+        col = _reduced(A[t:, t] - L[t:, :k] @ U[:k, t], mod)
+        units, row = _is_unit(col, p), None
+        if not units.any():
+            row = _reduced(A[t, t:] - L[t, :k] @ U[:k, t:], mod)
+            later = np.flatnonzero(_is_unit(row, p))[:1] + t
+            if not later.size:
+                row, later = None, np.flatnonzero(cand[t + 1 :])[:b] + (t + 1)
+            width = 1
+            while later.size:
+                js, later, width = later[:width], later[width:], 2 * width
+                C = _reduced(A[t:, js] - L[t:, :k] @ U[:k, js], mod)
+                C_units = _is_unit(C, p)
+                f = int(np.argmax(C_units.any(axis=0)))
+                cand[js[: f + 1]] = False
+                if C_units[:, f].any():
+                    j, col, units = int(js[f]), C[:, f], C_units[:, f]
+                    A[t:, [t, j]] = A[t:, [j, t]]
+                    U[:k, [t, j]] = U[:k, [j, t]]
+                    if row is not None:
+                        row[[0, j - t]] = row[[j - t, 0]]
+                    break
+            else:
+                found, k = flush(t, k), 0
+                while not found.any():
+                    if not any(X.any() for _, X, _ in panels(t)):
+                        return dict(Counter(exps)), rank_cap - t
+                    for _, X, _ in panels(t):
+                        X /= p
+                    shift += 1
+                    mod //= p
+                    found = flush(t, 0)
+                cand[t:] = found
+                continue
+        i = t + int(np.argmax(units))
+        if i != t:
+            A[[t, i], t:] = A[[i, t], t:]
+            L[[t, i], :k] = L[[i, t], :k]
+            col[[0, i - t]] = col[[i - t, 0]]
+        U[k, t:] = row if row is not None else _reduced(A[t, t:] - L[t, :k] @ U[:k, t:], mod)
+        inv = pow(int(col[0]) % mod, -1, mod)
+        L[t + 1 :, k] = _reduced(col[1:] * inv, mod)
         exps.append(shift)
+        k += 1
         t += 1
-    return dict(Counter(exps)), min(n, m) - t
+        if k == b:
+            cand[t:], k = flush(t, k), 0
+    return dict(Counter(exps)), rank_cap - t
 
 
-def laplacian_p_multiplicities(
-    table: FieldTable, p: int | None = None, margin: int = 5
-) -> dict[int, int]:
+def laplacian_p_multiplicities(table: FieldTable, p: int | None = None) -> dict[int, int]:
     """p-part elementary divisor multiplicities of the Laplacian, p-local mode.
 
-    The torsion of the cokernel is annihilated by u*v (a consequence of
-    the quadratic Laplacian identity that verify_srg checks), so no
-    elementary divisor exponent can exceed v_p(u*v); that bounds the
-    precision needed for any prime, not just the field characteristic.
+    Works at precision v_p(u*v) + 1.  If L is the Laplacian, the torsion
+    of its cokernel is annihilated by u*v (a consequence of the quadratic
+    Laplacian identity that verify_srg checks), so every elementary
+    divisor exponent is at most v_p(u*v), for any prime p, not just the
+    field characteristic, and is read exactly at that precision.  A wrong
+    L whose exponents go past the bound cannot pass for a right one: at
+    this precision such a factor reads as an extra zero, and the free
+    rank check (exactly one zero) raises MismatchError.
     """
     P = table.params
     p = P.p if p is None else p
     if P.q > PLOCAL_MAX_Q:
         raise BoundExceededError(f"q = {P.q} exceeds the p-local bound {PLOCAL_MAX_Q}")
-    peak = p_adic_valuation(P.u * P.v, p)
-    hist, zeros = p_local_multiplicities(laplacian(table), p, peak + margin)
+    precision = p_adic_valuation(P.u * P.v, p) + 1
+    b = _block_width(P.q, p**precision)
+    L = laplacian(table)
+    # L's rows become their float64 residues in place: one q x q matrix, not two
+    hist, zeros = _eliminate(L, L.view(np.float64), p, precision, b)
     if zeros != 1 or sum(hist.values()) != P.q - 1:
         raise MismatchError(f"p-local SNF at p={p}: free rank {zeros}, {sum(hist.values())} factors")
     return hist

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -15,6 +16,23 @@ from cyclocrit import (
     critical_group_by_snf,
     validate,
 )
+from cyclocrit.errors import CyclocritError
+from cyclocrit.snf import _swap_into_pivot
+
+
+def admissible(max_q):
+    """Every admissible (p, ell, t) with p <= 31, ell in {3, 5, 7, 11} and q <= max_q."""
+    out = []
+    for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]:
+        for ell in (3, 5, 7, 11):
+            t = 1
+            while p ** ((ell - 1) * t) <= max_q:
+                try:
+                    out.append(validate(p, ell, t))
+                except CyclocritError:
+                    pass
+                t += 1
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -81,3 +99,51 @@ def p_rank(mat, p):
         if rank == n:
             break
     return rank
+
+
+def p_local_reference(mat, p: int, precision: int) -> tuple[dict[int, int], int]:
+    """The unblocked int64/object-dtype p-local elimination: a reference for the float64 kernel.
+
+    Returns ({j: multiplicity}, count of factors indistinguishable from
+    zero at the available precision); for a graph Laplacian the latter is
+    exactly the free rank provided precision exceeds the largest p-adic
+    elementary divisor exponent plus the accumulated shift.  The pivot is
+    the first unit of the current column, else of the current row, else
+    the first unit of the remaining submatrix in row-major order.  Only
+    the pivot row and column are reduced each step; the trailing block
+    just grows by one product below p^(2B) per step, so it is reduced
+    (and the minimum valuation divided out, the only precision loss) when
+    neither the column nor the row has a unit.  int64 holds these delayed
+    entries while n * p^(2B) < 2^62.
+    """
+    pB = p**precision
+    n, m = np.shape(mat)
+    if min(n, m) * pB * pB < 1 << 62:
+        M = np.array(mat, dtype=np.int64) % pB
+    else:
+        M = np.array([[int(x) % pB for x in row] for row in mat], dtype=object)
+    shift = 0
+    exps: list[int] = []
+    t = 0
+    while t < min(n, m):
+        mod = p ** (precision - shift)
+        col, row = M[t:, t] % p != 0, M[t, t:] % p != 0
+        if col.any() or row.any():
+            i0, j0 = (int(np.argmax(col)), 0) if col.any() else (0, int(np.argmax(row)))
+        else:
+            sub = M[t:, t:]
+            sub %= mod
+            if not sub.any():
+                break
+            while not (units := sub % p != 0).any():  # ends: sub is nonzero mod p^(precision-shift)
+                sub //= p
+                shift += 1
+            mod = p ** (precision - shift)
+            i0, j0 = divmod(int(np.argmax(units)), sub.shape[1])
+        _swap_into_pivot(M, t, t + i0, t + j0)
+        inv = pow(int(M[t, t]) % mod, -1, mod)
+        colmul = (M[t + 1:, t] % mod * inv) % mod
+        M[t + 1:, t + 1:] -= np.outer(colmul, M[t, t + 1:] % mod)
+        exps.append(shift)
+        t += 1
+    return dict(Counter(exps)), min(n, m) - t

@@ -2,7 +2,7 @@
 import pytest
 
 from conftest import both_result_for, params_for, run_optimized, snf_group_for
-from cyclocrit import coprime_part, critical_group
+from cyclocrit import coprime_part, critgroup, critical_group
 from cyclocrit.abelian import AbelianGroupDesc, factorint
 from cyclocrit.critgroup import order_factorization
 from cyclocrit.errors import MethodMismatchError
@@ -56,6 +56,19 @@ def test_both_methods_ell5():
     assert res.group.divisors == ((2, 1, 64), (3, 2, 50), (3, 4, 14))
     u, v, k, q = 9, 18, 16, 81
     assert res.order == u**k * v ** (q - k - 1) // q
+
+
+def test_method_mismatch_names_first_difference(monkeypatch):
+    """One patched brute-force divisor: the error names it and its prime, not two whole groups."""
+    good = snf_group_for(2, 3, 2)
+    assert good.divisors == ((2, 2, 4), (2, 3, 1), (2, 5, 4))
+    bad = AbelianGroupDesc.from_prime_powers([(2, 2, 4), (2, 3, 1), (2, 5, 3), (2, 6, 1)], free_rank=1)
+    monkeypatch.setattr(critgroup, "critical_group_by_snf", lambda table: bad)
+    with pytest.raises(MethodMismatchError) as err:
+        critical_group(params_for(2, 3, 2), "both")
+    assert str(err.value) == (
+        "formula and brute-force groups disagree: at prime 2, formula has [2, 5, 4], bruteforce has [2, 5, 3]"
+    )
 
 
 def test_formula_only_no_field_needed():

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_for, params_for, ring_for, run_optimized, snf_group_for
-from cyclocrit import carry_count, galois, jacobi_sum, min_carries, p_part_from_carries, validate
-from cyclocrit.errors import CyclocritError, MismatchError
+from conftest import admissible, field_for, params_for, ring_for, run_optimized, snf_group_for
+from cyclocrit import (
+    carry_count,
+    galois,
+    jacobi_sum,
+    laplacian_p_multiplicities,
+    min_carries,
+    p_part_from_carries,
+)
+from cyclocrit.errors import MismatchError
 from cyclocrit.galois import (
     GaloisRing,
     block_p_multiplicities,
@@ -651,29 +658,17 @@ def test_wrong_min_carries_exits_2_under_optimize():
     assert res.stderr.startswith("mismatch: block 1: local Smith valuations") and not res.stdout
 
 
-def _admissible(max_q):
-    out = []
-    for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]:
-        for ell in (3, 5, 7, 11):
-            t = 1
-            while p ** ((ell - 1) * t) <= max_q:
-                try:
-                    out.append(validate(p, ell, t))
-                except CyclocritError:
-                    pass
-                t += 1
-    return out
-
-
-ADMISSIBLE_Q1024 = _admissible(1024)
+ADMISSIBLE_Q1024 = admissible(1024)
 
 
 @given(st.sampled_from(ADMISSIBLE_Q1024))
 @settings(max_examples=20, deadline=None)
 def test_batched_p_part_differential(P):
-    """Block p-part == carry p-part for q <= 1024, and block by block == tuple route for q <= 256."""
+    """Block p-part == p-local elimination == carry p-part for q <= 1024, and block by block == tuple route for q <= 256."""
     tab, ring = field_for(P.p, P.ell, P.t), ring_for(P.p, P.ell, P.t)
-    assert block_p_multiplicities(tab, ring) == p_part_from_carries(P)
+    want = p_part_from_carries(P)
+    assert block_p_multiplicities(tab, ring) == want
+    assert laplacian_p_multiplicities(tab) == want
     if P.q <= 256:
         tr = TupleRing(ring)
         for i, exps, zeros in block_results(tab, ring, range(P.k)):

@@ -1,18 +1,32 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import drop_edge, field_for, p_rank, params_for, run_optimized, snf_group_for
+from conftest import (
+    admissible,
+    drop_edge,
+    field_for,
+    p_local_reference,
+    p_rank,
+    params_for,
+    run_optimized,
+    snf_group_for,
+)
 from cyclocrit import critical_group, p_local_multiplicities, smith_normal_form, snf
 from cyclocrit.abelian import AbelianGroupDesc
 from cyclocrit.errors import BoundExceededError, MismatchError
 from cyclocrit.graph import laplacian
-from cyclocrit.snf import critical_group_by_local_snf, critical_group_by_snf
+from cyclocrit.params import order_factorization, p_adic_valuation
+from cyclocrit.snf import critical_group_by_local_snf, critical_group_by_snf, laplacian_p_multiplicities
 
 
 def test_already_diagonal():
@@ -151,8 +165,6 @@ def test_p_local_matches_full_snf():
 
 def test_p_local_matches_full_snf_q256():
     """The p-local mode against the full oracle at the top of its cross-check range."""
-    from cyclocrit.snf import laplacian_p_multiplicities
-
     tab = field_for(2, 3, 4)
     oracle = snf_group_for(2, 3, 4)
     for prime in (2, 3, 5):
@@ -161,13 +173,94 @@ def test_p_local_matches_full_snf_q256():
         assert laplacian_p_multiplicities(tab, p=prime) == want
 
 
+def _largest_float_precision(prime):
+    """The largest B with prime^(2B) + prime^B < 2^53: one pending pivot is still exact in float64."""
+    B = 1
+    while prime ** (2 * B + 2) + prime ** (B + 1) < 1 << 53:
+        B += 1
+    return B
+
+
 def test_p_local_object_dtype_path():
-    # force the arbitrary-precision fallback with an oversized precision
+    """The reference's arbitrary-precision path; the kernel ends at the float64 bound."""
     tab = field_for(2, 3, 2)
     L = laplacian(tab)
-    hist, zeros = p_local_multiplicities(L, 2, 40)
+    hist, zeros = p_local_reference(L, 2, 40)
     assert zeros == 1
     assert hist == {0: 6, 2: 4, 3: 1, 5: 4}
+    B = _largest_float_precision(2)
+    assert p_local_multiplicities(L, 2, B) == p_local_reference(L, 2, B) == (hist, 1)
+    with pytest.raises(BoundExceededError):
+        p_local_multiplicities(L, 2, B + 1)
+
+
+def test_p_local_precision_reads_exponent_bound():
+    """At (2,5,2) v_2(uv) = 10: precision 10 reads the 34 factors 2^10 as zeros, 11 reads them."""
+    tab = field_for(2, 5, 2)
+    P = tab.params
+    assert p_adic_valuation(P.u * P.v, 2) == 10
+    L = laplacian(tab)
+    below = {0: 36, 1: 16, 4: 152, 6: 1, 9: 16}
+    assert p_local_multiplicities(L, 2, 10) == (below, 35)
+    assert p_local_multiplicities(L, 2, 11) == ({**below, 10: 34}, 1)
+    assert laplacian_p_multiplicities(tab, p=2) == {**below, 10: 34}
+
+
+ADMISSIBLE_Q256 = admissible(256)
+BLOCK_WIDTHS = [1, 2, None]  # None keeps snf._block_width
+
+
+def _patched_width(mp, width):
+    if width is not None:
+        mp.setattr(snf, "_block_width", lambda n, mod: width)
+
+
+@lru_cache(maxsize=None)
+def _laplacian_reference(trip, prime, precision):
+    return p_local_reference(laplacian(field_for(*trip)), prime, precision)
+
+
+@pytest.mark.parametrize("width", BLOCK_WIDTHS)
+@given(P=st.sampled_from(ADMISSIBLE_Q256))
+@settings(max_examples=8, deadline=None)
+def test_p_local_kernel_matches_reference_on_laplacians(width, P):
+    """Float64 kernel == int64 reference for every prime of the order, at the route's precision."""
+    trip = (P.p, P.ell, P.t)
+    L = laplacian(field_for(*trip))
+    with pytest.MonkeyPatch.context() as mp:
+        _patched_width(mp, width)
+        for prime in order_factorization(P):
+            B = p_adic_valuation(P.u * P.v, prime) + 1
+            assert p_local_multiplicities(L, prime, B) == _laplacian_reference(trip, prime, B), prime
+
+
+@pytest.mark.parametrize("width", BLOCK_WIDTHS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_p_local_kernel_matches_reference_on_random_matrices(width, data):
+    """Square and rectangular integer matrices whose entries carry random powers of the prime."""
+    prime = data.draw(st.sampled_from([2, 3, 5, 7]), label="prime")
+    precision = data.draw(st.integers(1, 6), label="precision")
+    n, m = data.draw(st.integers(1, 9), label="rows"), data.draw(st.integers(1, 9), label="cols")
+    entry = st.tuples(st.integers(-9, 9), st.integers(0, 3)).map(lambda ce: ce[0] * prime ** ce[1])
+    M = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n), label="M")
+    with pytest.MonkeyPatch.context() as mp:
+        _patched_width(mp, width)
+        assert p_local_multiplicities(M, prime, precision) == p_local_reference(M, prime, precision)
+
+
+def test_p_local_memory_q1024():
+    """The kernel's peak allocation is one float64 copy of L plus small buffers, not two copies."""
+    tab = field_for(2, 11, 1)
+    P = tab.params
+    L = laplacian(tab)
+    tracemalloc.start()
+    try:
+        p_local_multiplicities(L, 3, p_adic_valuation(P.u * P.v, 3) + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * P.q**2, peak / (8 * P.q**2)
 
 
 def test_local_snf_assembly_q1024():
@@ -225,7 +318,8 @@ def test_modular_snf_against_sympy_nonsingular():
 
 
 def test_p_local_int64_object_switch():
-    """Same histogram at the largest int64 precision and one digit past it (object)."""
+    """The reference agrees at its largest int64 precision and one digit past it (object);
+    the kernel agrees at its largest float64 precision and refuses one digit past it."""
     for trip, prime in [((2, 3, 2), 2), ((2, 3, 3), 2), ((5, 3, 1), 5), ((5, 3, 1), 2)]:
         L = laplacian(field_for(*trip))
         n = L.shape[0]
@@ -236,8 +330,12 @@ def test_p_local_int64_object_switch():
         want = Counter()
         for a in smith_normal_form(L)[0]:
             want[sympy.multiplicity(prime, a)] += 1
-        assert p_local_multiplicities(L, prime, B) == (dict(want), 1), trip
-        assert p_local_multiplicities(L, prime, B + 1) == (dict(want), 1), trip
+        assert p_local_reference(L, prime, B) == (dict(want), 1), trip
+        assert p_local_reference(L, prime, B + 1) == (dict(want), 1), trip
+        F = _largest_float_precision(prime)
+        assert p_local_multiplicities(L, prime, F) == p_local_reference(L, prime, F) == (dict(want), 1), trip
+        with pytest.raises(BoundExceededError):
+            p_local_multiplicities(L, prime, F + 1)
 
 
 @pytest.mark.parametrize("trip", [(2, 3, 2), (2, 5, 2), (17, 3, 1)])
