@@ -26,14 +26,13 @@ from .galois import (
 )
 from .graph import adjacency, laplacian, verify_srg
 from .index3 import (
-    BivarPoly,
     closed_walk_poly,
     p_part_from_recursion,
     p_rank_closed_form,
     recursion_coefficients,
     verify_transfer_matrix,
     verify_walks,
-    walk_poly_by_trace,
+    walk_polys_by_trace,
 )
 from .params import Params, validate
 from .snf import (
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroupDesc",
-    "BivarPoly",
     "CriticalGroupResult",
     "FieldTable",
     "GaloisRing",
@@ -80,5 +78,5 @@ __all__ = [
     "verify_stickelberger",
     "verify_transfer_matrix",
     "verify_walks",
-    "walk_poly_by_trace",
+    "walk_polys_by_trace",
 ]

@@ -132,11 +132,6 @@ class AbelianGroupDesc:
             out[prime] = out.get(prime, 0) + exp * mult
         return out
 
-    def p_part(self, p: int) -> "AbelianGroupDesc":
-        return AbelianGroupDesc(
-            0, tuple(dv for dv in self.divisors if dv[0] == p)
-        )
-
     def p_multiplicities(self, p: int) -> dict[int, int]:
         """Map exponent -> multiplicity for the prime p (exponent >= 1 only)."""
         return {exp: mult for prime, exp, mult in self.divisors if prime == p}

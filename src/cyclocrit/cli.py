@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -86,20 +85,23 @@ def _emit(doc: dict, fmt: str) -> None:
             print(f"check {check}: ok")
 
 
-def _max_q_from_env(args_max_q: int | None) -> int:
-    if args_max_q is not None:
-        return args_max_q
-    env = os.environ.get("CYCLO_MAX_Q")
-    return int(env) if env else DEFAULT_MAX_Q
+def _p_list(text: str) -> list[int]:
+    """argparse type for --p-list: comma-separated integers, at least one."""
+    try:
+        p_list = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+    if not p_list:
+        raise argparse.ArgumentTypeError("empty prime list")
+    return p_list
 
 
 def cmd_compute(args) -> int:
     params = validate(args.p, args.ell, args.t)
-    max_q = _max_q_from_env(args.max_q)
     result = critical_group(
-        params, args.method, enum_bound=args.k_bound, max_q=max_q
+        params, args.method, enum_bound=args.k_bound, max_q=args.max_q
     )
-    table = build_field(params, max_q=max_q) if args.export_laplacian or args.export_adjacency else None
+    table = build_field(params, max_q=args.max_q) if args.export_laplacian or args.export_adjacency else None
     if args.export_laplacian:
         write_matrix(args.export_laplacian, laplacian(table))
     if args.export_adjacency:
@@ -113,7 +115,7 @@ def cmd_verify(args) -> int:
     which = args.which
     reports: list[str] = []
     # one table and one ring, built only for the checks that read them
-    table = build_field(params, max_q=_max_q_from_env(args.max_q)) if which != "walks" else None
+    table = build_field(params, max_q=args.max_q) if which != "walks" else None
     ring = GaloisRing(table) if which in ("stickelberger", "blocks", "all") else None
     if which in ("srg", "all"):
         report = verify_srg(table)
@@ -142,11 +144,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    p_list = [int(x) for x in args.p_list.split(",") if x.strip()]
-    if not p_list:
-        raise SystemExit(1)
     rows = []
-    for p in p_list:
+    for p in args.p_list:
         params = validate(p, 3, args.t)
         e_mult = p_part_from_recursion(p, args.t, params)
         rows.append(
@@ -174,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--ell", type=int, required=True)
         sp.add_argument("--t", type=int, required=True)
-        sp.add_argument("--max-q", type=int, default=None, help="brute-force table bound (env CYCLO_MAX_Q)")
+        sp.add_argument("--max-q", type=int, default=DEFAULT_MAX_Q, help="brute-force table bound")
 
     sp = sub.add_parser("compute", help="critical group of G(p, ell, t)")
     add_common(sp)
@@ -197,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="index-3 multiplicity table over several p")
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--p-list", type=str, required=True, help="comma-separated primes, 2 mod 3")
+    sp.add_argument("--p-list", type=_p_list, required=True, help="comma-separated primes, 2 mod 3")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_table)
     return parser

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .abelian import factorint
 from .errors import BoundExceededError, MismatchError, ZeroElementError
 from .params import Params
 
@@ -90,18 +91,7 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     top = _poly_pow_frobenius(f, p, e)
     if top != x:
         return False
-    ee = e
-    prime_divs = []
-    d = 2
-    while d * d <= ee:
-        if ee % d == 0:
-            prime_divs.append(d)
-            while ee % d == 0:
-                ee //= d
-        d += 1
-    if ee > 1:
-        prime_divs.append(ee)
-    for r in prime_divs:
+    for r in factorint(e):
         g = _poly_pow_frobenius(f, p, e // r)
         diff = [(gi - xi) % p for gi, xi in zip(g, x)]
         if not _poly_gcd_is_one(diff, list(f), p):
@@ -122,20 +112,6 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
         if _is_irreducible(tuple(coeffs), p):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def _factor_small(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass
@@ -291,7 +267,7 @@ def build_field(params: Params, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
             n >>= 1
         return r
 
-    prime_divs = _factor_small(q - 1)
+    prime_divs = list(factorint(q - 1))
     generator = None
     for cand in range(2, q):
         if all(idx_pow(cand, (q - 1) // r) != 1 for r in prime_divs):

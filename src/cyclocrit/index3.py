@@ -3,77 +3,56 @@
 The p-part multiplicities of the critical group come from a bivariate
 generating polynomial computed by a three-term recursion.  Two
 independent anchors validate the recursion: a weighted digraph whose
-closed walks it counts (trace-of-power oracle), and the symbolic
-characteristic polynomial of the collapsed 6x6 transfer matrix.
+closed walks it counts (trace-of-power oracle), and the characteristic
+polynomial of the collapsed 6x6 transfer matrix.
+
+A polynomial in Z[x, y] is a numpy array of shape (deg_x+1, deg_y+1, 1, 1)
+whose entry [a, b, 0, 0] is the coefficient of x^a y^b; a matrix of
+polynomials is a (dx, dy, n, m) array, so one product serves both.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+import numpy as np
 
 from .carries import check_conservation
-from .errors import BadResidueError, MismatchError
+from .errors import BadResidueError, BoundExceededError, MismatchError
 from .params import Params, validate
 
 
-class BivarPoly:
-    """Sparse bivariate polynomial with exact integer coefficients."""
+def _pmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Product of polynomial matrices: one matmul per nonzero layer of A."""
+    ax, ay, n, _ = A.shape
+    bx, by, _, m = B.shape
+    out = np.zeros((ax + bx - 1, ay + by - 1, n, m), dtype=np.result_type(A, B))
+    for a, b in np.argwhere(np.count_nonzero(A, axis=(2, 3))):
+        out[a : a + bx, b : b + by] += A[a, b] @ B
+    return out
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], int] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+def _padd(*terms: np.ndarray) -> np.ndarray:
+    """Sum of polynomial matrices of unequal degree."""
+    dx = max(T.shape[0] for T in terms)
+    dy = max(T.shape[1] for T in terms)
+    out = np.zeros((dx, dy) + terms[0].shape[2:], dtype=np.result_type(*terms))
+    for T in terms:
+        out[: T.shape[0], : T.shape[1]] += T
+    return out
 
-    @staticmethod
-    def monomial(a: int, b: int, c: int = 1) -> "BivarPoly":
-        return BivarPoly({(a, b): c})
 
-    @staticmethod
-    def const(c: int) -> "BivarPoly":
-        return BivarPoly({(0, 0): c})
+def _peq(A: np.ndarray, B: np.ndarray) -> bool:
+    """Equality of polynomial matrices, ignoring zero padding."""
+    return np.count_nonzero(_padd(A, -B)) == 0
 
-    def coeff(self, a: int, b: int) -> int:
-        return self.terms.get((a, b), 0)
 
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BivarPoly(out)
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return BivarPoly(out)
-
-    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        out: dict[tuple[int, int], int] = {}
-        for (x1, y1), c1 in self.terms.items():
-            for (x2, y2), c2 in other.terms.items():
-                k = (x1 + x2, y1 + y2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BivarPoly(out)
-
-    def scale(self, c: int) -> "BivarPoly":
-        return BivarPoly({k: c * v for k, v in self.terms.items()})
-
-    def __neg__(self) -> "BivarPoly":
-        return self.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BivarPoly) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b), c in sorted(self.terms.items()):
-            bits.append(f"{c}*x^{a}*y^{b}")
-        return " + ".join(bits)
+def _poly(coeffs: dict[tuple[int, int], int]) -> np.ndarray:
+    """Exact (object-dtype) coefficient array of the sum of c x^a y^b over {(a, b): c}."""
+    dx = max(a for a, _ in coeffs) + 1
+    dy = max(b for _, b in coeffs) + 1
+    out = np.zeros((dx, dy, 1, 1), dtype=object)
+    for (a, b), c in coeffs.items():
+        out[a, b] += c
+    return out
 
 
 def _require_index3_prime(p: int) -> None:
@@ -81,41 +60,33 @@ def _require_index3_prime(p: int) -> None:
         raise BadResidueError(f"p = {p} is not 2 mod 3")
 
 
-def recursion_coefficients(p: int) -> tuple[BivarPoly, BivarPoly, BivarPoly]:
+def recursion_coefficients(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three polynomial coefficients (P, Q, R) of the walk recursion."""
     _require_index3_prime(p)
     c1 = (p + 1) // 3
     c2 = (p - 2) // 3
     c3 = (2 * p - 1) // 3
-    base = BivarPoly(
-        {(2, 2): 1, (2, 1): 1, (1, 2): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}
-    )
-    P = base.scale(c1 * c1) + BivarPoly.monomial(1, 1, 3 * c2 * c2)
-    Q = (BivarPoly.monomial(1, 1) * base).scale(c1 * c1) + BivarPoly.monomial(
-        2, 2, 3 * c3 * c3
-    )
-    R = BivarPoly.monomial(3, 3, p * p)
+    # base = x^2y^2 + x^2y + xy^2 + x + y + 1
+    # P = c1^2 base + 3 c2^2 xy,  Q = c1^2 xy base + 3 c3^2 x^2y^2,  R = p^2 x^3y^3
+    base = ((2, 2), (2, 1), (1, 2), (1, 0), (0, 1), (0, 0))
+    P = _poly({**{m: c1 * c1 for m in base}, (1, 1): 3 * c2 * c2})
+    Q = _poly({**{(a + 1, b + 1): c1 * c1 for a, b in base}, (2, 2): 3 * c3 * c3})
+    R = _poly({(3, 3): p * p})
     return P, Q, R
 
 
-def closed_walk_poly(p: int, t: int) -> BivarPoly:
+def closed_walk_poly(p: int, t: int) -> np.ndarray:
     """Weighted closed-walk sum C(2t), by the three-term recursion."""
     _require_index3_prime(p)
     if t < 1:
         raise ValueError("t must be positive")
     P, Q, R = recursion_coefficients(p)
-    c2 = P.scale(2)
-    if t == 1:
-        return c2
-    c4 = (P * P).scale(2) - Q.scale(4)
-    if t == 2:
-        return c4
-    c6 = R.scale(6) + (P * P * P).scale(2) - (P * Q).scale(6)
-    window = [c2, c4, c6]
+    PP = _pmul(P, P)
+    window = [2 * P, _padd(2 * PP, -4 * Q), _padd(6 * R, 2 * _pmul(P, PP), -6 * _pmul(P, Q))]
     for _ in range(t - 3):
-        nxt = P * window[-1] - Q * window[-2] + R * window[-3]
-        window = [window[-2], window[-1], nxt]
-    return window[-1]
+        nxt = _padd(_pmul(P, window[2]), -_pmul(Q, window[1]), _pmul(R, window[0]))
+        window = [window[1], window[2], nxt]
+    return window[min(t, 3) - 1]
 
 
 # --- walk oracle on the carry digraph --------------------------------------
@@ -159,171 +130,98 @@ def carry_digraph(p: int) -> tuple[list[tuple[int, int, int, int]], dict]:
     return verts, arcs
 
 
-def _digraph_matrix(p: int) -> list[list[BivarPoly]]:
-    verts, arcs = carry_digraph(p)
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    zero = BivarPoly()
-    M = [[zero] * n for _ in range(n)]
-    for v, targets in arcs.items():
-        i = index[v]
-        for w in targets:
-            _, _, cx, cy = w
-            M[i][index[w]] = M[i][index[w]] + BivarPoly.monomial(cx, cy)
-    return M
-
-
-def _poly_matmul(A, B):
-    n = len(A)
-    zero = BivarPoly()
-    C = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a = A[i][k]
-            if not a:
-                continue
-            Bk = B[k]
-            Ci = C[i]
-            for j in range(n):
-                if Bk[j]:
-                    Ci[j] = Ci[j] + a * Bk[j]
-    return C
-
-
-def walk_poly_by_trace(p: int, t: int) -> BivarPoly:
-    """C(2t) computed as the trace of the 2t-th power of the digraph matrix.
+def walk_polys_by_trace(p: int, t_max: int) -> list[np.ndarray]:
+    """C(2), C(4), ..., C(2 t_max) as traces of powers of the digraph matrix.
 
     Independent of the recursion: only the digraph arcs are used.  The
-    even power is assembled from squarings, with the final trace taken
-    through a product pairing to avoid one full multiply.
+    digraph is bipartite, M = [[0, X], [Y, 0]], so tr M^(2t) = 2 tr((XY)^t).
+    Every vertex has p out-arcs, so a coefficient counts at most the
+    8p * p^(2t) walks of length 2t; the int64 counts are exact while
+    8 p^(2 t_max + 1) < 2^63, and larger p is refused before any work.
     """
     _require_index3_prime(p)
-    if t < 1:
+    if t_max < 1:
         raise ValueError("t must be positive")
-    M = _digraph_matrix(p)
-    # powers[m] = M^m for m = 2, 4, 8, ...; M^(2t) assembled from them
-    n = len(M)
-    target = 2 * t
-    sq = _poly_matmul(M, M)
-    powers = {2: sq}
-    hi = 2
-    while hi * 2 <= target:
-        powers[hi * 2] = _poly_matmul(powers[hi], powers[hi])
-        hi *= 2
-    # decompose target into two stored powers (target even, >= 2)
-    left = hi
-    rest = target - hi
-    acc = powers[left]
-    while rest:
-        piece = max(k for k in powers if k <= rest)
-        acc = _poly_matmul(acc, powers[piece])
-        rest -= piece
-    out = BivarPoly()
-    for i in range(n):
-        out = out + acc[i][i]
+    bound = 8 * p ** (2 * t_max + 1)
+    if bound >= 1 << 63:
+        raise BoundExceededError(
+            f"walk counts up to 8 p^(2t+1) = {bound} at p = {p}, t = {t_max} "
+            "exceed the int64 bound 2^63"
+        )
+    verts, arcs = carry_digraph(p)
+    n = 4 * p
+    index = {v: i % n for i, v in enumerate(verts)}
+    # blocks[side, cx, cy]: the arcs leaving that side whose target carries are (cx, cy)
+    blocks = np.zeros((2, 2, 2, n, n), dtype=np.int64)
+    for v, targets in arcs.items():
+        for w in targets:
+            blocks[v[0], w[2], w[3], index[v], index[w]] += 1
+    N = _pmul(blocks[0], blocks[1])
+    power = N
+    out = [2 * np.trace(N, axis1=2, axis2=3)[:, :, None, None]]
+    for _ in range(t_max - 1):
+        power = _pmul(N, power)
+        out.append(2 * np.trace(power, axis1=2, axis2=3)[:, :, None, None])
     return out
 
 
 # --- collapsed 6x6 transfer matrix ------------------------------------------
 
 
-def transfer_basis_matrix(p: int) -> list[list[BivarPoly]]:
-    """Matrix of the walk operator on its 6-dimensional invariant image.
+def transfer_blocks(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks X, Y of the walk operator M = [[0, X], [Y, 0]] on its 6-dim image.
 
-    Columns are the images of the six class vectors (three per side);
-    entry (i, j) is the coefficient of class i in the image of class j.
+    M acts on the six class vectors (three per side); entry (i, j) of a
+    block is the coefficient of class i in the image of class j of the
+    other side.  Both blocks are K = [[c1,c1,c2],[c1,c2,c1],[c2,c1,c1]],
+    with rows scaled by (1, x, xy) in X and by (1, y, xy) in Y.
     """
     _require_index3_prime(p)
     c1 = (p + 1) // 3
     c2 = (p - 2) // 3
-    x = BivarPoly.monomial(1, 0)
-    y = BivarPoly.monomial(0, 1)
-    xy = BivarPoly.monomial(1, 1)
-    one = BivarPoly.const(1)
-    # columns 0..2 are the first-side class vectors, columns 3..5 the second side
-    cols = [
-        [None, None, None, one.scale(c1), y.scale(c1), xy.scale(c2)],  # image of h1
-        [None, None, None, one.scale(c1), y.scale(c2), xy.scale(c1)],  # image of h2
-        [None, None, None, one.scale(c2), y.scale(c1), xy.scale(c1)],  # image of h3
-        [one.scale(c1), x.scale(c1), xy.scale(c2), None, None, None],  # image of h'1
-        [one.scale(c1), x.scale(c2), xy.scale(c1), None, None, None],  # image of h'2
-        [one.scale(c2), x.scale(c1), xy.scale(c1), None, None, None],  # image of h'3
-    ]
-    zero = BivarPoly()
-    M = [[zero] * 6 for _ in range(6)]
-    for j, col in enumerate(cols):
-        for i, entry in enumerate(col):
-            if entry is not None:
-                M[i][j] = entry
-    return M
-
-
-def char_poly_coeffs(p: int) -> dict[int, BivarPoly]:
-    """Coefficients (by z-degree) of det(zI - M) for the 6x6 transfer matrix.
-
-    Computed by Leibniz expansion over Z[x,y][z]; exact and division-free.
-    """
-    M = transfer_basis_matrix(p)
-    # represent each entry of zI - M as {z-degree: BivarPoly}
-    E = []
-    for i in range(6):
-        row = []
-        for j in range(6):
-            ent: dict[int, BivarPoly] = {}
-            if M[i][j]:
-                ent[0] = -M[i][j]
-            if i == j:
-                ent[1] = BivarPoly.const(1)
-            row.append(ent)
-        E.append(row)
-    det: dict[int, BivarPoly] = {}
-    for perm in permutations(range(6)):
-        inv = sum(1 for i in range(6) for j in range(i + 1, 6) if perm[i] > perm[j])
-        sign = -1 if inv % 2 else 1
-        term = {0: BivarPoly.const(sign)}
-        ok = True
-        for i in range(6):
-            ent = E[i][perm[i]]
-            if not ent:
-                ok = False
-                break
-            nxt: dict[int, BivarPoly] = {}
-            for za, pa in term.items():
-                for zb, pb in ent.items():
-                    prod = pa * pb
-                    if prod:
-                        key = za + zb
-                        nxt[key] = nxt.get(key, BivarPoly()) + prod
-            term = nxt
-        if not ok:
-            continue
-        for zdeg, poly in term.items():
-            det[zdeg] = det.get(zdeg, BivarPoly()) + poly
-    return {zdeg: poly for zdeg, poly in det.items() if poly}
+    K = np.array([[c1, c1, c2], [c1, c2, c1], [c2, c1, c1]], dtype=object)
+    X = np.zeros((2, 2, 3, 3), dtype=object)
+    Y = np.zeros((2, 2, 3, 3), dtype=object)
+    for row, (a, b) in enumerate(((0, 0), (1, 0), (1, 1))):
+        X[a, b, row] = K[row]
+        Y[b, a, row] = K[row]
+    return X, Y
 
 
 def verify_transfer_matrix(p: int) -> None:
     """Characteristic polynomial and determinant identities of the 6x6 matrix.
 
     Raises MismatchError unless det(zI - M) = z^6 - P z^4 + Q z^2 - R and
-    det(M) = -p^2 x^3 y^3.  det(M) is the constant term det(-M) of the
-    characteristic polynomial, equal to det(M) because M has even order.
+    det(M) = -p^2 x^3 y^3.  With N = XY, det(zI - M) = det(z^2 I - N), so
+    the first identity says tr N = P, the principal 2x2 minors of N sum
+    to Q, and det N = R; det M = det(-M) = -det N since M has even order.
     """
     P, Q, R = recursion_coefficients(p)
-    got = char_poly_coeffs(p)
-    want = {6: BivarPoly.const(1), 4: -P, 2: Q, 0: -R}
-    want = {k: v for k, v in want.items() if v}
-    if got != want:
+    N = _pmul(*transfer_blocks(p))
+
+    def entry(i, j):
+        return N[:, :, i : i + 1, j : j + 1]
+
+    def minor(r0, r1, c0, c1):
+        return _padd(_pmul(entry(r0, c0), entry(r1, c1)), -_pmul(entry(r0, c1), entry(r1, c0)))
+
+    trace = _padd(entry(0, 0), entry(1, 1), entry(2, 2))
+    minors = _padd(minor(0, 1, 0, 1), minor(0, 2, 0, 2), minor(1, 2, 1, 2))
+    det = _padd(
+        _pmul(entry(0, 0), minor(1, 2, 1, 2)),
+        -_pmul(entry(0, 1), minor(1, 2, 0, 2)),
+        _pmul(entry(0, 2), minor(1, 2, 0, 1)),
+    )
+    if not (_peq(trace, P) and _peq(minors, Q) and _peq(det, R)):
         raise MismatchError(f"transfer matrix char poly mismatch for p={p}")
-    det = got.get(0, BivarPoly())
-    if det != BivarPoly.monomial(3, 3, -p * p):
-        raise MismatchError(f"transfer matrix determinant mismatch for p={p}: {det}")
+    if not _peq(det, _poly({(3, 3): p * p})):
+        raise MismatchError(f"transfer matrix determinant mismatch for p={p}: det M != -p^2 x^3 y^3")
 
 
 def verify_walks(p: int, t_max: int = 4) -> None:
     """Trace-of-power oracle equals the recursion for every t up to t_max."""
-    for t in range(1, t_max + 1):
-        if walk_poly_by_trace(p, t) != closed_walk_poly(p, t):
+    for t, walks in enumerate(walk_polys_by_trace(p, t_max), start=1):
+        if not _peq(walks, closed_walk_poly(p, t)):
             raise MismatchError(f"walk oracle disagrees with recursion at p={p}, t={t}")
 
 
@@ -353,10 +251,10 @@ def p_part_from_recursion(p: int, t: int, params: Params | None = None) -> dict[
         raise ValueError(f"params are for {(params.p, params.ell, params.t)}, not {(p, 3, t)}")
     q, k = params.q, params.k
     delta = 1 if p == 2 else 0
-    C = closed_walk_poly(p, t)
+    C = closed_walk_poly(p, t)[:, :, 0, 0]
     e: dict[int, int] = {}
     e0 = p_rank_closed_form(p, t)
-    walk_e0 = sum(C.coeff(0, b) for b in range(1, t + 1))
+    walk_e0 = int(C[0, 1 : t + 1].sum())
     if walk_e0 != e0:
         raise MismatchError(
             f"p-rank closed form {e0} disagrees with walk coefficients {walk_e0}"
@@ -364,7 +262,7 @@ def p_part_from_recursion(p: int, t: int, params: Params | None = None) -> dict[
     e[0] = e0
     e[2 * t + delta] = e0 - 2
     for a in range(1, t):
-        e[a] = sum(C.coeff(a, b) for b in range(a + 1, t + 1))
+        e[a] = int(C[a, a + 1 : t + 1].sum())
         e[2 * t + delta - a] = e[a]
     below = sum(e.get(j, 0) for j in range(t))
     if p == 2:

@@ -175,11 +175,11 @@ def test_criterion_6_block_smith_forms(capsys):
 
 def test_criterion_7_transfer_matrix(capsys):
     """Char poly z^6 - Pz^4 + Qz^2 - R, det -p^2 x^3 y^3, walk oracle == recursion."""
-    for p in (2, 5, 11):
+    for p in (2, 5, 11, 17):
         verify_transfer_matrix(p)
         verify_walks(p, t_max=4)
     with capsys.disabled():
-        print("ACCEPTANCE 7 transfer-matrix identities p in {2,5,11}, t <= 4: PASS")
+        print("ACCEPTANCE 7 transfer-matrix identities p in {2,5,11,17}, t <= 4: PASS")
 
 
 def test_criterion_8_p_rank_closed_form(capsys):

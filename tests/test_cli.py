@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,9 +226,31 @@ def test_exports_share_one_table(capsys, tmp_path, monkeypatch):
 
 
 def test_env_max_q(capsys, monkeypatch):
-    monkeypatch.setenv("CYCLO_MAX_Q", "8")
-    code, _, err = run_cli(
-        capsys, "compute", "--p", "2", "--ell", "3", "--t", "2", "--method", "both"
-    )
+    """--max-q sets the table bound; the environment is not read."""
+    monkeypatch.setenv("CYCLO_MAX_Q", "abc")
+    argv = ["compute", "--p", "2", "--ell", "3", "--t", "2", "--method", "both"]
+    code, _, err = run_cli(capsys, *argv, "--max-q", "8")
     assert code == 1
     assert "BoundExceeded" in err
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "2", "--ell", "3", "--t", "2", "--which", "srg", "--max-q", "abc"],
+        ["table", "--t", "1", "--p-list", "2,x"],
+        ["table", "--t", "1", "--p-list", ","],
+    ],
+)
+def test_malformed_input_exits_1_without_traceback(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclocrit", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1

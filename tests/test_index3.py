@@ -1,24 +1,28 @@
+import numpy as np
 import pytest
 import sympy
 
 from conftest import params_for
 from cyclocrit import (
     closed_walk_poly,
+    index3,
     p_part_from_carries,
     p_part_from_recursion,
     p_rank_closed_form,
     recursion_coefficients,
     verify_transfer_matrix,
     verify_walks,
-    walk_poly_by_trace,
+    walk_polys_by_trace,
 )
-from cyclocrit.errors import BadResidueError
-from cyclocrit.index3 import BivarPoly
+from cyclocrit.cli import main
+from cyclocrit.errors import BadResidueError, BoundExceededError, MismatchError
+from cyclocrit.index3 import transfer_blocks
 
 
-def _to_sympy(poly: BivarPoly):
+def _to_sympy(poly, i=0, j=0):
+    """Entry (i, j) of a coefficient array as a sympy polynomial in x, y."""
     x, y = sympy.symbols("x y")
-    return sum(c * x**a * y**b for (a, b), c in poly.terms.items())
+    return sum(int(c) * x**a * y**b for (a, b), c in np.ndenumerate(poly[:, :, i, j]))
 
 
 def test_coefficients_p2():
@@ -33,7 +37,7 @@ def test_coefficients_p2():
 def test_coefficients_p5():
     P, Q, R = recursion_coefficients(5)
     assert _to_sympy(R) == 25 * sympy.symbols("x") ** 3 * sympy.symbols("y") ** 3
-    assert P.coeff(1, 1) == 3  # 3 ((p-2)/3)^2 = 3
+    assert P[1, 1, 0, 0] == 3  # 3 ((p-2)/3)^2 = 3
 
 
 def test_bad_residue():
@@ -46,7 +50,7 @@ def test_bad_residue():
 
 def test_walk_poly_seed():
     P, _, _ = recursion_coefficients(2)
-    assert closed_walk_poly(2, 1) == P.scale(2)
+    assert np.array_equal(closed_walk_poly(2, 1), 2 * P)
 
 
 def test_walk_poly_second_seed_via_sympy():
@@ -55,9 +59,9 @@ def test_walk_poly_second_seed_via_sympy():
     want = sympy.expand(2 * (_to_sympy(P) ** 2 - 2 * _to_sympy(Q)))
     assert sympy.expand(_to_sympy(closed_walk_poly(2, 2)) - want) == 0
     c4 = closed_walk_poly(2, 2)
-    assert c4.coeff(0, 1) == 4
-    assert c4.coeff(0, 2) == 2
-    assert c4.coeff(1, 2) == 0
+    assert c4[0, 1, 0, 0] == 4
+    assert c4[0, 2, 0, 0] == 2
+    assert c4[1, 2, 0, 0] == 0
 
 
 def test_recursion_step_via_sympy():
@@ -74,13 +78,59 @@ def test_transfer_matrix_identities():
         verify_transfer_matrix(p)
 
 
+@pytest.mark.parametrize("p", [2, 5, 11, 17, 23])
+def test_transfer_blocks_charpoly_via_sympy(p):
+    """sympy's charpoly of [[0, X], [Y, 0]] is z^6 - P z^4 + Q z^2 - R."""
+    X, Y = transfer_blocks(p)
+    M = sympy.zeros(6, 6)
+    for i in range(3):
+        for j in range(3):
+            M[i, 3 + j] = _to_sympy(X, i, j)
+            M[3 + i, j] = _to_sympy(Y, i, j)
+    z = sympy.symbols("z")
+    P, Q, R = (_to_sympy(f) for f in recursion_coefficients(p))
+    got = M.charpoly(z).as_expr()
+    assert sympy.expand(got - (z**6 - P * z**4 + Q * z**2 - R)) == 0
+
+
 def test_walk_oracle_matches_recursion():
     for p in (2, 5):
         verify_walks(p, t_max=4)
 
 
 def test_walk_oracle_p11_t2():
-    assert walk_poly_by_trace(11, 2) == closed_walk_poly(11, 2)
+    assert np.array_equal(walk_polys_by_trace(11, 2)[-1], closed_walk_poly(11, 2))
+
+
+def test_wrong_R_fails_both_anchors(monkeypatch, capsys):
+    """R = (p^2 + 1) x^3 y^3 is caught by the transfer matrix, the walk oracle and the CLI."""
+    right = index3.recursion_coefficients
+
+    def wrong(p):
+        P, Q, R = right(p)
+        R = R.copy()
+        R[3, 3, 0, 0] += 1
+        return P, Q, R
+
+    monkeypatch.setattr(index3, "recursion_coefficients", wrong)
+    for p in (2, 5):
+        with pytest.raises(MismatchError, match="char poly"):
+            verify_transfer_matrix(p)
+        with pytest.raises(MismatchError, match="t=3"):
+            verify_walks(p, 3)
+    assert main(["verify", "--p", "2", "--ell", "3", "--t", "3", "--which", "walks"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "mismatch" in err
+
+
+def test_walk_oracle_refuses_int64_overflow(capsys):
+    """8 p^(2t+1) >= 2^63 at p = 107, t = 4: refused before any work, exit 1."""
+    with pytest.raises(BoundExceededError, match="2\\^63"):
+        walk_polys_by_trace(107, 4)
+    assert main(["verify", "--p", "107", "--ell", "3", "--t", "4", "--which", "walks"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "BoundExceeded" in err and str(8 * 107**9) in err
 
 
 def test_p_rank_closed_form_values():
