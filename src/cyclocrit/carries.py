@@ -7,6 +7,13 @@ Sylow p-part of the critical group is determined by the minimum carry
 count over each index coset.  Every function here takes int64 arrays
 (any shape, broadcast together) and returns arrays: the histogram and
 the block checks run the same kernels on chunks of cosets.
+
+Multiplying by p mod q-1 rotates the digits, so it keeps carry counts,
+and it maps the pairs of coset i onto those of coset p*i mod k.  The
+histogram therefore evaluates only the least coset of each orbit of
+i -> p*i mod k, weighted by the orbit size: about k/e of the k-1 cosets,
+e = (ell-1)t, found in about k ln e element operations.  Its enumeration
+bound still counts all k-1 cosets.
 """
 
 from __future__ import annotations
@@ -23,9 +30,12 @@ from .errors import (
 from .params import Params
 
 DEFAULT_ENUM_BOUND = 1 << 24
-# Cosets per min_carries call in the histogram: its arrays are (ell, chunk)
-# int64, small enough to stay in cache, so peak memory does not grow with k.
+# Candidate cosets per step of the histogram.  A candidate leaves at its first
+# rotation p^j * i mod k below it, so a step costs about HIST_CHUNK * ln e element
+# operations and min_carries sees about HIST_CHUNK / e survivors; every array is
+# at most (ell, HIST_CHUNK) int64, so peak memory does not grow with k.
 HIST_CHUNK = 1 << 12
+ORBIT_SAMPLE = 8  # orbits whose every coset the histogram also evaluates directly
 
 
 def digit_sums(x, params: Params) -> np.ndarray:
@@ -69,9 +79,9 @@ def min_carries(idx, params: Params) -> np.ndarray:
         raise ValueError(f"coset representatives must lie in 1..k-1, got {idx.min()}..{idx.max()}")
     sums = digit_sums(np.arange(ell).reshape((ell,) + (1,) * idx.ndim) * k + idx, params)
     s_k = digit_sums(np.arange(1, ell) * k, params)
-    best = None
-    for n in range(1, ell):  # np.roll(sums, -n, axis=0)[m] = sums[(m + n) % ell]
-        c = (sums + s_k[n - 1] - np.roll(sums, -n, axis=0)).min(axis=0) // (p - 1)
+    twice, best = np.concatenate([sums, sums]), None
+    for n in range(1, ell):  # twice[n : n + ell][m] = sums[(m + n) % ell]
+        c = (sums + s_k[n - 1] - twice[n : n + ell]).min(axis=0) // (p - 1)
         best = c if best is None else np.minimum(best, c)
     if (bad := (best < 0) | (best > params.ext_degree // 2)).any():
         j = np.argmax(bad)
@@ -79,16 +89,46 @@ def min_carries(idx, params: Params) -> np.ndarray:
     return best
 
 
+def _orbit_representatives(lo: int, hi: int, params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """The i in lo..hi-1 least in their orbit under i -> p*i mod k, and the sizes of those orbits."""
+    reps = cur = np.arange(lo, hi, dtype=np.int64)
+    fixed = np.ones_like(reps)  # #{0 <= j < e : p^j * i = i mod k} = e / (orbit size)
+    for _ in range(params.ext_degree - 1):
+        cur = cur * params.p % params.k
+        keep = cur >= reps
+        reps, cur, fixed = reps[keep], cur[keep], fixed[keep] + (cur[keep] == reps[keep])
+    return reps, params.ext_degree // fixed
+
+
 def min_carries_histogram(params: Params, enum_bound: int = DEFAULT_ENUM_BOUND) -> dict[int, int]:
-    """Multiset {min_carries(i) : 1 <= i <= k-1} as a histogram, HIST_CHUNK cosets at a time."""
-    k, q, half = params.k, params.q, params.ext_degree // 2
+    """Multiset {min_carries(i) : 1 <= i <= k-1} as a histogram, one coset per Frobenius orbit.
+
+    The bound counts all k-1 cosets.  The orbit sizes must sum to k-1,
+    and min_carries must be constant on ORBIT_SAMPLE evenly spread
+    orbits evaluated in full; otherwise MismatchError.
+    """
+    p, k, q, half = params.p, params.k, params.q, params.ext_degree // 2
     if k - 1 > enum_bound:
         raise BoundExceededError(f"k - 1 = {k - 1} exceeds enumeration bound {enum_bound}")
     if q > (1 << 62) // (params.ell + 1):
         raise BoundExceededError("q too large for int64 coset enumeration")
     counts = np.zeros(half + 1, dtype=np.int64)
     for lo in range(1, k, HIST_CHUNK):
-        counts += np.bincount(min_carries(np.arange(lo, min(lo + HIST_CHUNK, k)), params), minlength=half + 1)
+        reps, sizes = _orbit_representatives(lo, min(lo + HIST_CHUNK, k), params)
+        np.add.at(counts, min_carries(reps, params), sizes)
+    if counts.sum() != k - 1:
+        raise MismatchError(f"Frobenius orbit sizes sum to {counts.sum()}, not k - 1 = {k - 1}")
+    orbits = [np.linspace(1, k - 1, ORBIT_SAMPLE).astype(np.int64)]
+    for _ in range(params.ext_degree - 1):
+        orbits.append(orbits[-1] * p % k)
+    orbits = np.array(orbits)
+    got, rep = min_carries(orbits, params), orbits.argmin(axis=0)
+    if (bad := got != got[rep, np.arange(orbits.shape[1])]).any():
+        j, c = np.argwhere(bad)[0]
+        raise MismatchError(
+            f"min_carries({orbits[j, c]}) = {got[j, c]} differs from {got[rep[c], c]} "
+            f"at its Frobenius orbit representative {orbits[rep[c], c]}"
+        )
     return {j: int(cnt) for j, cnt in enumerate(counts) if cnt}
 
 

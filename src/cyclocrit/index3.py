@@ -92,42 +92,24 @@ def closed_walk_poly(p: int, t: int) -> np.ndarray:
 # --- walk oracle on the carry digraph --------------------------------------
 
 
-def carry_digraph(p: int) -> tuple[list[tuple[int, int, int, int]], dict]:
-    """Vertices and arcs of the bipartite carry-propagation digraph.
+def carry_digraph(p: int) -> np.ndarray:
+    """Arcs of the bipartite carry-propagation digraph: arcs[side, cx', cy'] is a 0/1 matrix.
 
-    A vertex is (side, digit, cx, cy) with side 0/1 and carries cx, cy in
-    {0, 1}; an arc goes to every digit on the other side whose carry pair
-    is forced by the source digit against the two thresholds (p+1)/3 and
-    2(p+1)/3, and is weighted x^cx' * y^cy' by the target carries.
+    A vertex on either side is (digit a, carries cx, cy), numbered
+    4a + 2cx + cy.  The source digit against the thresholds (p+1)/3 and
+    2(p+1)/3 forces the target carries: cx' = [a >= (p+1)/3 - cx] and
+    cy' = [a >= 2(p+1)/3 - cy] on side 0, the two thresholds swapped on
+    side 1.  An arc goes to every digit on the other side with those
+    carries, and is weighted x^cx' * y^cy'.
     """
     _require_index3_prime(p)
-    th1 = (p + 1) // 3
-    th2 = 2 * (p + 1) // 3
-    verts = [
-        (side, a, cx, cy)
-        for side in (0, 1)
-        for a in range(p)
-        for cx in (0, 1)
-        for cy in (0, 1)
-    ]
-    arcs: dict[tuple, list[tuple]] = {}
-    for side, a, cx, cy in verts:
-        if side == 0:
-            if a < th1 - cx:
-                tgt = (0, 0)
-            elif a < th2 - cy:
-                tgt = (1, 0)
-            else:
-                tgt = (1, 1)
-        else:
-            if a < th1 - cy:
-                tgt = (0, 0)
-            elif a < th2 - cx:
-                tgt = (0, 1)
-            else:
-                tgt = (1, 1)
-        arcs[(side, a, cx, cy)] = [(1 - side, a2, tgt[0], tgt[1]) for a2 in range(p)]
-    return verts, arcs
+    n, th1, th2 = 4 * p, (p + 1) // 3, 2 * (p + 1) // 3
+    a, cx, cy = np.arange(n) // 4, np.arange(n) // 2 % 2, np.arange(n) % 2
+    arcs = np.zeros((2, 2, 2, n, n), dtype=np.int64)
+    for side, (thx, thy) in enumerate(((th1, th2), (th2, th1))):
+        tx, ty = (a >= thx - cx).astype(np.int64)[:, None], (a >= thy - cy).astype(np.int64)[:, None]
+        arcs[side, tx, ty, np.arange(n)[:, None], 4 * np.arange(p) + 2 * tx + ty] = 1
+    return arcs
 
 
 def walk_polys_by_trace(p: int, t_max: int) -> list[np.ndarray]:
@@ -148,20 +130,13 @@ def walk_polys_by_trace(p: int, t_max: int) -> list[np.ndarray]:
             f"walk counts up to 8 p^(2t+1) = {bound} at p = {p}, t = {t_max} "
             "exceed the int64 bound 2^63"
         )
-    verts, arcs = carry_digraph(p)
-    n = 4 * p
-    index = {v: i % n for i, v in enumerate(verts)}
-    # blocks[side, cx, cy]: the arcs leaving that side whose target carries are (cx, cy)
-    blocks = np.zeros((2, 2, 2, n, n), dtype=np.int64)
-    for v, targets in arcs.items():
-        for w in targets:
-            blocks[v[0], w[2], w[3], index[v], index[w]] += 1
-    N = _pmul(blocks[0], blocks[1])
-    power = N
-    out = [2 * np.trace(N, axis1=2, axis2=3)[:, :, None, None]]
-    for _ in range(t_max - 1):
-        power = _pmul(N, power)
-        out.append(2 * np.trace(power, axis1=2, axis2=3)[:, :, None, None])
+    arcs, n = carry_digraph(p), 4 * p
+    N = _pmul(arcs[0], arcs[1])
+    rows = N.reshape(N.shape[:2] + (1, n * n))
+    out, power = [], np.eye(n, dtype=np.int64)[None, None]
+    for t in range(t_max):  # tr(N N^t) = sum_ij N_ij (N^t)_ji, without forming N^(t+1)
+        power = _pmul(N, power) if t else power
+        out.append(2 * _pmul(rows, power.transpose(0, 1, 3, 2).reshape(power.shape[:2] + (n * n, 1))))
     return out
 
 

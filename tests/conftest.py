@@ -14,6 +14,7 @@ from cyclocrit import (
     build_field,
     critical_group,
     critical_group_by_snf,
+    min_carries,
     validate,
 )
 from cyclocrit.errors import CyclocritError
@@ -147,3 +148,16 @@ def p_local_reference(mat, p: int, precision: int) -> tuple[dict[int, int], int]
         exps.append(shift)
         t += 1
     return dict(Counter(exps)), min(n, m) - t
+
+
+def min_carries_histogram_reference(params, chunk: int = 1 << 12) -> dict[int, int]:
+    """The full-enumeration histogram: min_carries on every coset 1..k-1, chunk cosets at a time.
+
+    A reference for the orbit histogram, which evaluates one coset per
+    orbit of i -> p*i mod k.
+    """
+    k, half = params.k, params.ext_degree // 2
+    counts = np.zeros(half + 1, dtype=np.int64)
+    for lo in range(1, k, chunk):
+        counts += np.bincount(min_carries(np.arange(lo, min(lo + chunk, k)), params), minlength=half + 1)
+    return {j: int(cnt) for j, cnt in enumerate(counts) if cnt}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_for, params_for
+from conftest import admissible, field_for, min_carries_histogram_reference, params_for
 from cyclocrit import (
     carry_count,
     carries,
@@ -197,6 +197,59 @@ def test_histogram_matches_scalar_path(monkeypatch):
         for chunk in (1, 3, carries.HIST_CHUNK):
             monkeypatch.setattr(carries, "HIST_CHUNK", chunk)
             assert min_carries_histogram(P) == dict(Counter(ref))
+
+
+def test_orbit_histogram_matches_reference():
+    """One coset per Frobenius orbit gives the full-enumeration histogram, up to (2,11,2)."""
+    triples = [P for P in admissible(11 * 10**5 + 1) if P.k <= 10**5] + [params_for(2, 13, 1)]
+    assert (2, 11, 2) in {(P.p, P.ell, P.t) for P in triples}
+    for P in triples:
+        assert min_carries_histogram(P) == min_carries_histogram_reference(P), (P.p, P.ell, P.t)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_min_carries_frobenius_invariant(data):
+    """min_carries(i) == min_carries(p*i mod k), and every orbit size divides e."""
+    P = data.draw(st.sampled_from(admissible(1 << 20)))
+    p, k, e = P.p, P.k, P.ext_degree
+    i = data.draw(st.integers(1, k - 1))
+    assert min_carries(i, P) == min_carries(p * i % k, P)
+    orbit = {i * p**j % k for j in range(e)}
+    assert e % len(orbit) == 0
+    reps, sizes = carries._orbit_representatives(min(orbit), min(orbit) + 1, P)
+    assert reps.tolist() == [min(orbit)] and sizes.tolist() == [len(orbit)]
+    assert (e % carries._orbit_representatives(1, min(k, 4096), P)[1] == 0).all()
+
+
+def test_orbit_size_sum_raises_mismatch(monkeypatch):
+    """Orbit sizes that do not add up to k-1 fail as MismatchError, not as a wrong histogram."""
+    good = carries._orbit_representatives
+
+    def one_counted_twice(lo, hi, P):
+        reps, sizes = good(lo, hi, P)
+        return reps, sizes + (reps == 1)
+
+    def first_orbit_lost(lo, hi, P):
+        reps, sizes = good(lo, hi, P)
+        return reps[1:], sizes[1:]
+
+    monkeypatch.setattr(carries, "_orbit_representatives", one_counted_twice)
+    with pytest.raises(MismatchError, match=r"^Frobenius orbit sizes sum to 5, not k - 1 = 4$"):
+        min_carries_histogram(params_for(2, 3, 2))
+    monkeypatch.setattr(carries, "_orbit_representatives", first_orbit_lost)
+    with pytest.raises(MismatchError, match=r"^Frobenius orbit sizes sum to \d+, not k - 1 = 84$"):
+        min_carries_histogram(params_for(2, 3, 4))
+
+
+def test_orbit_sample_raises_mismatch(monkeypatch):
+    """A sampled non-representative coset that disagrees with its representative is named."""
+    P = params_for(2, 3, 4)  # k = 85; the sample is 1, 12, 24, ..., 84, and 12 lies in the orbit of 3
+    good = carries.min_carries
+    monkeypatch.setattr(carries, "min_carries", lambda idx, P: good(idx, P) + (np.asarray(idx) == 12))
+    message = r"^min_carries\(12\) = \d+ differs from \d+ at its Frobenius orbit representative 3$"
+    with pytest.raises(MismatchError, match=message):
+        min_carries_histogram(P)
 
 
 def test_enumeration_bound():
