@@ -100,7 +100,7 @@ def _orbit_representatives(lo: int, hi: int, params: Params) -> tuple[np.ndarray
     return reps, params.ext_degree // fixed
 
 
-def min_carries_histogram(params: Params, enum_bound: int = DEFAULT_ENUM_BOUND) -> dict[int, int]:
+def min_carries_histogram(params: Params) -> dict[int, int]:
     """Multiset {min_carries(i) : 1 <= i <= k-1} as a histogram, one coset per Frobenius orbit.
 
     The bound counts all k-1 cosets.  The orbit sizes must sum to k-1,
@@ -108,8 +108,8 @@ def min_carries_histogram(params: Params, enum_bound: int = DEFAULT_ENUM_BOUND) 
     orbits evaluated in full; otherwise MismatchError.
     """
     p, k, q, half = params.p, params.k, params.q, params.ext_degree // 2
-    if k - 1 > enum_bound:
-        raise BoundExceededError(f"k - 1 = {k - 1} exceeds enumeration bound {enum_bound}")
+    if k - 1 > DEFAULT_ENUM_BOUND:
+        raise BoundExceededError(f"k - 1 = {k - 1} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
     if q > (1 << 62) // (params.ell + 1):
         raise BoundExceededError("q too large for int64 coset enumeration")
     counts = np.zeros(half + 1, dtype=np.int64)
@@ -149,7 +149,7 @@ def check_conservation(e_mult: dict[int, int], params: Params) -> None:
         raise ConservationError(f"valuation sum {vsum} != v_p(order) = {expected}")
 
 
-def p_part_from_carries(params: Params, enum_bound: int = DEFAULT_ENUM_BOUND) -> dict[int, int]:
+def p_part_from_carries(params: Params) -> dict[int, int]:
     """Sylow p-part multiplicities e_j from the carry-minimum enumeration.
 
     Multiplicities at the extreme exponents come straight from the
@@ -161,7 +161,7 @@ def p_part_from_carries(params: Params, enum_bound: int = DEFAULT_ENUM_BOUND) ->
     """
     p, ell, t, q, k, d = params.p, params.ell, params.t, params.q, params.k, params.d
     half = params.ext_degree // 2
-    hist = min_carries_histogram(params, enum_bound)
+    hist = min_carries_histogram(params)
     e: dict[int, int] = {}
     base = hist.get(0, 0)
     e[0] = base + 2

@@ -12,11 +12,9 @@ import json
 import sys
 
 from . import __version__
-from .abelian import AbelianGroupDesc
-from .carries import DEFAULT_ENUM_BOUND
 from .critgroup import CriticalGroupResult, critical_group
 from .errors import CyclocritError, MismatchError
-from .field import DEFAULT_MAX_Q, build_field
+from .field import build_field
 from .galois import GaloisRing, verify_all_blocks, verify_stickelberger
 from .graph import adjacency, laplacian, verify_srg, write_matrix
 from .index3 import p_part_from_recursion, verify_transfer_matrix, verify_walks
@@ -57,14 +55,6 @@ def result_to_json(result: CriticalGroupResult) -> dict:
     }
 
 
-def json_to_group(doc: dict) -> AbelianGroupDesc:
-    """Inverse of the elementary-divisor encoding (round-trip support)."""
-    return AbelianGroupDesc.from_prime_powers(
-        ((int(prime), exp, mult) for prime, exp, mult in doc["elementary_divisors"]),
-        free_rank=doc["free_rank"],
-    )
-
-
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, sort_keys=True))
@@ -98,10 +88,8 @@ def _p_list(text: str) -> list[int]:
 
 def cmd_compute(args) -> int:
     params = validate(args.p, args.ell, args.t)
-    result = critical_group(
-        params, args.method, enum_bound=args.k_bound, max_q=args.max_q
-    )
-    table = build_field(params, max_q=args.max_q) if args.export_laplacian or args.export_adjacency else None
+    result = critical_group(params, args.method)
+    table = build_field(params) if args.export_laplacian or args.export_adjacency else None
     if args.export_laplacian:
         write_matrix(args.export_laplacian, laplacian(table))
     if args.export_adjacency:
@@ -115,7 +103,7 @@ def cmd_verify(args) -> int:
     which = args.which
     reports: list[str] = []
     # one table and one ring, built only for the checks that read them
-    table = build_field(params, max_q=args.max_q) if which != "walks" else None
+    table = build_field(params) if which != "walks" else None
     ring = GaloisRing(table) if which in ("stickelberger", "blocks", "all") else None
     if which in ("srg", "all"):
         report = verify_srg(table)
@@ -173,12 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--ell", type=int, required=True)
         sp.add_argument("--t", type=int, required=True)
-        sp.add_argument("--max-q", type=int, default=DEFAULT_MAX_Q, help="brute-force table bound")
 
     sp = sub.add_parser("compute", help="critical group of G(p, ell, t)")
     add_common(sp)
     sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--k-bound", type=int, default=DEFAULT_ENUM_BOUND)
     sp.add_argument("--method", choices=("formula", "bruteforce", "both"), default="both")
     sp.add_argument("--export-laplacian", metavar="PATH", default=None)
     sp.add_argument("--export-adjacency", metavar="PATH", default=None)

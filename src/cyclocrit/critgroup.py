@@ -14,9 +14,9 @@ from dataclasses import dataclass, field as dc_field
 from itertools import zip_longest
 
 from .abelian import AbelianGroupDesc, factorint
-from .carries import DEFAULT_ENUM_BOUND, check_conservation, p_part_from_carries
+from .carries import check_conservation, p_part_from_carries
 from .errors import MethodMismatchError, MismatchError
-from .field import DEFAULT_MAX_Q, build_field
+from .field import build_field
 from .index3 import p_part_from_recursion
 from .params import Params, order_factorization
 from .snf import (
@@ -46,11 +46,11 @@ def coprime_part(params: Params) -> tuple[AbelianGroupDesc, int, int]:
     return AbelianGroupDesc.from_prime_powers(entries), u_free, v_free
 
 
-def p_part_multiplicities(params: Params, enum_bound: int = DEFAULT_ENUM_BOUND) -> dict[int, int]:
+def p_part_multiplicities(params: Params) -> dict[int, int]:
     """Sylow p-part multiplicities by the fastest applicable closed form."""
     if params.ell == 3:
         return p_part_from_recursion(params.p, params.t, params)
-    return p_part_from_carries(params, enum_bound)
+    return p_part_from_carries(params)
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ def _first_difference(formula: AbelianGroupDesc, bruteforce: AbelianGroupDesc) -
     return f"free rank {formula.free_rank} (formula) vs {bruteforce.free_rank} (bruteforce)"
 
 
-def _formula_group(params: Params, enum_bound: int) -> tuple[AbelianGroupDesc, dict[int, int], tuple[int, int]]:
-    e_mult = p_part_multiplicities(params, enum_bound)
+def _formula_group(params: Params) -> tuple[AbelianGroupDesc, dict[int, int], tuple[int, int]]:
+    e_mult = p_part_multiplicities(params)
     cop, u_free, v_free = coprime_part(params)
     entries = [(params.p, j, m) for j, m in e_mult.items() if j > 0]
     entries.extend(cop.divisors)
@@ -97,20 +97,14 @@ def _formula_group(params: Params, enum_bound: int) -> tuple[AbelianGroupDesc, d
     return group, e_mult, (u_free, v_free)
 
 
-def _bruteforce_group(params: Params, max_q: int) -> tuple[AbelianGroupDesc, list[str]]:
-    table = build_field(params, max_q=max_q)
+def _bruteforce_group(params: Params) -> tuple[AbelianGroupDesc, list[str]]:
+    table = build_field(params)
     if params.q <= FULL_SNF_MAX_Q:
         return critical_group_by_snf(table), ["bruteforce:full-snf"]
     return critical_group_by_local_snf(table), ["bruteforce:p-local-snf"]
 
 
-def critical_group(
-    params: Params,
-    method: str = "both",
-    *,
-    enum_bound: int = DEFAULT_ENUM_BOUND,
-    max_q: int = DEFAULT_MAX_Q,
-) -> CriticalGroupResult:
+def critical_group(params: Params, method: str = "both") -> CriticalGroupResult:
     """Compute the critical group by the requested pipeline(s).
 
     method="both" compares formula and brute force divisor-by-divisor and
@@ -121,10 +115,10 @@ def critical_group(
         raise ValueError(f"method must be one of {METHODS}")
     checks: list[str] = []
     if method in ("formula", "both"):
-        group, e_mult, coprime_orders = _formula_group(params, enum_bound)
+        group, e_mult, coprime_orders = _formula_group(params)
         checks.append("order-formula")
     if method in ("bruteforce", "both"):
-        bf_group, bf_checks = _bruteforce_group(params, max_q)
+        bf_group, bf_checks = _bruteforce_group(params)
         checks.extend(bf_checks)
         if method == "bruteforce":
             e_mult = bf_group.p_multiplicities(params.p)

@@ -30,10 +30,6 @@ class FactorizationError(BoundExceededError):
     """An integer resisted factorization within the configured effort."""
 
 
-class ZeroElementError(CyclocritError):
-    """A multiplicative-only operation was applied to zero."""
-
-
 class ZeroResidueError(CyclocritError):
     """Digit expansion requested for a residue divisible by q-1."""
 

@@ -7,6 +7,15 @@ primitive element; addition is digitwise mod p on the index.  Both the
 modulus polynomial (smallest monic irreducible in the index order) and
 the generator (smallest index of full order) are deterministic, so
 tables and any files derived from them are reproducible.
+
+The tables are built from e x e matrices over F_p, e = (ell-1)t.
+Multiplication by a fixed element is F_p-linear on the digit vectors,
+so it is a polynomial in the companion matrix C of the modulus (the
+matrix of multiplication by x).  A candidate modulus passes Berlekamp's
+criterion on its Frobenius matrix; generator powers are matrix powers;
+and the antilog table is filled by doubling, the digits of
+g^n, ..., g^(2n-1) being one product of the matrix of g^n with those of
+g^0, ..., g^(n-1).
 """
 
 from __future__ import annotations
@@ -16,101 +25,70 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abelian import factorint
-from .errors import BoundExceededError, MismatchError, ZeroElementError
+from .errors import BoundExceededError, MismatchError
 from .params import Params
 
 DEFAULT_MAX_Q = 1 << 16
+# Antilog entries mapped per product in the fill: its (chunk, e) int64
+# temporaries stay at 64 KiB or less for every q up to DEFAULT_MAX_Q.
+_FILL_CHUNK = 1 << 9
 
 
-def _poly_mul_mod(a: list[int], b: list[int], f: tuple[int, ...], p: int) -> list[int]:
-    """Product of coefficient vectors modulo (x^e + f, p); f holds the low coefficients."""
+def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
+    """Matrix of multiplication by x on F_p[x]/(x^e + f); f holds the low coefficients."""
     e = len(f)
-    res = [0] * (2 * e - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    for i in range(2 * e - 2, e - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(e):
-                res[i - e + j] = (res[i - e + j] - c * f[j]) % p
-    return res[:e]
+    C = np.eye(e, k=-1, dtype=np.int64)
+    C[:, -1] = np.negative(f) % p
+    return C
 
 
-def _poly_pow_frobenius(f: tuple[int, ...], p: int, n: int) -> list[int]:
-    """x^(p^n) mod (x^e + f) via n successive p-th powers."""
-    e = len(f)
-    cur = [0, 1] + [0] * (e - 2) if e > 1 else [(-f[0]) % p]
-    for _ in range(n):
-        out = [1] + [0] * (e - 1)
-        base = cur
-        m = p
-        while m:
-            if m & 1:
-                out = _poly_mul_mod(out, base, f, p)
-            base = _poly_mul_mod(base, base, f, p)
-            m >>= 1
-        cur = out
-    return cur
+def _mat_pow(M: np.ndarray, n: int, p: int) -> np.ndarray:
+    """M^n mod p by square-and-multiply."""
+    R = np.eye(len(M), dtype=np.int64)
+    while n:
+        if n & 1:
+            R = R @ M % p
+        M, n = M @ M % p, n >> 1
+    return R
 
 
-def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
-    """gcd over F_p[x]; b is understood as the full modulus x^e + (low coeffs)."""
-    A = list(b) + [1]
-    B = list(a)
-    while any(B):
-        while B and B[-1] == 0:
-            B.pop()
-        if not B:
-            break
-        inv = pow(B[-1], p - 2, p)
-        R = A[:]
-        while len(R) >= len(B) and any(R):
-            while R and R[-1] == 0:
-                R.pop()
-            if len(R) < len(B):
-                break
-            c = (R[-1] * inv) % p
-            sh = len(R) - len(B)
-            for i in range(len(B)):
-                R[sh + i] = (R[sh + i] - c * B[i]) % p
-        A, B = B, R
-    while A and A[-1] == 0:
-        A.pop()
-    return len(A) == 1
+def _rank_mod_p(M: np.ndarray, p: int) -> int:
+    """Rank of M over F_p by row reduction."""
+    M, rank = M % p, 0
+    for j in range(M.shape[1]):
+        rows = np.flatnonzero(M[rank:, j])
+        if not len(rows):
+            continue
+        M[[rank, rank + rows[0]]] = M[[rank + rows[0], rank]]
+        M[rank] = M[rank] * pow(int(M[rank, j]), -1, p) % p
+        M[rank + 1 :] = (M[rank + 1 :] - np.outer(M[rank + 1 :, j], M[rank])) % p
+        rank += 1
+    return rank
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Rabin test: x^(p^e) = x mod f and gcd(x^(p^(e/r)) - x, f) = 1 for primes r | e."""
+    """Berlekamp's criterion: rank Q = e and rank(Q - I) = e - 1.
+
+    Q is the matrix of a -> a^p on F_p[x]/(x^e + f); its column j holds
+    the digits of x^(pj).  Q is invertible iff the ring has no nilpotents,
+    that is iff the modulus is squarefree, and the fixed points of
+    a -> a^p then form one copy of F_p per irreducible factor.
+    """
     e = len(f)
-    x = [0, 1] + [0] * (e - 2) if e > 1 else None
-    if e == 1:
-        return True
-    top = _poly_pow_frobenius(f, p, e)
-    if top != x:
-        return False
-    for r in factorint(e):
-        g = _poly_pow_frobenius(f, p, e // r)
-        diff = [(gi - xi) % p for gi, xi in zip(g, x)]
-        if not _poly_gcd_is_one(diff, list(f), p):
-            return False
-    return True
+    x_p = _mat_pow(_companion(f, p), p, p)
+    cols = [np.eye(e, dtype=np.int64)[0]]
+    for _ in range(e - 1):
+        cols.append(x_p @ cols[-1] % p)
+    Q = np.array(cols).T
+    return _rank_mod_p(Q, p) == e and _rank_mod_p(Q - np.eye(e, dtype=np.int64), p) == e - 1
 
 
 def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Low coefficients of the first monic irreducible x^e + ... in index order."""
     for v in range(p**e):
-        coeffs = []
-        vv = v
-        for _ in range(e):
-            coeffs.append(vv % p)
-            vv //= p
-        if coeffs[0] == 0:
-            continue  # divisible by x
-        if _is_irreducible(tuple(coeffs), p):
-            return tuple(coeffs)
+        coeffs = tuple(v // p**i % p for i in range(e))
+        if coeffs[0] and _is_irreducible(coeffs, p):  # coeffs[0] = 0: divisible by x
+            return coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -135,81 +113,22 @@ class FieldTable:
     def q(self) -> int:
         return self.params.q
 
-    # --- element codec -------------------------------------------------
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        p, e = self.params.p, self.params.ext_degree
-        out = []
-        for _ in range(e):
-            out.append(x % p)
-            x //= p
-        return tuple(out)
-
-    def from_coeffs(self, coeffs) -> int:
+    def _digits(self, xs) -> np.ndarray:
+        """Base-p digits of the indices xs, little-endian along a new last axis."""
         p = self.params.p
-        x = 0
-        for c in reversed(list(coeffs)):
-            x = x * p + c % p
-        return x
+        return np.asarray(xs, dtype=np.int64)[..., None] // p ** np.arange(self.params.ext_degree) % p
 
-    # --- arithmetic ----------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        p, e = self.params.p, self.params.ext_degree
-        x = 0
-        mult = 1
-        for _ in range(e):
-            x += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return x
-
-    def neg(self, a: int) -> int:
-        p, e = self.params.p, self.params.ext_degree
-        x = 0
-        mult = 1
-        for _ in range(e):
-            x += (-a % p) * mult
-            a //= p
-            mult *= p
-        return x
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.antilog[(int(self.dlog[a]) + int(self.dlog[b])) % (self.q - 1)])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroElementError("inverse of zero")
-        return int(self.antilog[(-int(self.dlog[a])) % (self.q - 1)])
-
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            if n <= 0:
-                raise ZeroElementError("0 to a nonpositive power")
-            return 0
-        return int(self.antilog[(int(self.dlog[a]) * n) % (self.q - 1)])
-
-    # --- subgroup ------------------------------------------------------
-    def coset_index(self, x: int) -> int:
-        """dlog(x) mod ell; 0 exactly on the connection subgroup."""
-        if x == 0:
-            raise ZeroElementError("coset index of zero")
-        return int(self.dlog[x]) % self.params.ell
+    def _index(self, digits) -> np.ndarray:
+        """Indices of the digit vectors (entries in 0..p-1) along the last axis of digits."""
+        return np.asarray(digits, dtype=np.int64) @ self.params.p ** np.arange(self.params.ext_degree)
 
     # --- vectorized add (adjacency construction) ------------------------
     def digit_table(self) -> np.ndarray:
         """(e, q) array: row i holds base-p digit i of every index; built on first use."""
         if self._digit_table is None:
-            p, e, q = self.params.p, self.params.ext_degree, self.q
-            D = np.zeros((e, q), dtype=np.int64)
-            v = np.arange(q, dtype=np.int64)
-            for i in range(e):
-                D[i] = v % p
-                v //= p
+            p, e = self.params.p, self.params.ext_degree
+            D = np.arange(self.q, dtype=np.int64) // p ** np.arange(e)[:, None]
+            D %= p
             self._digit_table = D
         return self._digit_table
 
@@ -225,71 +144,68 @@ class FieldTable:
             return xs ^ s
         D = self.digit_table()
         out = xs + s
-        for i, si in enumerate(self.coeffs(s)):
+        for i, si in enumerate(self._digits(s).tolist()):
             if si:
                 np.subtract(out, p ** (i + 1), out=out, where=np.take(D[i], xs) >= p - si)
         return out
 
 
-def build_field(params: Params, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
+def build_field(params: Params) -> FieldTable:
     """Construct the full F_q table set for the given parameters.
 
-    The dlog fill doubles as a correctness guard: it visits every nonzero
-    index exactly once iff the modulus is irreducible and the generator
-    has full order.  Any failed construction check raises MismatchError,
-    also under python -O.
+    The antilog fill doubles as a correctness guard: it lists every
+    nonzero index exactly once iff the modulus is irreducible and the
+    generator has full order.  Any failed construction check raises
+    MismatchError, also under python -O.
     """
     p, e, q, ell = params.p, params.ext_degree, params.q, params.ell
-    if q > max_q:
-        raise BoundExceededError(f"q = {q} exceeds the table bound {max_q}")
+    if q > DEFAULT_MAX_Q:
+        raise BoundExceededError(f"q = {q} exceeds the table bound {DEFAULT_MAX_Q}")
 
     mod_poly = smallest_irreducible(p, e)
+    C = _companion(mod_poly, p)
+    C_powers = np.array([_mat_pow(C, i, p) for i in range(e)])
+    powers = p ** np.arange(e)
 
-    def idx_mul(a: int, b: int) -> int:
-        ca, cb = [], []
-        for _ in range(e):
-            ca.append(a % p)
-            a //= p
-            cb.append(b % p)
-            b //= p
-        cr = _poly_mul_mod(ca, cb, mod_poly, p)
-        x = 0
-        for c in reversed(cr):
-            x = x * p + c
-        return x
+    def digits(xs) -> np.ndarray:  # one row of base-p digits per index
+        return np.asarray(xs)[..., None] // powers % p
 
-    def idx_pow(a: int, n: int) -> int:
-        r, b = 1, a
-        while n:
-            if n & 1:
-                r = idx_mul(r, b)
-            b = idx_mul(b, b)
-            n >>= 1
-        return r
+    def mul_matrix(c: int) -> np.ndarray:  # multiplication by the element of index c
+        return np.tensordot(digits(c), C_powers, 1) % p
 
-    prime_divs = list(factorint(q - 1))
-    generator = None
-    for cand in range(2, q):
-        if all(idx_pow(cand, (q - 1) // r) != 1 for r in prime_divs):
-            generator = cand
-            break
+    divisors = [(q - 1) // r for r in factorint(q - 1)]
+    generator = next(
+        (c for c in range(2, q) if all(_mat_pow(mul_matrix(c), n, p)[:, 0] @ powers != 1 for n in divisors)),
+        None,
+    )
     if generator is None:
         raise MismatchError(f"no element of order {q - 1}: modulus {mod_poly} not irreducible?")
 
-    dlog = np.full(q, -1, dtype=np.int64)
     antilog = np.zeros(q - 1, dtype=np.int64)
-    x = 1
-    for j in range(q - 1):
-        if dlog[x] != -1:
-            raise MismatchError(f"dlog fill revisits index {x} at step {j}: modulus {mod_poly} not irreducible?")
-        dlog[x] = j
-        antilog[j] = x
-        x = idx_mul(x, generator)
-    if x != 1:
-        raise MismatchError(f"generator^{q - 1} = index {x}, not 1")
+    antilog[0] = 1
+    M, n = mul_matrix(generator), 1
+    while n < q - 1:  # M multiplies by generator^n: it maps antilog[:n] onto antilog[n:2n]
+        for lo in range(0, min(n, q - 1 - n), _FILL_CHUNK):
+            hi = min(lo + _FILL_CHUNK, n, q - 1 - n)
+            antilog[n + lo : n + hi] = digits(antilog[lo:hi]) @ M.T % p @ powers
+        M, n = M @ M % p, 2 * n
+    missing = np.bincount(antilog, minlength=q)[1:] == 0  # none missing: q-1 entries, each index once
+    if missing.any():
+        raise MismatchError(
+            f"powers of generator {generator} miss index {np.argmax(missing) + 1}: modulus {mod_poly} not irreducible?"
+        )
+    last = digits(antilog[-1]) @ mul_matrix(generator).T % p @ powers
+    if last != 1:
+        raise MismatchError(f"generator^{q - 1} = index {last}, not 1")
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[antilog] = np.arange(q - 1)
 
-    subgroup = frozenset(int(antilog[j]) for j in range(0, q - 1, ell))
-    table = FieldTable(
+    subgroup = frozenset(antilog[::ell].tolist())
+    if len(subgroup) != params.k:
+        raise MismatchError(f"connection subgroup has {len(subgroup)} elements, not k = {params.k}")
+    if p - 1 not in subgroup:  # the index of -1
+        raise MismatchError("-1 must lie in the connection subgroup")
+    return FieldTable(
         params=params,
         mod_poly=mod_poly,
         generator=generator,
@@ -297,8 +213,3 @@ def build_field(params: Params, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
         antilog=antilog,
         subgroup=subgroup,
     )
-    if len(subgroup) != params.k:
-        raise MismatchError(f"connection subgroup has {len(subgroup)} elements, not k = {params.k}")
-    if table.neg(1) not in subgroup:
-        raise MismatchError("-1 must lie in the connection subgroup")
-    return table

@@ -76,7 +76,9 @@ class GaloisRing:
         # sorted by the coset class c(x) = dlog(1-x) mod ell: class 0 holds
         # k-1 >= 1 elements (1-x != 1) and every other class k.
         self._omega_np = self.omega_table()
-        dlog_1mx = np.array([int(field.dlog[field.sub(1, x)]) for x in range(2, q)], dtype=np.int64)
+        # -x = (-1) * x with -1 at index p-1, and 1 + y changes only digit 0 of y
+        minus_x = field.antilog[(field.dlog[2:] + field.dlog[self.p - 1]) % (q - 1)]
+        dlog_1mx = field.dlog[minus_x + 1 - self.p * (minus_x % self.p == self.p - 1)]
         by_class = np.argsort(dlog_1mx % ell, kind="stable")
         self._dlog_x = field.dlog[2:][by_class]
         self._dlog_1mx = dlog_1mx[by_class]
@@ -110,10 +112,9 @@ class GaloisRing:
         Starts from the field inverse tables; `modulus` broadcasts against
         a[..., :1].  Each step doubles the number of correct p-adic digits.
         """
-        field, powers = self.field, self.p ** np.arange(self.e, dtype=np.int64)
-        idx = (a % self.p).astype(np.int64) @ powers
-        inv = field.antilog[-field.dlog[idx] % (field.q - 1)]
-        x = (inv[..., None] // powers % self.p).astype(self.dtype)
+        field = self.field
+        inv = field.antilog[-field.dlog[field._index(a % self.p)] % (field.q - 1)]
+        x = field._digits(inv).astype(self.dtype)
         correct = 1
         while correct < self.precision:
             y = -self._mul(a, x)
@@ -130,7 +131,7 @@ class GaloisRing:
     def teichmuller_generator(self) -> np.ndarray:
         """Lift of the field generator fixed by x -> x^q, as an (e,) array."""
         q = self.field.q
-        y = np.array(self.field.coeffs(self.field.generator), dtype=self.dtype)  # coefficientwise lift
+        y = self.field._digits(self.field.generator).astype(self.dtype)  # coefficientwise lift
 
         def frobenius(x):  # x^q by square-and-multiply
             r, n = np.eye(1, self.e, dtype=self.dtype)[0], q
@@ -334,12 +335,6 @@ def _blocks(table: FieldTable, ring: GaloisRing, idx: np.ndarray, lookup) -> np.
     return out
 
 
-def laplacian_block(table: FieldTable, ring: GaloisRing, i: int) -> np.ndarray:
-    """(n, n, e) array of ell*L on the i-th isotypic component (0 is the trivial one)."""
-    idx = np.array([i])
-    return _blocks(table, ring, idx, _class_sums(ring, _row_residues(table.params, idx).ravel()))[0]
-
-
 def _valuations(M: np.ndarray, p: int, zero: int) -> np.ndarray:
     """Least coefficient valuation of every entry of M (last axis e); `zero` for zero entries."""
     g = np.gcd.reduce(M, axis=-1)
@@ -435,12 +430,6 @@ def _check_blocks(table: FieldTable, batch: np.ndarray, found) -> None:
                 f"block {i}: local Smith valuations {sorted(exps)} (zeros {zeros}) "
                 f"!= expected {w} (zeros {want_zeros})"
             )
-
-
-def verify_block(table: FieldTable, ring: GaloisRing, i: int) -> CheckReport:
-    for found in _block_valuations(table, ring, [i]):
-        _check_blocks(table, *found)
-    return CheckReport(True, 1)
 
 
 def verify_all_blocks(table: FieldTable, ring: GaloisRing | None = None) -> CheckReport:

@@ -1,5 +1,6 @@
 """Shared cached constructors so expensive objects build once per session."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cyclocrit import (
     GaloisRing,
@@ -63,13 +65,109 @@ def both_result_for(p, ell, t):
     return critical_group(params_for(p, ell, t), "both")
 
 
-def run_optimized(script, timeout=120):
-    """Run a script under python -O with the package and these test helpers importable."""
+def _compute(*args):
+    return ["compute", "--p", "2", "--ell", "3", "--t", "2", *args]
+
+
+def _verify(which):
+    return ["verify", "--p", "2", "--ell", "3", "--t", "2", "--which", which]
+
+
+# Corruptions that python -O must still report, by name: statements that patch
+# the package, and the CLI argv to run after them ("{tmp}" is a scratch folder).
+OPTIMIZED_SCENARIOS = {
+    "dropped-edge": (
+        "from conftest import drop_edge\n"
+        "from cyclocrit import snf\n"
+        "good = snf.laplacian\n"
+        "snf.laplacian = lambda table: drop_edge(good(table))\n",
+        _compute("--method", "bruteforce"),
+    ),
+    "stickelberger-pair": (
+        "from cyclocrit import galois\n"
+        "good = galois.carry_count\n"
+        "galois.carry_count = lambda a, b, P: good(a, b, P) + ((a == 7) & (b == 11))\n",
+        _verify("stickelberger"),
+    ),
+    "min-carries": (
+        "from cyclocrit import galois\n"
+        "good = galois.min_carries\n"
+        "galois.min_carries = lambda idx, P: good(idx, P) + 1\n",
+        _verify("blocks"),
+    ),
+    "valuation": (
+        "from cyclocrit import params\n"
+        "good = params.p_adic_valuation\n"
+        "params.p_adic_valuation = lambda x, p: good(x, p) + (x == 8)\n",
+        _compute("--method", "formula"),
+    ),
+    "reducible-modulus": (
+        "from cyclocrit import field\n"
+        "field.smallest_irreducible = lambda p, e: (1, 0, 0, 0)\n",
+        _compute("--method", "formula", "--export-adjacency", "{tmp}/adj.txt"),
+    ),
+    "p-part": (
+        "from cyclocrit import critgroup\n"
+        "good = critgroup.p_part_multiplicities\n"
+        "def shifted(params):\n"
+        "    mult = dict(good(params))\n"
+        "    mult[2] -= 1\n"
+        "    mult[0] += 1\n"
+        "    return mult\n"
+        "critgroup.p_part_multiplicities = shifted\n",
+        _compute("--method", "formula"),
+    ),
+}
+
+# Runs every scenario in turn, each with its own captured stdout and stderr,
+# and restores every attribute of the package's modules after each one.
+_OPTIMIZED_CHILD = """
+import contextlib, io, json, sys, traceback
+from cyclocrit import cli
+from conftest import OPTIMIZED_SCENARIOS
+modules = [m for name, m in sys.modules.items() if name.startswith("cyclocrit")]
+results = {}
+for name, (patch, argv) in OPTIMIZED_SCENARIOS.items():
+    saved = [(vars(m), dict(vars(m))) for m in modules]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        exec(patch, {})
+        try:
+            code = cli.main([arg.format(tmp=tmp) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    for namespace, before in saved:
+        namespace.update(before)
+    results[name] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(results))
+"""
+
+
+class OptimizedRuns(dict):
+    """Scenario name -> (exit code, stdout, stderr); `tmp` is the scenarios' scratch folder."""
+
+    def __init__(self, tmp, results):
+        super().__init__(results)
+        self.tmp = tmp
+
+
+@pytest.fixture(scope="session")
+def optimized_runs(tmp_path_factory):
+    """Every OPTIMIZED_SCENARIOS entry, run in one python -O child to pay its start-up once.
+
+    The child imports the package from src/ and these test helpers.
+    """
+    tmp = tmp_path_factory.mktemp("optimized")
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    cmd = [sys.executable, "-O", "-c", script]
-    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
+    script = f"tmp = {str(tmp)!r}\n" + _OPTIMIZED_CHILD
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return OptimizedRuns(tmp, {name: tuple(run) for name, run in json.loads(proc.stdout).items()})
 
 
 def drop_edge(L):

@@ -253,8 +253,9 @@ def test_orbit_sample_raises_mismatch(monkeypatch):
 
 
 def test_enumeration_bound():
-    with pytest.raises(BoundExceededError):
-        min_carries_histogram(params_for(5, 3, 1), enum_bound=3)
+    """q = 2^28, ell = 5: k - 1 > 2^24 cosets are refused before any is enumerated."""
+    with pytest.raises(BoundExceededError, match="k - 1 = 53687090 exceeds enumeration bound 16777216"):
+        min_carries_histogram(params_for(2, 5, 7))
 
 
 def test_p_part_q25():

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from cyclocrit import cli
-from cyclocrit.cli import json_to_group, main, result_to_json
+from cyclocrit import cli, field
+from cyclocrit.abelian import AbelianGroupDesc
+from cyclocrit.cli import main, result_to_json
 from cyclocrit.critgroup import critical_group
 from cyclocrit.params import validate
 
@@ -16,6 +17,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def json_to_group(doc: dict) -> AbelianGroupDesc:
+    """Inverse of the elementary-divisor encoding of result_to_json."""
+    return AbelianGroupDesc.from_prime_powers(
+        ((int(prime), exp, mult) for prime, exp, mult in doc["elementary_divisors"]),
+        free_rank=doc["free_rank"],
+    )
 
 
 def test_compute_json_q16(capsys):
@@ -140,6 +149,9 @@ def test_missing_required_flag_exits_1(capsys):
         ("verify", "--precision", "12"),
         ("verify", "--k-bound", "5"),
         ("verify", "--format", "text"),
+        ("compute", "--k-bound", "5"),
+        ("compute", "--max-q", "8"),
+        ("verify", "--max-q", "8"),
     ],
 )
 def test_removed_options_exit_1(capsys, command, option, value):
@@ -226,20 +238,31 @@ def test_exports_share_one_table(capsys, tmp_path, monkeypatch):
 
 
 def test_env_max_q(capsys, monkeypatch):
-    """--max-q sets the table bound; the environment is not read."""
+    """The table bound is DEFAULT_MAX_Q = 2^16, refused before any table work; the environment is not read."""
     monkeypatch.setenv("CYCLO_MAX_Q", "abc")
-    argv = ["compute", "--p", "2", "--ell", "3", "--t", "2", "--method", "both"]
-    code, _, err = run_cli(capsys, *argv, "--max-q", "8")
-    assert code == 1
-    assert "BoundExceeded" in err
-    code, _, _ = run_cli(capsys, *argv)
+    code, _, _ = run_cli(capsys, "compute", "--p", "2", "--ell", "3", "--t", "2", "--method", "both")
     assert code == 0
+
+    def refuse(p, e):
+        raise AssertionError("modulus search ran past the table bound")
+
+    monkeypatch.setattr(field, "smallest_irreducible", refuse)
+    code, out, err = run_cli(capsys, "verify", "--p", "2", "--ell", "3", "--t", "9", "--which", "srg")
+    assert code == 1 and out == ""
+    assert err == "error: BoundExceededError: q = 262144 exceeds the table bound 65536\n"
+
+
+def test_enumeration_bound_exits_1(capsys):
+    """k - 1 = (2^28 - 1)/5 - 1 cosets exceed DEFAULT_ENUM_BOUND = 2^24; refused before enumerating."""
+    code, out, err = run_cli(capsys, "compute", "--p", "2", "--ell", "5", "--t", "7", "--method", "formula")
+    assert code == 1 and out == ""
+    assert err == "error: BoundExceededError: k - 1 = 53687090 exceeds enumeration bound 16777216\n"
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--p", "2", "--ell", "3", "--t", "2", "--which", "srg", "--max-q", "abc"],
+        ["verify", "--p", "2", "--ell", "3", "--t", "abc", "--which", "srg"],
         ["table", "--t", "1", "--p-list", "2,x"],
         ["table", "--t", "1", "--p-list", ","],
     ],

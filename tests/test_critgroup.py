@@ -1,7 +1,7 @@
 
 import pytest
 
-from conftest import both_result_for, params_for, run_optimized, snf_group_for
+from conftest import both_result_for, params_for, snf_group_for
 from cyclocrit import coprime_part, critgroup, critical_group
 from cyclocrit.abelian import AbelianGroupDesc, factorint
 from cyclocrit.critgroup import order_factorization
@@ -108,20 +108,8 @@ def test_group_desc_canonical_form():
     assert chain_back == a
 
 
-def test_wrong_p_part_exits_2_under_optimize():
+def test_wrong_p_part_exits_2_under_optimize(optimized_runs):
     """order-formula is a raise, so python -O still reports a p-part of the wrong order."""
-    script = (
-        "import sys\n"
-        "from cyclocrit import cli, critgroup\n"
-        "good = critgroup.p_part_multiplicities\n"
-        "def shifted(params, *args):\n"
-        "    mult = dict(good(params, *args))\n"
-        "    mult[2] -= 1\n"
-        "    mult[0] += 1\n"
-        "    return mult\n"
-        "critgroup.p_part_multiplicities = shifted\n"
-        "sys.exit(cli.main(['compute', '--p', '2', '--ell', '3', '--t', '2', '--method', 'formula']))\n"
-    )
-    proc = run_optimized(script)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("mismatch:")
+    code, _, err = optimized_runs["p-part"]
+    assert code == 2, err
+    assert err.startswith("mismatch:")

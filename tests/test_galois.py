@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible, field_for, params_for, ring_for, run_optimized, snf_group_for
+from conftest import admissible, field_for, params_for, ring_for, snf_group_for
 from cyclocrit import (
     carry_count,
     galois,
@@ -20,10 +20,8 @@ from cyclocrit.galois import (
     GaloisRing,
     block_p_multiplicities,
     expected_block_valuations,
-    laplacian_block,
     ring_divisor_valuations,
     verify_all_blocks,
-    verify_block,
     verify_stickelberger,
 )
 
@@ -100,7 +98,9 @@ class TupleRing:
 
     def unit_inverse(self, a, exponent):
         """Inverse of a unit modulo p^exponent by Newton lifting from the field inverse."""
-        x = self.field.coeffs(self.field.inv(self.field.from_coeffs(c % self.p for c in a)))
+        tab = self.field
+        inv = int(tab.antilog[-tab.dlog[sum(c % self.p * self.p**i for i, c in enumerate(a))] % (tab.q - 1)])
+        x = tuple(inv // self.p**i % self.p for i in range(self.e))
         pe = self.p**exponent
         correct = 1
         while correct < exponent:
@@ -119,6 +119,19 @@ def jac(a, b, ring):
 def jacobi_row(a, ring):
     """(ell-1, e) row [J(T^a, T^(-nk)) for n = 1..ell-1] from one coset-class gather, 0 < a < q-1."""
     return galois._jacobi_rows(ring, galois._gather_class_sums(ring, np.array([a])))[0]
+
+
+def laplacian_block(table, ring, i):
+    """(n, n, e) array of ell*L on the i-th isotypic component (0 is the trivial one)."""
+    idx = np.array([i])
+    lookup = galois._class_sums(ring, galois._row_residues(table.params, idx).ravel())
+    return galois._blocks(table, ring, idx, lookup)[0]
+
+
+def verify_block(table, ring, i):
+    """The block check of verify_all_blocks on block i alone."""
+    for found in galois._block_valuations(table, ring, [i]):
+        galois._check_blocks(table, *found)
 
 
 def block_results(table, ring, indices):
@@ -284,8 +297,8 @@ def teichmuller(ring, x):
 def test_reduction_compatibility():
     ring = ring_for(5, 3, 1)
     tab = ring.field
-    for x in range(1, tab.q):
-        assert tab.from_coeffs(c % tab.params.p for c in teichmuller(ring, x)) == x
+    xs = np.arange(1, tab.q)
+    assert np.array_equal(ring._omega_np[tab.dlog[xs]] % ring.p @ ring.p ** np.arange(ring.e), xs)
 
 
 def test_teichmuller_multiplicative_and_idempotent():
@@ -302,7 +315,7 @@ def test_teichmuller_multiplicative_and_idempotent():
         x = rng.randrange(1, q)
         y = rng.randrange(1, q)
         wx, wy = teichmuller(ring, x), teichmuller(ring, y)
-        assert tr.mul(wx, wy) == teichmuller(ring, tab.mul(x, y))
+        assert tr.mul(wx, wy) == teichmuller(ring, tab.antilog[(tab.dlog[x] + tab.dlog[y]) % (q - 1)])
         assert tr.pow(wx, q) == wx
         assert tr.pow(wx, q - 1) == tr.one()
 
@@ -435,18 +448,11 @@ def test_stickelberger_names_first_failing_pair(monkeypatch, batch_bytes):
     assert str(err.value) == "Stickelberger fails at (a,b)=(3,5): valuation 3 != carries 4"
 
 
-def test_stickelberger_corrupt_pair_exits_2_under_optimize():
+def test_stickelberger_corrupt_pair_exits_2_under_optimize(optimized_runs):
     """One wrong carry count in verify --which stickelberger at q=16: exit 2 naming the pair, under python -O."""
-    code = (
-        "import sys\n"
-        "from cyclocrit import cli, galois\n"
-        "good = galois.carry_count\n"
-        "galois.carry_count = lambda a, b, P: good(a, b, P) + ((a == 7) & (b == 11))\n"
-        "sys.exit(cli.main(['verify', '--p', '2', '--ell', '3', '--t', '2', '--which', 'stickelberger']))\n"
-    )
-    res = run_optimized(code)
-    assert res.returncode == 2, res.stderr
-    assert res.stderr.startswith("mismatch: Stickelberger fails at (a,b)=(7,11):") and not res.stdout
+    code, out, err = optimized_runs["stickelberger-pair"]
+    assert code == 2, err
+    assert err.startswith("mismatch: Stickelberger fails at (a,b)=(7,11):") and not out
 
 
 def test_block_expected_patterns_q25():
@@ -644,18 +650,11 @@ def test_block_index_out_of_range():
             verify_block(tab, ring, i)
 
 
-def test_wrong_min_carries_exits_2_under_optimize():
+def test_wrong_min_carries_exits_2_under_optimize(optimized_runs):
     """A min_carries off by one sets a wrong expected pattern: exit 2 with python -O too."""
-    code = (
-        "import sys\n"
-        "from cyclocrit import cli, galois\n"
-        "good = galois.min_carries\n"
-        "galois.min_carries = lambda idx, P: good(idx, P) + 1\n"
-        "sys.exit(cli.main(['verify', '--p', '2', '--ell', '3', '--t', '2', '--which', 'blocks']))\n"
-    )
-    res = run_optimized(code)
-    assert res.returncode == 2, res.stderr
-    assert res.stderr.startswith("mismatch: block 1: local Smith valuations") and not res.stdout
+    code, out, err = optimized_runs["min-carries"]
+    assert code == 2, err
+    assert err.startswith("mismatch: block 1: local Smith valuations") and not out
 
 
 ADMISSIBLE_Q1024 = admissible(1024)

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import run_optimized
 from cyclocrit import validate
 from cyclocrit.errors import DisconnectedError, NotPrimeError, NotPrimitiveError
 from cyclocrit.params import is_prime, multiplicative_order, p_adic_valuation
@@ -76,15 +75,8 @@ def test_validate_total(p, ell, t):
     assert P.sqrt_q * P.sqrt_q == P.q
 
 
-def test_wrong_valuation_exits_2_under_optimize():
+def test_wrong_valuation_exits_2_under_optimize(optimized_runs):
     """validate's output-backing identities raise MismatchError, so python -O cannot skip them."""
-    code = (
-        "import sys\n"
-        "from cyclocrit import cli, params\n"
-        "good = params.p_adic_valuation\n"
-        "params.p_adic_valuation = lambda x, p: good(x, p) + (x == 8)\n"
-        "sys.exit(cli.main(['compute', '--p', '2', '--ell', '3', '--t', '2', '--method', 'formula']))\n"
-    )
-    res = run_optimized(code)
-    assert res.returncode == 2, res.stderr
-    assert res.stderr == "mismatch: v_p(u) = 4, v_p(v) = 2 != 3, 2\n" and not res.stdout
+    code, out, err = optimized_runs["valuation"]
+    assert code == 2, err
+    assert err == "mismatch: v_p(u) = 4, v_p(v) = 2 != 3, 2\n" and not out

@@ -18,7 +18,6 @@ from conftest import (
     p_local_reference,
     p_rank,
     params_for,
-    run_optimized,
     snf_group_for,
 )
 from cyclocrit import critical_group, p_local_multiplicities, smith_normal_form, snf
@@ -346,16 +345,8 @@ def test_dropped_edge_is_a_mismatch(monkeypatch, trip):
         critical_group(params_for(*trip), "both")
 
 
-def test_dropped_edge_exits_2_under_optimize():
+def test_dropped_edge_exits_2_under_optimize(optimized_runs):
     """The oracle's checks are raises, so python -O still reports a broken Laplacian."""
-    script = (
-        "import sys\n"
-        "from conftest import drop_edge\n"
-        "from cyclocrit import cli, snf\n"
-        "good = snf.laplacian\n"
-        "snf.laplacian = lambda table: drop_edge(good(table))\n"
-        "sys.exit(cli.main(['compute', '--p', '2', '--ell', '3', '--t', '2', '--method', 'bruteforce']))\n"
-    )
-    proc = run_optimized(script)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("mismatch:")
+    code, _, err = optimized_runs["dropped-edge"]
+    assert code == 2, err
+    assert err.startswith("mismatch:")
