@@ -5,8 +5,8 @@ GR(p^N, e) is modeled as coefficient vectors of length e with entries in
 tables use (lifted coefficientwise), so reduction mod p lands exactly on
 the field module's representation.  Elements are numpy arrays whose
 last axis is the e coefficients, a single element as much as a stack of
-blocks, multiplied by a broadcast convolution followed by one
-(2e-1) x e reduction matrix.  Jacobi sums are gathered from a table of
+blocks; a*b = a @ T(b), T(b) = b @ W the matrix of multiplication by b
+(W[j, i] = X^(i+j)).  Jacobi sums are gathered from a table of
 Teichmuller powers, any batch of exponent pairs at once; their p-adic
 valuations realize carry counts (Stickelberger), which the verification
 suite checks pair by pair, a batch per gather.
@@ -19,10 +19,10 @@ class c(x) = dlog(1-x) mod ell; so each block row is the class sums
 S_c(a) (T^a(x) summed over x not in {0, 1} with c(x) = c) times a fixed
 matrix of powers of omega^k.  The class sums obey S_c(p*r) = S_{p*c}(r):
 x -> x^p permutes F_q minus {0, 1}, multiplies dlog x by p, and
-multiplies c(x) by p because 1 - x^p = (1 - x)^p.  So one gather per
-orbit of r -> p*r mod q-1 gives the class sums of every exponent (a
-fixed sample of the others is gathered directly as a check), and all
-blocks of one shape are eliminated together as one (nb, n, n, e) array.
+multiplies c(x) by p because 1 - x^p = (1 - x)^p.  So the rows obey
+J_n(p^j r) = J_{n p^(-j) mod ell}(r): one exponent per orbit of r -> p*r
+mod q-1 gives the rows of all (a sample is checked), and all blocks of
+one shape are eliminated as one (nb, n, n, e) array, inverse-free.
 """
 
 from __future__ import annotations
@@ -58,19 +58,16 @@ class GaloisRing:
         self.pN = P.p**self.precision
         self.mod_poly = field.mod_poly
         q, ell, e, k = field.q, P.ell, self.e, P.k
-        # A product of reduced elements sums at most 2e-1 terms below pN^2
-        # per coefficient, and so does every other contraction here.
+        # A product of reduced elements sums e terms below pN^2 per coefficient,
+        # and the Jacobi rows take as many classes per product as 2^62 allows.
         self.dtype = object if (2 * e - 1) * self.pN**2 >= 1 << 62 else np.int64
-        # _reduce[i] holds the coefficients of X^i modulo the lifted modulus
         red = np.zeros((2 * e - 1, e), dtype=self.dtype)
         red[:e] = np.eye(e, dtype=self.dtype)
         for i in range(e, 2 * e - 1):
             red[i, 1:] = red[i - 1, :-1]
             red[i] = (red[i] - red[i - 1, -1] * np.array(self.mod_poly, dtype=self.dtype)) % self.pN
-        self._reduce = red
-        # with b padded by e-1 zeros on each side, row i of padded[..., _shifts]
-        # holds the coefficients of X^i * b: entry j is b[j - i]
-        self._shifts = np.arange(2 * e - 1) - np.arange(e)[:, None] + e - 1
+        # _times[j, i] = X^(i+j) mod the lifted modulus: b @ _times[j] is X^j * b
+        self._times = red[np.add.outer(np.arange(e), np.arange(e))]
         # Every table is built here and never changed, so a ring can be
         # shared freely.  The Jacobi-sum tables run over x in F_q minus {0, 1},
         # sorted by the coset class c(x) = dlog(1-x) mod ell: class 0 holds
@@ -91,41 +88,12 @@ class GaloisRing:
 
     # --- basic ring ops -------------------------------------------------
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Broadcast product of coefficient arrays (last axis e), reduced mod pN.
-
-        The convolution is one matmul of a against the e shifted copies
-        X^i * b of b; the (2e-1) x e reduction matrix then takes X^i,
-        i < 2e-1, back below degree e.
-        """
-        e = self.e
-        padded = np.zeros(b.shape[:-1] + (3 * e - 2,), dtype=self.dtype)
-        padded[..., e - 1 : 2 * e - 1] = b
-        conv = (a[..., None, :] @ padded[..., self._shifts])[..., 0, :]
-        conv %= self.pN
-        out = conv @ self._reduce
+        """Broadcast product a @ T(b) of coefficient arrays (last axis e), reduced mod pN."""
+        T = (b[..., None, None, :] @ self._times)[..., 0, :]  # row j of T(b) is X^j * b
+        T %= self.pN
+        out = (a[..., None, :] @ T)[..., 0, :]
         out %= self.pN
         return out
-
-    def unit_inverse(self, a: np.ndarray, modulus) -> np.ndarray:
-        """Inverses of the units in a (last axis e) modulo p-powers, by Newton lifting.
-
-        Starts from the field inverse tables; `modulus` broadcasts against
-        a[..., :1].  Each step doubles the number of correct p-adic digits.
-        """
-        field = self.field
-        inv = field.antilog[-field.dlog[field._index(a % self.p)] % (field.q - 1)]
-        x = field._digits(inv).astype(self.dtype)
-        correct = 1
-        while correct < self.precision:
-            y = -self._mul(a, x)
-            y[..., 0] += 2
-            x = self._mul(x, y) % modulus
-            correct *= 2
-        check = self._mul(a, x)
-        check[..., 0] -= 1
-        if (check % modulus).any():
-            raise MismatchError(f"Newton inverse fails modulo p^k for some of {a.shape[:-1]} units")
-        return x
 
     # --- Teichmuller lifts --------------------------------------------------
     def teichmuller_generator(self) -> np.ndarray:
@@ -202,48 +170,63 @@ def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_sums(ring: GaloisRing, rs: np.ndarray):
-    """Lookup from residues in rs (mod q-1) to their class sums, (len, ell, e).
-
-    Gathers only the least residue of each orbit of r -> p*r that meets
-    rs.  With r = p^j * rep, S_c(r) = S_{p^j c mod ell}(rep).  Up to
-    ORBIT_SAMPLE other residues of rs, spread evenly, are also gathered
-    directly; any difference raises MismatchError.
-    """
-    P = ring.field.params
-    q, p, e, ell = P.q, P.p, ring.e, P.ell
+def _frobenius_steps(P) -> tuple[np.ndarray, np.ndarray]:
+    """rep[r], least in the orbit of r under r -> p*r mod q-1, and back[r]: r = p^back[r] * rep[r]."""
+    q, p, e = P.q, P.p, P.ext_degree
     cur = np.arange(q - 1, dtype=np.int64)
     rep, back = cur.copy(), np.zeros(q - 1, dtype=np.int64)
     for j in range(1, e):  # p^j * r = rep means r = p^(e-j) * rep
         cur = cur * p % (q - 1)
         better = cur < rep
         rep[better], back[better] = cur[better], e - j
-    mult = np.array([pow(p, j, ell) for j in range(e)])[back]
-    reps = np.flatnonzero(np.bincount(rep[rs], minlength=q - 1))
-    sums = _gather_class_sums(ring, reps)
-    at = np.searchsorted(reps, rep)
-
-    def lookup(r: np.ndarray) -> np.ndarray:
-        return sums[at[r][:, None], mult[r][:, None] * np.arange(ell) % ell]
-
-    others = np.flatnonzero(np.bincount(rs[rep[rs] != rs], minlength=q - 1))
-    n = min(ORBIT_SAMPLE, len(others))
-    sample = others[np.arange(n) * (len(others) - 1) // max(n - 1, 1)]
-    for r, direct, via in zip(sample.tolist(), _gather_class_sums(ring, sample), lookup(sample)):
-        if not np.array_equal(direct, via):
-            raise MismatchError(
-                f"class sums of exponent {r} differ from those of its Frobenius orbit "
-                f"representative {int(rep[r])}"
-            )
-    return lookup
+    return rep, back
 
 
 def _jacobi_rows(ring: GaloisRing, sums: np.ndarray) -> np.ndarray:
     """(R, ell-1, e) Jacobi rows J(T^r, T^(-nk)), n = 1..ell-1, from (R, ell, e) class sums."""
-    rows = np.zeros((len(sums), ring._row_map.shape[2]), dtype=ring.dtype)
-    for c, zeta_map in enumerate(ring._row_map):
-        rows = (rows + sums[:, c] @ zeta_map) % ring.pN
-    return rows.reshape(len(sums), -1, ring.e)
+    R, ell, e = sums.shape
+    # one product per group of classes, as many as keep int64 sums below 2^62
+    per = ell if ring.dtype is object else max(1, (1 << 62) // (e * ring.pN**2))
+    flat, row_map = sums.reshape(R, ell * e), ring._row_map.reshape(ell * e, -1)
+    rows = np.zeros((R, row_map.shape[1]), dtype=ring.dtype)
+    for lo in range(0, ell * e, per * e):
+        rows += flat[:, lo : lo + per * e] @ row_map[lo : lo + per * e]
+        rows %= ring.pN
+    return rows.reshape(R, ell - 1, e)
+
+
+def _jacobi_row_lookup(ring: GaloisRing, rs: np.ndarray):
+    """Lookup from residues in rs (mod q-1) to their Jacobi rows, (len, ell-1, e).
+
+    Gathers only the least residue of each orbit of r -> p*r that meets
+    rs.  Up to ORBIT_SAMPLE other residues of rs, spread evenly, are also
+    gathered directly; any difference raises MismatchError.
+    """
+    P = ring.field.params
+    q, p, e, ell = P.q, P.p, ring.e, P.ell
+    rep, back = _frobenius_steps(P)
+    # cols[j] lists n p^(-j) - 1 mod ell for n = 1..ell-1: where J_n sits in the rows of rep
+    cols = np.arange(1, ell) * np.array([pow(p, -j, ell) for j in range(e)])[:, None] % ell - 1
+    reps = np.flatnonzero(np.bincount(rep[rs], minlength=q - 1))
+    sums = _gather_class_sums(ring, reps)
+    rows = np.empty((len(reps), ell - 1, e), dtype=ring.dtype)
+    per = max(1, BATCH_BYTES // (64 * ell * e))  # a product and its partial sum: a quarter batch
+    for lo in range(0, len(reps), per):
+        rows[lo : lo + per] = _jacobi_rows(ring, sums[lo : lo + per])
+    del sums  # before the sample's gather, which would otherwise add to the peak
+    at = np.searchsorted(reps, rep)
+
+    def lookup(r: np.ndarray) -> np.ndarray:
+        return rows[at[r][:, None], cols[back[r]]]
+
+    others = np.flatnonzero(np.bincount(rs[rep[rs] != rs], minlength=q - 1))
+    n = min(ORBIT_SAMPLE, len(others))
+    sample = others[np.arange(n) * (len(others) - 1) // max(n - 1, 1)]
+    direct = _jacobi_rows(ring, _gather_class_sums(ring, sample))
+    for r, want, via in zip(sample.tolist(), direct, lookup(sample)):
+        if not np.array_equal(want, via):
+            raise MismatchError(f"Jacobi rows of {r} differ from those of its Frobenius orbit representative {rep[r]}")
+    return lookup
 
 
 @dataclass(frozen=True)
@@ -316,7 +299,7 @@ def _blocks(table: FieldTable, ring: GaloisRing, idx: np.ndarray, lookup) -> np.
     """
     P = table.params
     ell, q, pN = P.ell, P.q, ring.pN
-    jac = -_jacobi_rows(ring, lookup(_row_residues(P, idx).ravel())) % pN
+    jac = -lookup(_row_residues(P, idx).ravel()) % pN
     if idx[0] > 0:
         out = np.zeros((len(idx), ell, ell, ring.e), dtype=ring.dtype)
         m = np.arange(ell)
@@ -351,11 +334,11 @@ def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[
     Valuation-pivot elimination, on every block at once.  Take the first
     entry of least valuation in row-major order of the remaining
     submatrix and divide that valuation out of it (all later divisors
-    inherit it), which makes the entry a unit; move it to the corner and
-    replace the rest by its Schur complement.  Entries stay reduced mod
-    p^avail, the precision left after the accumulated shift, so a
-    nonzero entry has valuation below avail; a block stops once its
-    remaining submatrix is zero.
+    inherit it), which makes the entry a unit u; move it to the corner and
+    replace the rest by u*S, S its Schur complement: a unit multiple has
+    the same local Smith form, and needs no inverse.  Entries stay
+    reduced mod p^avail, the precision left after the accumulated shift;
+    a block stops once its remaining submatrix is zero.
     """
     p, prec = ring.p, ring.precision
     M = np.asarray(blocks, dtype=ring.dtype) % ring.pN
@@ -363,27 +346,32 @@ def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[
     live, shift, rank = np.arange(nb), np.zeros(nb, dtype=np.int64), np.zeros(nb, dtype=np.int64)
     exps = np.zeros((nb, n), dtype=np.int64)
     for t in range(n):
-        V = _valuations(M, p, prec).reshape(len(live), -1)
-        pos = V.argmin(axis=1)
-        vmin = V[np.arange(len(live)), pos]
+        g = np.gcd.reduce(M, axis=-1).reshape(len(live), -1)
+        vmin = _valuations(g, p, prec)
         going = vmin < prec
-        live, M, pos, vmin = live[going], M[going], pos[going], vmin[going]
+        live, M, g, vmin = live[going], M[going], g[going], vmin[going]
         if not len(live):
             break
+        pv = np.array([p**v for v in vmin.tolist()], dtype=ring.dtype)
+        # the first entry of valuation vmin is the first whose coefficient gcd p^(vmin+1) does not divide
+        pos = (g % (p * pv)[:, None] != 0).argmax(axis=1)
+        if vmin.any():
+            M //= pv[:, None, None, None]
         shift[live] += vmin
-        M = M // np.array([p**v for v in vmin.tolist()], dtype=ring.dtype)[:, None, None, None]
-        modulus = np.array([p ** (prec - s) for s in shift[live].tolist()], dtype=ring.dtype)[:, None]
+        modulus = np.array([p ** (prec - s) for s in shift[live].tolist()], dtype=ring.dtype)
         # swap rows 0 and i0, and columns 0 and j0, to put the pivot in the corner
         at, m = np.arange(len(live)), n - t
         perm = np.tile(np.arange(m), (2, len(live), 1))
         perm[0, at, pos // m], perm[1, at, pos % m] = 0, 0
         perm[:, :, 0] = pos // m, pos % m
         M = M[at[:, None, None], perm[0, :, :, None], perm[1, :, None, :]]
-        inv = ring.unit_inverse(M[:, 0, 0], modulus)
-        factor = ring._mul(inv[:, None], M[:, 0, 1:]) % modulus[:, None]
-        update = ring._mul(M[:, 1:, :1], factor[:, None])
-        M = np.subtract(M[:, 1:, 1:], update, out=update)
-        M %= modulus[:, None, None]
+        # T[:, :, j] is the matrix T(x) of multiplication by x = M[:, 0, j]
+        T = M[:, :1] @ ring._times
+        T %= ring.pN
+        S = M[:, 1:, 1:] @ T[:, None, :, 0]
+        S -= (M[:, 1:, 0] @ T[:, :, 1:].reshape(len(live), ring.e, -1)).reshape(S.shape)
+        S %= modulus[:, None, None, None]
+        M = S
         exps[live, t] = shift[live]
         rank[live] += 1
     return [(row[:r].tolist(), n - r) for row, r in zip(exps, rank.tolist())]
@@ -411,8 +399,8 @@ def _block_valuations(table: FieldTable, ring: GaloisRing, indices):
     """
     P = table.params
     idx = np.asarray(indices, dtype=np.int64)
-    lookup = _class_sums(ring, _row_residues(P, idx).ravel())
-    # the Schur update's products and shifted copies of its factor row
+    lookup = _jacobi_row_lookup(ring, _row_residues(P, idx).ravel())
+    # about the words of one block's Schur-step temporaries: T of its pivot row and two products
     per = max(1, BATCH_BYTES // (8 * (2 * ring.e - 1) * P.ell * (P.ell + ring.e)))
     first = int(idx[0] == 0)  # the trivial block has a shape of its own
     batches = [idx[lo : lo + per] for lo in range(first, len(idx), per)]

@@ -124,7 +124,7 @@ def jacobi_row(a, ring):
 def laplacian_block(table, ring, i):
     """(n, n, e) array of ell*L on the i-th isotypic component (0 is the trivial one)."""
     idx = np.array([i])
-    lookup = galois._class_sums(ring, galois._row_residues(table.params, idx).ravel())
+    lookup = galois._jacobi_row_lookup(ring, galois._row_residues(table.params, idx).ravel())
     return galois._blocks(table, ring, idx, lookup)[0]
 
 
@@ -239,7 +239,7 @@ def as_tuples(block):
 def all_blocks(table, ring):
     """Every block from the batched builder: the trivial block, then blocks 1..k-1 as one stack."""
     idx = np.arange(table.params.k)
-    lookup = galois._class_sums(ring, galois._row_residues(table.params, idx).ravel())
+    lookup = galois._jacobi_row_lookup(ring, galois._row_residues(table.params, idx).ravel())
     return [galois._blocks(table, ring, idx[:1], lookup)[0], *galois._blocks(table, ring, idx[1:], lookup)]
 
 
@@ -275,18 +275,21 @@ def test_array_valuations_match_scalar(trip):
     ]
 
 
-@pytest.mark.parametrize("trip", [(2, 3, 3), (5, 3, 1), (3, 7, 1), (41, 3, 1)])
+@pytest.mark.parametrize("trip", [(2, 3, 3), (5, 3, 1), (3, 7, 1), (41, 3, 1), (2, 3, 4)])
 def test_array_mul_matches_tuple_mul(trip):
-    """The broadcast convolution and reduction matrix agree with the scalar product."""
+    """a @ T(b) agrees with the scalar product at broadcast shapes, in int64 and in object dtype (41, 3, 1)."""
     ring = ring_for(*trip)
     tr = TupleRing(ring)
     rng = random.Random(7)
     elems = [tuple(rng.randrange(ring.pN) for _ in range(ring.e)) for _ in range(12)]
     A = np.array(elems, dtype=ring.dtype)
     prod = ring._mul(A[:, None], A[None, :])
+    assert prod.dtype == ring.dtype
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             assert tuple(prod[i, j].tolist()) == tr.mul(a, b)
+    assert np.array_equal(ring._mul(A[:3, None], A[3:7]), prod[:3, 3:7])  # (3, 1, e) times (4, e)
+    assert np.array_equal(ring._mul(A[0], A[:, None]), prod[:, :1])  # (e,) times (12, 1, e)
 
 
 def teichmuller(ring, x):
@@ -318,21 +321,6 @@ def test_teichmuller_multiplicative_and_idempotent():
         assert tr.mul(wx, wy) == teichmuller(ring, tab.antilog[(tab.dlog[x] + tab.dlog[y]) % (q - 1)])
         assert tr.pow(wx, q) == wx
         assert tr.pow(wx, q - 1) == tr.one()
-
-
-def test_unit_inverse():
-    ring = ring_for(2, 3, 3)
-    tr = TupleRing(ring)
-    rng = random.Random(11)
-    units = [u for u in (tuple(rng.randrange(ring.pN) for _ in range(ring.e)) for _ in range(40))
-             if tr.valuation(u) == 0]
-    exps = [rng.randrange(1, ring.precision + 1) for _ in units]
-    modulus = np.array([[ring.p**x] for x in exps], dtype=ring.dtype)
-    inv = ring.unit_inverse(np.array(units, dtype=ring.dtype), modulus)
-    for u, x, w in zip(units, exps, inv.tolist()):
-        assert tuple(w) == tr.unit_inverse(u, x)
-    full = ring.unit_inverse(np.array(units, dtype=ring.dtype), ring.pN)
-    assert all(tr.mul(u, tuple(w)) == tr.one() for u, w in zip(units, full.tolist()))
 
 
 def test_jacobi_boundary_conventions():
@@ -556,6 +544,50 @@ def test_ring_elimination_known_diagonals():
     assert ring_divisor_valuations(np.zeros((1, 2, 2, ring.e), dtype=np.int64), ring) == [([], 2)]
 
 
+def planted_stack(ring, tr, n, rng):
+    """A shuffled stack of n x n blocks of entries p^v * unit, v planted, as lists of tuples.
+
+    It holds an all-zero block; a block whose (0, 0) entry has valuation
+    precision-1 and every other entry a valuation in 1..3, so the pivot
+    lies elsewhere and a shift comes first; blocks with only rows 0..r-1
+    nonzero for r = 1..n-1, which leave the elimination by step r; a
+    block of valuations drawn from 0..precision+1, where v >= precision
+    gives a zero entry; and a rank-one block x_i * y_j scaled by p^s,
+    s >= precision-3, whose Schur complement vanishes only modulo the
+    precision left after the shift.
+    """
+    p, prec = ring.p, ring.precision
+
+    def entry(v):
+        while tr.valuation(u := tuple(rng.randrange(ring.pN) for _ in range(ring.e))) != 0:
+            pass
+        return tuple(c * p**v % ring.pN for c in u)
+
+    def block(rows, vals):
+        return [[entry(vals()) if i < rows else tr.zero() for _ in range(n)] for i in range(n)]
+
+    shifted = block(n, lambda: rng.randrange(1, 4))
+    shifted[0][0] = entry(prec - 1)
+    stack = [block(0, None), shifted, block(n, lambda: rng.randrange(prec + 2))]
+    stack += [block(r, lambda: rng.choice([0, 0, 1, 2, prec - 1, prec])) for r in range(1, n)]
+    x, y, scale = entry(0), entry(0), tr.scalar(p ** rng.randrange(prec - 3, prec))
+    col, row = [tr.mul(entry(0), x) for _ in range(n)], [tr.mul(entry(0), y) for _ in range(n)]
+    stack.append([[tr.mul(scale, tr.mul(a, b)) for b in row] for a in col])
+    rng.shuffle(stack)
+    return stack
+
+
+@given(st.sampled_from([(2, 3, 4), (41, 3, 1)]), st.integers(2, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_ring_elimination_matches_reference_on_planted_valuations(trip, n, seed):
+    """The batched elimination equals the tuple route block by block, in int64 (2, 3, 4) and object (41, 3, 1)."""
+    ring = ring_for(*trip)
+    tr = TupleRing(ring)
+    stack = planted_stack(ring, tr, n, random.Random(seed))
+    found = ring_divisor_valuations(np.array(stack, dtype=ring.dtype), ring)
+    assert found == [reference_divisor_valuations(block, tr) for block in stack]
+
+
 BLOCK_REFERENCE_FIXTURES = [(2, 3, 4), (5, 3, 2), (3, 5, 1), (2, 5, 2), (3, 7, 1), (41, 3, 1)]
 
 
@@ -618,6 +650,35 @@ def test_orbit_identity_is_checked(monkeypatch):
         return out
 
     monkeypatch.setattr(galois, "_gather_class_sums", first_call_off)
+    with pytest.raises(MismatchError, match="Frobenius orbit representative"):
+        verify_all_blocks(tab, ring)
+
+
+@pytest.mark.parametrize("trip", [(2, 3, 4), (3, 7, 1), (2, 5, 2)])
+def test_row_lookup_matches_direct_rows(trip):
+    """Rows permuted from each orbit representative equal rows from a direct gather, at every residue."""
+    ring = ring_for(*trip)
+    P = ring.field.params
+    rs = np.arange(P.q - 1)
+    lookup = galois._jacobi_row_lookup(ring, rs)
+    assert np.array_equal(lookup(rs), galois._jacobi_rows(ring, galois._gather_class_sums(ring, rs)))
+    _, back = galois._frobenius_steps(P)
+    multipliers = {pow(P.p, -j, P.ell) for j in back.tolist()}
+    if P.ell > 3:  # some exponent permutes its rows by more than n -> -n
+        assert multipliers - {1, P.ell - 1}
+
+
+@pytest.mark.parametrize("trip", [(2, 5, 2), (3, 7, 1)])
+def test_wrong_multiplier_is_checked(monkeypatch, trip):
+    """Rows of a representative permuted by p^j in place of p^(-j) fail the direct sample."""
+    tab, ring = field_for(*trip), ring_for(*trip)
+    good = galois._frobenius_steps
+
+    def inverted(P):  # the lookup then permutes by p^-(e-j) = p^j / q = p^j mod ell
+        rep, back = good(P)
+        return rep, -back % P.ext_degree
+
+    monkeypatch.setattr(galois, "_frobenius_steps", inverted)
     with pytest.raises(MismatchError, match="Frobenius orbit representative"):
         verify_all_blocks(tab, ring)
 
