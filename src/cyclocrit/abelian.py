@@ -61,8 +61,8 @@ def _pollard_rho(n: int) -> int:
     raise FactorizationError(f"failed to factor {n}")
 
 
-def factorint(n: int, trial_limit: int = TRIAL_LIMIT) -> dict[int, int]:
-    """Prime factorization: trial division up to trial_limit, then Pollard rho."""
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization: trial division up to TRIAL_LIMIT, then Pollard rho."""
     if n < 1:
         raise ValueError("factorint needs a positive integer")
     out: dict[int, int] = {}
@@ -71,7 +71,7 @@ def factorint(n: int, trial_limit: int = TRIAL_LIMIT) -> dict[int, int]:
             out[f] = out.get(f, 0) + 1
             n //= f
     f = 5
-    while f * f <= n and f <= trial_limit:
+    while f * f <= n and f <= TRIAL_LIMIT:
         for g in (f, f + 2):
             while n % g == 0:
                 out[g] = out.get(g, 0) + 1

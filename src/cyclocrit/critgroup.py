@@ -10,11 +10,11 @@ elementary-divisor-level agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import zip_longest
 
 from .abelian import AbelianGroupDesc, factorint
-from .carries import check_conservation, p_part_from_carries
+from .carries import p_part_from_carries
 from .errors import MethodMismatchError, MismatchError
 from .field import build_field
 from .index3 import p_part_from_recursion
@@ -49,7 +49,7 @@ def coprime_part(params: Params) -> tuple[AbelianGroupDesc, int, int]:
 def p_part_multiplicities(params: Params) -> dict[int, int]:
     """Sylow p-part multiplicities by the fastest applicable closed form."""
     if params.ell == 3:
-        return p_part_from_recursion(params.p, params.t, params)
+        return p_part_from_recursion(params)
     return p_part_from_carries(params)
 
 
@@ -58,20 +58,20 @@ class CriticalGroupResult:
     params: Params
     group: AbelianGroupDesc
     method: str
-    p_part: dict[int, int]
-    coprime_orders: tuple[int, int]  # (u', v') with exponents (k, q-k-1)
-    checks: tuple[str, ...] = dc_field(default_factory=tuple)
-
-    @property
-    def order(self) -> int:
-        return self.group.order()
+    checks: tuple[str, ...]
 
 
 def _check_order(group: AbelianGroupDesc, params: Params) -> None:
-    """Raise MismatchError unless the torsion order is the spanning-tree count.
+    """Raise MismatchError unless all multiplicities are positive and the order is the tree count.
 
-    The comparison is factored: the raw order is astronomically large for big q.
+    The p-part routes force their middle multiplicities by counting, so
+    the order matches whatever the rest of the histogram says; a wrong
+    histogram shows as a multiplicity below 1.  The comparison is
+    factored: the raw order is astronomically large for big q.
     """
+    for prime, exp, mult in group.divisors:
+        if mult < 1:
+            raise MismatchError(f"elementary divisor {prime}^{exp} has multiplicity {mult}")
     got, want = group.order_factorization(), order_factorization(params)
     if got != want:
         raise MismatchError(f"group order {got} != spanning-tree count {want}")
@@ -87,14 +87,12 @@ def _first_difference(formula: AbelianGroupDesc, bruteforce: AbelianGroupDesc) -
     return f"free rank {formula.free_rank} (formula) vs {bruteforce.free_rank} (bruteforce)"
 
 
-def _formula_group(params: Params) -> tuple[AbelianGroupDesc, dict[int, int], tuple[int, int]]:
-    e_mult = p_part_multiplicities(params)
-    cop, u_free, v_free = coprime_part(params)
-    entries = [(params.p, j, m) for j, m in e_mult.items() if j > 0]
-    entries.extend(cop.divisors)
+def _formula_group(params: Params) -> AbelianGroupDesc:
+    entries = [(params.p, j, m) for j, m in p_part_multiplicities(params).items() if j > 0]
+    entries.extend(coprime_part(params)[0].divisors)
     group = AbelianGroupDesc.from_prime_powers(entries, free_rank=1)
     _check_order(group, params)
-    return group, e_mult, (u_free, v_free)
+    return group
 
 
 def _bruteforce_group(params: Params) -> tuple[AbelianGroupDesc, list[str]]:
@@ -115,17 +113,13 @@ def critical_group(params: Params, method: str = "both") -> CriticalGroupResult:
         raise ValueError(f"method must be one of {METHODS}")
     checks: list[str] = []
     if method in ("formula", "both"):
-        group, e_mult, coprime_orders = _formula_group(params)
+        group = _formula_group(params)
         checks.append("order-formula")
     if method in ("bruteforce", "both"):
         bf_group, bf_checks = _bruteforce_group(params)
         checks.extend(bf_checks)
         if method == "bruteforce":
-            e_mult = bf_group.p_multiplicities(params.p)
-            e_mult[0] = params.q - 1 - sum(e_mult.values())
-            check_conservation(e_mult, params)
             group = bf_group
-            coprime_orders = coprime_part(params)[1:]
     if method == "both":
         if group != bf_group:
             raise MethodMismatchError(
@@ -133,11 +127,4 @@ def critical_group(params: Params, method: str = "both") -> CriticalGroupResult:
             )
         checks.append("formula==bruteforce")
     _check_order(group, params)
-    return CriticalGroupResult(
-        params=params,
-        group=group,
-        method=method,
-        p_part=e_mult,
-        coprime_orders=coprime_orders,
-        checks=tuple(checks),
-    )
+    return CriticalGroupResult(params=params, group=group, method=method, checks=tuple(checks))

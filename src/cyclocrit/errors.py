@@ -39,11 +39,7 @@ class UndefinedSumError(CyclocritError):
 
 
 class BadResidueError(CyclocritError):
-    """The index-3 pipeline needs p congruent to 2 mod 3."""
-
-
-class ConservationError(CyclocritError):
-    """Multiplicity output violates the count/valuation conservation pair."""
+    """The index-3 pipeline needs ell = 3 and p congruent to 2 mod 3."""
 
 
 class PrecisionError(CyclocritError):
@@ -56,3 +52,7 @@ class MismatchError(CyclocritError):
 
 class MethodMismatchError(MismatchError):
     """Formula pipeline and brute-force oracle produced different groups."""
+
+
+class ConservationError(MismatchError):
+    """Multiplicity output violates the count/valuation conservation pair."""

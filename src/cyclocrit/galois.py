@@ -28,7 +28,6 @@ one shape are eliminated as one (nb, n, n, e) array, inverse-free.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +42,9 @@ BATCH_BYTES = 1 << 18
 # Exponents that are not their orbit's representative, gathered directly
 # to check the orbit identity on every run.
 ORBIT_SAMPLE = 8
+# verify_stickelberger checks every pair up to this q, else STICKELBERGER_SAMPLE seeded pairs.
+STICKELBERGER_EXHAUSTIVE_Q = 256
+STICKELBERGER_SAMPLE = 4000
 
 
 class GaloisRing:
@@ -229,32 +231,19 @@ def _jacobi_row_lookup(ring: GaloisRing, rs: np.ndarray):
     return lookup
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    checked: int
-    detail: str = ""
-
-
-def verify_stickelberger(
-    table: FieldTable,
-    ring: GaloisRing | None = None,
-    exhaustive_limit: int = 256,
-    sample: int = 4000,
-    seed: int = 0,
-) -> CheckReport:
+def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
     """Jacobi valuation == carry count over admissible exponent pairs.
 
-    Exhaustive (in lexicographic order) when q <= exhaustive_limit,
-    otherwise a seeded sample; one jacobi_sum and one carry_count per
-    batch of pairs.  Raises MismatchError on the first failing pair; a
-    Jacobi sum that vanishes mod p^N counts as valuation N.
+    Exhaustive (in lexicographic order) when q <= STICKELBERGER_EXHAUSTIVE_Q,
+    otherwise STICKELBERGER_SAMPLE pairs drawn with the seed; one
+    jacobi_sum and one carry_count per batch of pairs.  Returns the
+    number of pairs checked.  Raises MismatchError on the first failing
+    pair; a Jacobi sum that vanishes mod p^N counts as valuation N.
     """
-    P = table.params
-    ring = ring or GaloisRing(table)
-    q = P.q
+    P = ring.field.params
+    q, sample = P.q, STICKELBERGER_SAMPLE
     per = max(1, BATCH_BYTES // (24 * (q - 1)))  # jacobi_sum's indices, one temporary and counts
-    if q <= exhaustive_limit:  # lexicographic order, built a batch at a time
+    if q <= STICKELBERGER_EXHAUSTIVE_Q:  # lexicographic order, built a batch at a time
         total = (q - 2) ** 2
         batches = (np.array(np.divmod(np.arange(lo, min(lo + per, total)), q - 2)) + 1 for lo in range(0, total, per))
     else:
@@ -275,7 +264,7 @@ def verify_stickelberger(
             j = np.argmax(bad)
             raise MismatchError(f"Stickelberger fails at (a,b)=({a[j]},{b[j]}): valuation {v[j]} != carries {c[j]}")
         checked += len(a)
-    return CheckReport(True, checked)
+    return checked
 
 
 # --- isotypic blocks of the Laplacian -------------------------------------
@@ -288,7 +277,7 @@ def _row_residues(P, idx: np.ndarray) -> np.ndarray:
     return -(idx[:, None] + np.arange(P.ell) * P.k) % (P.q - 1)
 
 
-def _blocks(table: FieldTable, ring: GaloisRing, idx: np.ndarray, lookup) -> np.ndarray:
+def _blocks(ring: GaloisRing, idx: np.ndarray, lookup) -> np.ndarray:
     """(len(idx), n, n, e) stack of ell*L on the isotypic components i in idx.
 
     For i > 0 (n = ell), row m holds the image of the basis character-sum
@@ -297,7 +286,7 @@ def _blocks(table: FieldTable, ring: GaloisRing, idx: np.ndarray, lookup) -> np.
     ell+1) in the basis: all-ones vector, the zero-vertex indicator, then
     the subgroup-coset character sums.
     """
-    P = table.params
+    P = ring.field.params
     ell, q, pN = P.ell, P.q, ring.pN
     jac = -lookup(_row_residues(P, idx).ravel()) % pN
     if idx[0] > 0:
@@ -391,13 +380,13 @@ def expected_block_valuations(table: FieldTable, idx) -> tuple[np.ndarray, int]:
     return np.sort(np.hstack([c, np.full((len(idx), P.ell - 2), half), P.vp(P.u * P.v) - c]), axis=1), 0
 
 
-def _block_valuations(table: FieldTable, ring: GaloisRing, indices):
+def _block_valuations(ring: GaloisRing, indices):
     """Yield (batch, [(valuations, zero count) per block]) over the increasing indices.
 
     Class sums come from one gather per Frobenius orbit; the blocks are
     built and eliminated in batches, the trivial block on its own.
     """
-    P = table.params
+    P = ring.field.params
     idx = np.asarray(indices, dtype=np.int64)
     lookup = _jacobi_row_lookup(ring, _row_residues(P, idx).ravel())
     # about the words of one block's Schur-step temporaries: T of its pivot row and two products
@@ -407,7 +396,7 @@ def _block_valuations(table: FieldTable, ring: GaloisRing, indices):
     if first:
         batches.insert(0, idx[:1])
     for batch in batches:
-        yield batch, ring_divisor_valuations(_blocks(table, ring, batch, lookup), ring)
+        yield batch, ring_divisor_valuations(_blocks(ring, batch, lookup), ring)
 
 
 def _check_blocks(table: FieldTable, batch: np.ndarray, found) -> None:
@@ -420,23 +409,23 @@ def _check_blocks(table: FieldTable, batch: np.ndarray, found) -> None:
             )
 
 
-def verify_all_blocks(table: FieldTable, ring: GaloisRing | None = None) -> CheckReport:
+def verify_all_blocks(ring: GaloisRing) -> int:
     """Local Smith form of every isotypic block against the closed form.
 
-    Raises MismatchError naming the lowest block index that fails.
+    Returns the number of blocks, k.  Raises MismatchError naming the
+    lowest block index that fails.
     """
-    ring = ring or GaloisRing(table)
-    for found in _block_valuations(table, ring, range(table.params.k)):
-        _check_blocks(table, *found)
-    return CheckReport(True, table.params.k)
+    k = ring.field.params.k
+    for found in _block_valuations(ring, range(k)):
+        _check_blocks(ring.field, *found)
+    return k
 
 
-def block_p_multiplicities(table: FieldTable, ring: GaloisRing | None = None) -> dict[int, int]:
+def block_p_multiplicities(ring: GaloisRing) -> dict[int, int]:
     """p-part multiplicities assembled from all block local Smith forms."""
-    P = table.params
+    P = ring.field.params
     hist: dict[int, int] = {}
-    ring = ring or GaloisRing(table)
-    for batch, found in _block_valuations(table, ring, range(P.k)):
+    for batch, found in _block_valuations(ring, range(P.k)):
         for i, (exps, zeros) in zip(batch.tolist(), found):
             expected_zeros = 1 if i == 0 else 0
             if zeros != expected_zeros:

@@ -11,11 +11,9 @@ and O(q*k) integer work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, MismatchError
 from .field import FieldTable
 
 # Largest dense q x q int64 matrix: 256 MiB holds q = 4096 (the p-local
@@ -45,22 +43,16 @@ def laplacian(table: FieldTable) -> np.ndarray:
     return L
 
 
-@dataclass(frozen=True)
-class SrgReport:
-    ok: bool
-    srg_params: tuple[int, int, int, int]  # (q, k, lambda, mu)
-    detail: str = ""
-
-
-def verify_srg(table: FieldTable) -> SrgReport:
+def verify_srg(table: FieldTable) -> None:
     """Check the strongly-regular parameter identities exactly.
 
     Verifies the basic shape of A (symmetric 0/1, zero diagonal, regular),
     A^2 = kI + lam*A + mu*(J - I - A), and the Laplacian factorization
     (L - uI)(L - vI) = mu*J, which packages the same information through
     the eigenvalues (uv = mu*q makes it vanish on the all-ones vector).
-    Returns the first violation found, if any, with the detail a dense
-    check scanning its matrices in row-major order would give.
+    Returns None when all hold; otherwise raises MismatchError on the
+    first violation, with the detail a dense check scanning its matrices
+    in row-major order would give.
 
     Why row 0 is enough: A = sum over s in S of the translation matrices
     T_s (x -> x + s), which commute.  So A[x, y] = 1_S(y - x) and
@@ -81,11 +73,11 @@ def verify_srg(table: FieldTable) -> SrgReport:
     ind[S] = 1
 
     if not ind[table._index(-table._digits(S) % P.p)].all():  # -s in S for every s in S
-        return SrgReport(False, (q, k, lam, mu), "adjacency not symmetric")
+        raise MismatchError("adjacency not symmetric")
     if 0 in table.subgroup:
-        return SrgReport(False, (q, k, lam, mu), "nonzero diagonal entry")
+        raise MismatchError("nonzero diagonal entry")
     if len(S) != k:
-        return SrgReport(False, (q, k, lam, mu), f"vertex 0 has degree {len(S)} != {k}")
+        raise MismatchError(f"vertex 0 has degree {len(S)} != {k}")
 
     xs = np.arange(q, dtype=np.int32)
     lhs = np.zeros(q, dtype=np.int32)
@@ -96,11 +88,7 @@ def verify_srg(table: FieldTable) -> SrgReport:
     rhs[0] = k
     if not np.array_equal(lhs, rhs):
         j = int(np.argmax(lhs != rhs))
-        return SrgReport(
-            False,
-            (q, k, lam, mu),
-            f"A^2 identity fails at (0,{j}): {int(lhs[j])} != {int(rhs[j])}",
-        )
+        raise MismatchError(f"A^2 identity fails at (0,{j}): {int(lhs[j])} != {int(rhs[j])}")
 
     # Given the A^2 identity, (L - uI)(L - vI) - mu*J = c0*I + c1*A.  A has a
     # zero diagonal and at least one edge, so that vanishes iff c0 = c1 = 0;
@@ -109,18 +97,9 @@ def verify_srg(table: FieldTable) -> SrgReport:
     c1 = u + v - 2 * k + lam - mu
     if c0 or c1:
         j, c = (0, c0) if c0 else (int(S[0]), c1)
-        return SrgReport(
-            False,
-            (q, k, lam, mu),
-            f"Laplacian identity fails at (0,{j}): {mu + c} != {mu}",
-        )
+        raise MismatchError(f"Laplacian identity fails at (0,{j}): {mu + c} != {mu}")
     if u * v != mu * q:  # what makes the factorization vanish on the all-ones vector
-        return SrgReport(
-            False,
-            (q, k, lam, mu),
-            f"Laplacian identity fails on the all-ones vector: u*v = {u * v} != mu*q = {mu * q}",
-        )
-    return SrgReport(True, (q, k, lam, mu))
+        raise MismatchError(f"Laplacian identity fails on the all-ones vector: u*v = {u * v} != mu*q = {mu * q}")
 
 
 def write_matrix(path: str, M: np.ndarray) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .carries import check_conservation
 from .errors import BadResidueError, BoundExceededError, MismatchError
-from .params import Params, validate
+from .params import Params
 
 
 def _pmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -209,22 +209,21 @@ def p_rank_closed_form(p: int, t: int) -> int:
     return ((p + 1) // 3) ** (2 * t) * (2 ** (t + 1) - 2)
 
 
-def p_part_from_recursion(p: int, t: int, params: Params | None = None) -> dict[int, int]:
+def p_part_from_recursion(params: Params) -> dict[int, int]:
     """Sylow p-part multiplicities e_j for the index-3 family.
 
     e_a for 0 < a < t is a coefficient sum of the walk polynomial C(2t);
     e_0 has the closed form above (cross-checked against the same
     coefficient sums); the upper range mirrors the lower one shifted by
-    delta = [p = 2]; the middle is forced by counting.  Excluded case:
-    (p, t) = (2, 1) is the disconnected graph.
+    delta = [p = 2]; the middle is forced by counting.  Raises
+    BadResidueError unless ell = 3; (p, t) = (2, 1), the disconnected
+    graph, is excluded too.
     """
-    _require_index3_prime(p)
+    p, t, k = params.p, params.t, params.k
+    if params.ell != 3:
+        raise BadResidueError(f"the walk recursion needs ell = 3, not {params.ell}")
     if (p, t) == (2, 1):
         raise BadResidueError("(p, t) = (2, 1) is excluded (disconnected graph)")
-    params = params or validate(p, 3, t)
-    if (params.p, params.ell, params.t) != (p, 3, t):
-        raise ValueError(f"params are for {(params.p, params.ell, params.t)}, not {(p, 3, t)}")
-    q, k = params.q, params.k
     delta = 1 if p == 2 else 0
     C = closed_walk_poly(p, t)[:, :, 0, 0]
     e: dict[int, int] = {}

@@ -318,7 +318,7 @@ def laplacian_p_multiplicities(table: FieldTable, p: int | None = None) -> dict[
     return hist
 
 
-def critical_group_by_snf(table: FieldTable, max_q: int = FULL_SNF_MAX_Q) -> AbelianGroupDesc:
+def critical_group_by_snf(table: FieldTable) -> AbelianGroupDesc:
     """Cokernel of the Laplacian by full SNF modulo 2uv (the oracle path).
 
     The reduction is exact only after L is checked: zero row and column
@@ -327,8 +327,8 @@ def critical_group_by_snf(table: FieldTable, max_q: int = FULL_SNF_MAX_Q) -> Abe
     invariant factor divides uv < 2uv.
     """
     P = table.params
-    if P.q > max_q:
-        raise BoundExceededError(f"q = {P.q} exceeds the full-SNF bound {max_q}")
+    if P.q > FULL_SNF_MAX_Q:
+        raise BoundExceededError(f"q = {P.q} exceeds the full-SNF bound {FULL_SNF_MAX_Q}")
     L = laplacian(table)
     I = np.eye(P.q, dtype=np.int64)
     if L.sum(axis=0).any() or L.sum(axis=1).any() or ((L - P.u * I) @ (L - P.v * I) != P.mu).any():

@@ -117,6 +117,29 @@ OPTIMIZED_SCENARIOS = {
         "critgroup.p_part_multiplicities = shifted\n",
         _compute("--method", "formula"),
     ),
+    # 40 extra cosets of minimum carry 1: the middle multiplicity, forced by
+    # counting, goes negative while the order still matches
+    "negative-multiplicity": (
+        "from cyclocrit import carries\n"
+        "good = carries.min_carries_histogram\n"
+        "def bumped(params):\n"
+        "    hist = dict(good(params))\n"
+        "    hist[1] = hist.get(1, 0) + 40\n"
+        "    return hist\n"
+        "carries.min_carries_histogram = bumped\n",
+        ["compute", "--p", "2", "--ell", "5", "--t", "2", "--method", "formula"],
+    ),
+    # the same on the ell = 3 route: 40 extra walks weighted x y^2 in C(4)
+    "negative-multiplicity-walks": (
+        "from cyclocrit import index3\n"
+        "good = index3.closed_walk_poly\n"
+        "def bumped(p, t):\n"
+        "    C = good(p, t).copy()\n"
+        "    C[1, 2] += 40\n"
+        "    return C\n"
+        "index3.closed_walk_poly = bumped\n",
+        _compute("--method", "formula"),
+    ),
 }
 
 # Runs every scenario in turn, each with its own captured stdout and stderr,

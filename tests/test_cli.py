@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -174,6 +175,21 @@ def test_mismatch_maps_to_exit_2(capsys, monkeypatch):
     )
     assert code == 2
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize("which", ["srg", "all"])
+def test_srg_failure_exits_2(capsys, monkeypatch, which):
+    """A table whose u is off by one fails the Laplacian identity: exit 2, one mismatch line, no stdout."""
+    build = cli.build_field
+
+    def wrong_u(params):
+        tab = build(params)
+        return dataclasses.replace(tab, params=dataclasses.replace(tab.params, u=tab.params.u + 1))
+
+    monkeypatch.setattr(cli, "build_field", wrong_u)
+    code, out, err = run_cli(capsys, "verify", "--p", "2", "--ell", "3", "--t", "2", "--which", which)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["mismatch: Laplacian identity fails at (0,0): 1 != 2"]
 
 
 def test_json_round_trip():

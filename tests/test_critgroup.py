@@ -4,6 +4,8 @@ import pytest
 from conftest import both_result_for, params_for, snf_group_for
 from cyclocrit import coprime_part, critgroup, critical_group
 from cyclocrit.abelian import AbelianGroupDesc, factorint
+from cyclocrit.carries import check_conservation
+from cyclocrit.cli import main
 from cyclocrit.critgroup import order_factorization
 from cyclocrit.errors import MethodMismatchError
 
@@ -41,21 +43,21 @@ def test_both_methods_q16():
     res = both_result_for(2, 3, 2)
     assert res.group.free_rank == 1
     assert res.group.divisors == ((2, 2, 4), (2, 3, 1), (2, 5, 4))
-    assert res.order == 2**31
+    assert res.group.order() == 2**31
     assert "formula==bruteforce" in res.checks
 
 
 def test_both_methods_q25():
     res = both_result_for(5, 3, 1)
     assert res.group.divisors == ((2, 1, 16), (5, 1, 10), (5, 2, 6))
-    assert res.order == 2**16 * 5**22
+    assert res.group.order() == 2**16 * 5**22
 
 
 def test_both_methods_ell5():
     res = both_result_for(3, 5, 1)
     assert res.group.divisors == ((2, 1, 64), (3, 2, 50), (3, 4, 14))
     u, v, k, q = 9, 18, 16, 81
-    assert res.order == u**k * v ** (q - k - 1) // q
+    assert res.group.order() == u**k * v ** (q - k - 1) // q
 
 
 def test_method_mismatch_names_first_difference(monkeypatch):
@@ -83,7 +85,7 @@ def test_bruteforce_only_method():
     P = params_for(2, 3, 2)
     res = critical_group(P, "bruteforce")
     assert res.group.divisors == ((2, 2, 4), (2, 3, 1), (2, 5, 4))
-    assert res.p_part == {0: 6, 2: 4, 3: 1, 5: 4}
+    assert res.checks == ("bruteforce:full-snf",)
 
 
 def test_method_validation():
@@ -113,3 +115,35 @@ def test_wrong_p_part_exits_2_under_optimize(optimized_runs):
     code, _, err = optimized_runs["p-part"]
     assert code == 2, err
     assert err.startswith("mismatch:")
+
+
+@pytest.mark.parametrize(
+    "scenario, detail",
+    [
+        ("negative-multiplicity", "elementary divisor 2^6 has multiplicity -39"),
+        ("negative-multiplicity-walks", "elementary divisor 2^2 has multiplicity -36"),
+    ],
+)
+def test_negative_multiplicity_exits_2_under_optimize(optimized_runs, scenario, detail):
+    """A histogram or walk count off by 40 keeps the order but drives a forced multiplicity below 1."""
+    code, out, err = optimized_runs[scenario]
+    assert code == 2, err
+    assert out == ""
+    assert err == f"mismatch: {detail}\n"
+
+
+def test_conservation_failure_exits_2(capsys, monkeypatch):
+    """ConservationError is a MismatchError: a p-part that breaks the count exits 2, not 1."""
+    good = critgroup.p_part_multiplicities
+
+    def unbalanced(params):
+        mult = dict(good(params))
+        mult[0] += 1
+        check_conservation(mult, params)
+        return mult
+
+    monkeypatch.setattr(critgroup, "p_part_multiplicities", unbalanced)
+    code = main(["compute", "--p", "2", "--ell", "5", "--t", "2", "--method", "formula"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "mismatch: sum of multiplicities 256 != q - 1 = 255\n"

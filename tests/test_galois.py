@@ -125,20 +125,20 @@ def laplacian_block(table, ring, i):
     """(n, n, e) array of ell*L on the i-th isotypic component (0 is the trivial one)."""
     idx = np.array([i])
     lookup = galois._jacobi_row_lookup(ring, galois._row_residues(table.params, idx).ravel())
-    return galois._blocks(table, ring, idx, lookup)[0]
+    return galois._blocks(ring, idx, lookup)[0]
 
 
 def verify_block(table, ring, i):
     """The block check of verify_all_blocks on block i alone."""
-    for found in galois._block_valuations(table, ring, [i]):
+    for found in galois._block_valuations(ring, [i]):
         galois._check_blocks(table, *found)
 
 
-def block_results(table, ring, indices):
+def block_results(ring, indices):
     """(i, valuations, zeros) of each block, flattened from the batched route."""
     return [
         (i, exps, zeros)
-        for batch, found in galois._block_valuations(table, ring, indices)
+        for batch, found in galois._block_valuations(ring, indices)
         for i, (exps, zeros) in zip(batch.tolist(), found)
     ]
 
@@ -240,7 +240,7 @@ def all_blocks(table, ring):
     """Every block from the batched builder: the trivial block, then blocks 1..k-1 as one stack."""
     idx = np.arange(table.params.k)
     lookup = galois._jacobi_row_lookup(ring, galois._row_residues(table.params, idx).ravel())
-    return [galois._blocks(table, ring, idx[:1], lookup)[0], *galois._blocks(table, ring, idx[1:], lookup)]
+    return [galois._blocks(ring, idx[:1], lookup)[0], *galois._blocks(ring, idx[1:], lookup)]
 
 
 def test_ring_basics():
@@ -368,20 +368,20 @@ def test_jacobi_row_object_contraction():
     tab, ring = field_for(41, 3, 1), ring_for(41, 3, 1)
     assert (2 * ring.e - 1) * ring.pN**2 >= 1 << 62
     assert ring.dtype is object and ring._row_map.dtype == object and ring._omega_np.dtype == object
-    assert block_p_multiplicities(tab, ring) == p_part_from_carries(tab.params)
+    assert block_p_multiplicities(ring) == p_part_from_carries(tab.params)
 
 
 def test_block_count_is_a_mismatch(monkeypatch):
     """A block that loses one divisor must fail the q-1 count, under python -O too."""
     good = galois._block_valuations
 
-    def short(table, ring, indices):
-        for batch, found in good(table, ring, indices):
+    def short(ring, indices):
+        for batch, found in good(ring, indices):
             yield batch, [(exps[1:] if i == 1 else exps, zeros) for i, (exps, zeros) in zip(batch, found)]
 
     monkeypatch.setattr(galois, "_block_valuations", short)
     with pytest.raises(MismatchError):
-        block_p_multiplicities(field_for(2, 3, 2), ring_for(2, 3, 2))
+        block_p_multiplicities(ring_for(2, 3, 2))
 
 
 def test_jacobi_valuation_example():
@@ -392,10 +392,8 @@ def test_jacobi_valuation_example():
 
 def test_stickelberger_exhaustive_small():
     for trip in [(2, 3, 2), (5, 3, 1)]:
-        tab = field_for(*trip)
-        rep = verify_stickelberger(tab, ring_for(*trip))
-        q = tab.q
-        assert rep.ok and rep.checked == (q - 2) * (q - 2) - (q - 2)
+        q = field_for(*trip).q
+        assert verify_stickelberger(ring_for(*trip)) == (q - 2) * (q - 2) - (q - 2)
 
 
 def test_stickelberger_sampled_mode(monkeypatch):
@@ -415,15 +413,16 @@ def test_stickelberger_sampled_mode(monkeypatch):
 
     monkeypatch.setattr(galois, "carry_count", recording)
     monkeypatch.setattr(galois, "BATCH_BYTES", 24 * (q - 1) * 7)  # batches of 7 pairs
-    rep = verify_stickelberger(tab, ring_for(3, 5, 1), exhaustive_limit=10, sample=300, seed=7)
-    assert rep.ok and rep.checked == 300
+    monkeypatch.setattr(galois, "STICKELBERGER_EXHAUSTIVE_Q", 10)
+    monkeypatch.setattr(galois, "STICKELBERGER_SAMPLE", 300)
+    assert verify_stickelberger(ring_for(3, 5, 1), seed=7) == 300
     assert seen == want
 
 
 @pytest.mark.parametrize("batch_bytes", [1, galois.BATCH_BYTES])
 def test_stickelberger_names_first_failing_pair(monkeypatch, batch_bytes):
     """Two corrupted pairs fail as the lexicographically first, whether or not they share a batch."""
-    tab, ring = field_for(2, 3, 2), ring_for(2, 3, 2)
+    ring = ring_for(2, 3, 2)
     good = galois.carry_count
 
     def corrupt(a, b, P):  # one carry too many at (9, 2) and at (3, 5)
@@ -432,7 +431,7 @@ def test_stickelberger_names_first_failing_pair(monkeypatch, batch_bytes):
     monkeypatch.setattr(galois, "carry_count", corrupt)
     monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
     with pytest.raises(MismatchError) as err:
-        verify_stickelberger(tab, ring)
+        verify_stickelberger(ring)
     assert str(err.value) == "Stickelberger fails at (a,b)=(3,5): valuation 3 != carries 4"
 
 
@@ -462,16 +461,14 @@ def test_block_expected_patterns_q25():
 def test_block_patterns_all_fixtures():
     for trip in [(2, 3, 2), (5, 3, 1), (2, 3, 3)]:
         tab = field_for(*trip)
-        rep = verify_all_blocks(tab, ring_for(*trip))
-        assert rep.ok and rep.checked == tab.params.k
+        assert verify_all_blocks(ring_for(*trip)) == tab.params.k
 
 
 def test_block_check_cold_rings():
     """Forty freshly built rings each pass the block check at q=256."""
     tab = field_for(2, 3, 4)
     for _ in range(40):
-        rep = verify_all_blocks(tab, GaloisRing(tab))
-        assert rep.ok and rep.checked == tab.params.k
+        assert verify_all_blocks(GaloisRing(tab)) == tab.params.k
 
 
 def test_ring_not_mutated_by_use():
@@ -481,7 +478,7 @@ def test_ring_not_mutated_by_use():
     snapshot = pickle.dumps(before)
     jacobi_sum(-np.arange(1, 5), -5, ring)
     jacobi_row(3, ring)
-    verify_stickelberger(tab, ring)
+    verify_stickelberger(ring)
     verify_block(tab, ring, 1)
     verify_block(tab, ring, 0)
     after = vars(ring)
@@ -495,7 +492,7 @@ def test_three_way_multiplicity_agreement():
     for trip in [(2, 3, 2), (5, 3, 1), (2, 3, 3)]:
         tab = field_for(*trip)
         P = tab.params
-        from_blocks = block_p_multiplicities(tab, ring_for(*trip))
+        from_blocks = block_p_multiplicities(ring_for(*trip))
         from_carries = p_part_from_carries(P)
         oracle = snf_group_for(*trip).p_multiplicities(P.p)
         oracle[0] = P.q - 1 - sum(oracle.values())
@@ -507,9 +504,8 @@ def test_blocks_larger_index_primes():
     for trip in [(2, 5, 2), (3, 7, 1)]:
         tab = field_for(*trip)
         ring = ring_for(*trip)
-        rep = verify_all_blocks(tab, ring)
-        assert rep.ok and rep.checked == tab.params.k
-        assert block_p_multiplicities(tab, ring) == p_part_from_carries(tab.params)
+        assert verify_all_blocks(ring) == tab.params.k
+        assert block_p_multiplicities(ring) == p_part_from_carries(tab.params)
 
 
 def test_expected_pattern_shapes():
@@ -527,9 +523,7 @@ def test_expected_pattern_shapes():
 
 
 def test_blocks_ell5():
-    tab = field_for(3, 5, 1)
-    rep = verify_all_blocks(tab, ring_for(3, 5, 1))
-    assert rep.ok and rep.checked == 16
+    assert verify_all_blocks(ring_for(3, 5, 1)) == 16
 
 
 def test_ring_elimination_known_diagonals():
@@ -601,7 +595,7 @@ def test_batched_blocks_match_tuple_reference(trip):
     """
     tab, ring = field_for(*trip), ring_for(*trip)
     tr = TupleRing(ring)
-    found = block_results(tab, ring, range(tab.params.k))
+    found = block_results(ring, range(tab.params.k))
     assert [i for i, _, _ in found] == list(range(tab.params.k))
     for (i, exps, zeros), block in zip(found, all_blocks(tab, ring)):
         ref = reference_block(tab, tr, i)
@@ -632,13 +626,13 @@ def test_one_gather_per_orbit(monkeypatch, trip):
         return good(ring, rs)
 
     monkeypatch.setattr(galois, "_gather_class_sums", counting)
-    verify_all_blocks(tab, ring)
+    verify_all_blocks(ring)
     assert sizes == [len(_orbits(tab.params)), galois.ORBIT_SAMPLE]
 
 
 def test_orbit_identity_is_checked(monkeypatch):
     """Class sums taken from a wrong representative fail the direct sample."""
-    tab, ring = field_for(2, 3, 4), ring_for(2, 3, 4)
+    ring = ring_for(2, 3, 4)
     good = galois._gather_class_sums
     calls = []
 
@@ -651,7 +645,7 @@ def test_orbit_identity_is_checked(monkeypatch):
 
     monkeypatch.setattr(galois, "_gather_class_sums", first_call_off)
     with pytest.raises(MismatchError, match="Frobenius orbit representative"):
-        verify_all_blocks(tab, ring)
+        verify_all_blocks(ring)
 
 
 @pytest.mark.parametrize("trip", [(2, 3, 4), (3, 7, 1), (2, 5, 2)])
@@ -671,7 +665,7 @@ def test_row_lookup_matches_direct_rows(trip):
 @pytest.mark.parametrize("trip", [(2, 5, 2), (3, 7, 1)])
 def test_wrong_multiplier_is_checked(monkeypatch, trip):
     """Rows of a representative permuted by p^j in place of p^(-j) fail the direct sample."""
-    tab, ring = field_for(*trip), ring_for(*trip)
+    ring = ring_for(*trip)
     good = galois._frobenius_steps
 
     def inverted(P):  # the lookup then permutes by p^-(e-j) = p^j / q = p^j mod ell
@@ -680,7 +674,7 @@ def test_wrong_multiplier_is_checked(monkeypatch, trip):
 
     monkeypatch.setattr(galois, "_frobenius_steps", inverted)
     with pytest.raises(MismatchError, match="Frobenius orbit representative"):
-        verify_all_blocks(tab, ring)
+        verify_all_blocks(ring)
 
 
 @pytest.mark.parametrize("batch_bytes", [1, galois.BATCH_BYTES])
@@ -689,15 +683,15 @@ def test_corrupt_block_names_lowest_index(monkeypatch, batch_bytes):
     tab, ring = field_for(2, 3, 4), ring_for(2, 3, 4)
     good = galois._blocks
 
-    def corrupt(table, ring, idx, lookup):
-        out = good(table, ring, idx, lookup)
+    def corrupt(ring, idx, lookup):
+        out = good(ring, idx, lookup)
         out[np.isin(idx, (30, 7))] = 0
         return out
 
     monkeypatch.setattr(galois, "_blocks", corrupt)
     monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
     with pytest.raises(MismatchError) as err:
-        verify_all_blocks(tab, ring)
+        verify_all_blocks(ring)
     want, _ = expected_block_valuations(tab, [7])
     assert str(err.value) == f"block 7: local Smith valuations [] (zeros 3) != expected {want[0].tolist()} (zeros 0)"
 
@@ -727,9 +721,9 @@ def test_batched_p_part_differential(P):
     """Block p-part == p-local elimination == carry p-part for q <= 1024, and block by block == tuple route for q <= 256."""
     tab, ring = field_for(P.p, P.ell, P.t), ring_for(P.p, P.ell, P.t)
     want = p_part_from_carries(P)
-    assert block_p_multiplicities(tab, ring) == want
+    assert block_p_multiplicities(ring) == want
     assert laplacian_p_multiplicities(tab) == want
     if P.q <= 256:
         tr = TupleRing(ring)
-        for i, exps, zeros in block_results(tab, ring, range(P.k)):
+        for i, exps, zeros in block_results(ring, range(P.k)):
             assert (exps, zeros) == reference_divisor_valuations(reference_block(tab, tr, i), tr), i

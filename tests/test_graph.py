@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import field_for
 from cyclocrit import graph
-from cyclocrit.errors import BoundExceededError
-from cyclocrit.graph import SrgReport, adjacency, laplacian, verify_srg, write_matrix
+from cyclocrit.errors import BoundExceededError, MismatchError
+from cyclocrit.graph import adjacency, laplacian, verify_srg, write_matrix
 
 # every q <= 256 fixture of the suite, plus one odd-p case at each of q = 729, 625
 SRG_REFERENCE_FIXTURES = [
@@ -21,20 +21,23 @@ SRG_REFERENCE_FIXTURES = [
 ]
 
 
-def dense_verify_srg(table) -> SrgReport:
-    """Reference for verify_srg: the same identities on the dense q x q matrices."""
+def dense_verify_srg(table) -> str | None:
+    """Reference for verify_srg: the same identities on the dense q x q matrices.
+
+    Returns the detail of the first failure in row-major order, or None.
+    """
     P = table.params
     q, k, lam, mu, u, v = P.q, P.k, P.lam, P.mu, P.u, P.v
     A = adjacency(table)
 
     if not np.array_equal(A, A.T):
-        return SrgReport(False, (q, k, lam, mu), "adjacency not symmetric")
+        return "adjacency not symmetric"
     if A.diagonal().any():
-        return SrgReport(False, (q, k, lam, mu), "nonzero diagonal entry")
+        return "nonzero diagonal entry"
     deg = A.sum(axis=1)
     if not (deg == k).all():
         i = int(np.argmax(deg != k))
-        return SrgReport(False, (q, k, lam, mu), f"vertex {i} has degree {int(deg[i])} != {k}")
+        return f"vertex {i} has degree {int(deg[i])} != {k}"
 
     I = np.eye(q, dtype=np.int64)
     J = np.ones((q, q), dtype=np.int64)
@@ -42,30 +45,31 @@ def dense_verify_srg(table) -> SrgReport:
     rhs = k * I + lam * A + mu * (J - I - A)
     if not np.array_equal(lhs, rhs):
         i, j = np.unravel_index(int(np.argmax(lhs != rhs)), lhs.shape)
-        return SrgReport(
-            False,
-            (q, k, lam, mu),
-            f"A^2 identity fails at ({i},{j}): {int(lhs[i, j])} != {int(rhs[i, j])}",
-        )
+        return f"A^2 identity fails at ({i},{j}): {int(lhs[i, j])} != {int(rhs[i, j])}"
 
     L = k * I - A
     lhs = (L - u * I) @ (L - v * I)
     rhs = mu * J
     if not np.array_equal(lhs, rhs):
         i, j = np.unravel_index(int(np.argmax(lhs != rhs)), lhs.shape)
-        return SrgReport(
-            False,
-            (q, k, lam, mu),
-            f"Laplacian identity fails at ({i},{j}): {int(lhs[i, j])} != {int(rhs[i, j])}",
-        )
-    return SrgReport(True, (q, k, lam, mu))
+        return f"Laplacian identity fails at ({i},{j}): {int(lhs[i, j])} != {int(rhs[i, j])}"
+    return None
+
+
+def srg_detail(table) -> str | None:
+    """The message of the MismatchError verify_srg raises, or None when it returns."""
+    try:
+        verify_srg(table)
+    except MismatchError as exc:
+        return str(exc)
+    return None
 
 
 def test_clebsch_parameters():
     tab = field_for(2, 3, 2)
-    report = verify_srg(tab)
-    assert report.ok
-    assert report.srg_params == (16, 5, 0, 2)
+    assert verify_srg(tab) is None
+    P = tab.params
+    assert (P.q, P.k, P.lam, P.mu) == (16, 5, 0, 2)
 
 
 def test_regularity_and_trace():
@@ -99,9 +103,9 @@ def test_laplacian_quadratic_identity_q16():
 def test_srg_reports_laplacian_failure():
     tab = field_for(2, 3, 2)
     wrong = dataclasses.replace(tab, params=dataclasses.replace(tab.params, u=tab.params.u + 1))
-    report = verify_srg(wrong)
-    assert not report.ok
-    assert report.detail == "Laplacian identity fails at (0,0): 1 != 2"
+    with pytest.raises(MismatchError) as err:
+        verify_srg(wrong)
+    assert str(err.value) == "Laplacian identity fails at (0,0): 1 != 2"
 
 
 def test_eigenvalue_oracle():
@@ -127,10 +131,9 @@ def test_q25_basics():
 
 def test_srg_fixtures():
     for trip in [(5, 3, 1), (3, 5, 1), (2, 3, 3)]:
-        report = verify_srg(field_for(*trip))
-        assert report.ok, report.detail
-    report = verify_srg(field_for(3, 5, 1))
-    assert report.srg_params[0] == 81 and report.srg_params[1] == 16
+        assert verify_srg(field_for(*trip)) is None
+    P = field_for(3, 5, 1).params
+    assert (P.q, P.k) == (81, 16)
 
 
 def test_matrix_export(tmp_path):
@@ -162,8 +165,7 @@ def test_matrix_export_bytes_match_reference(tmp_path):
 @pytest.mark.parametrize("trip", SRG_REFERENCE_FIXTURES)
 def test_srg_matches_dense_reference(trip):
     tab = field_for(*trip)
-    report = verify_srg(tab)
-    assert report.ok and report == dense_verify_srg(tab)
+    assert srg_detail(tab) is None and dense_verify_srg(tab) is None
     # the Cayley structure the row-0 check rests on: A[x, y] = A[0, y - x]
     A = adjacency(tab)
     xs = np.arange(tab.q, dtype=np.int64)
@@ -220,7 +222,7 @@ def test_srg_mutations_match_dense_reference(data):
         tab = _mutate(tab, data)
     else:
         tab = _perturb_params(tab, data)
-    assert verify_srg(tab) == dense_verify_srg(tab)
+    assert srg_detail(tab) == dense_verify_srg(tab)
 
 
 def test_srg_allocates_no_dense_matrix(monkeypatch):
@@ -229,7 +231,7 @@ def test_srg_allocates_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(graph, "adjacency", refuse)
     monkeypatch.setattr(graph, "laplacian", refuse)
-    assert verify_srg(field_for(2, 3, 4)).ok
+    assert verify_srg(field_for(2, 3, 4)) is None
 
 
 def test_dense_guard(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
@@ -45,7 +47,7 @@ def test_bad_residue():
         with pytest.raises(BadResidueError):
             recursion_coefficients(p)
     with pytest.raises(BadResidueError):
-        p_part_from_recursion(7, 2)
+        p_part_from_recursion(params_for(3, 5, 1))  # admissible, but ell = 5
 
 
 def test_walk_poly_seed():
@@ -141,33 +143,27 @@ def test_p_rank_closed_form_values():
 
 
 def test_multiplicities_q16():
-    assert p_part_from_recursion(2, 2) == {0: 6, 2: 4, 3: 1, 5: 4}
+    assert p_part_from_recursion(params_for(2, 3, 2)) == {0: 6, 2: 4, 3: 1, 5: 4}
 
 
 def test_multiplicities_q25():
-    assert p_part_from_recursion(5, 1) == {0: 8, 1: 10, 2: 6}
+    assert p_part_from_recursion(params_for(5, 3, 1)) == {0: 8, 1: 10, 2: 6}
 
 
 def test_multiplicities_q256_published():
-    e = p_part_from_recursion(2, 4)
+    e = p_part_from_recursion(params_for(2, 3, 4))
     assert e[0] == 30
     assert [e.get(j, 0) for j in range(1, 10)] == [32, 8, 16, 84, 1, 16, 8, 32, 28]
 
 
 def test_excluded_case():
-    with pytest.raises(BadResidueError):
-        p_part_from_recursion(2, 1)
-
-
-def test_params_must_match_p_and_t():
-    """Params for another triple raise ValueError, under python -O too (no assert)."""
-    for p, t, other in [(2, 3, (2, 3, 2)), (5, 1, (2, 3, 2)), (2, 2, (2, 5, 2))]:
-        with pytest.raises(ValueError, match="params are for"):
-            p_part_from_recursion(p, t, params_for(*other))
+    """(p, t) = (2, 1) is refused even in Params that validate would not build (the graph is disconnected)."""
+    with pytest.raises(BadResidueError, match="excluded"):
+        p_part_from_recursion(dataclasses.replace(params_for(2, 3, 2), t=1))
 
 
 def test_recursion_matches_enumeration():
     """Closed form against the general-ell carry enumeration."""
     for p, t in [(2, 2), (2, 3), (2, 4), (5, 1), (5, 2), (11, 1), (2, 6)]:
         P = params_for(p, 3, t)
-        assert p_part_from_recursion(p, t, P) == p_part_from_carries(P)
+        assert p_part_from_recursion(P) == p_part_from_carries(P)

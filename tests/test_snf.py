@@ -278,8 +278,8 @@ def test_local_snf_assembly_q1024():
 
 def test_full_snf_bound():
     tab = field_for(2, 11, 1)
-    with pytest.raises(BoundExceededError):
-        critical_group_by_snf(tab, max_q=256)
+    with pytest.raises(BoundExceededError, match="full-SNF bound 256"):
+        critical_group_by_snf(tab)
 
 
 def test_invariant_factor_chain_roundtrip():
