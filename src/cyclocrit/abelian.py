@@ -13,13 +13,17 @@ from dataclasses import dataclass
 from .errors import FactorizationError
 
 TRIAL_LIMIT = 10**6
+# Miller-Rabin over the first 13 prime bases is exact below PSI_13, the least strong
+# pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a base set deterministic far beyond desk scale."""
+def is_prime(n: int) -> bool:
+    """Miller-Rabin over PRIME_BASES: exact below PSI_13, a strong probable-prime test above."""
     if n < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in PRIME_BASES:
         if n % sp == 0:
             return n == sp
     d = n - 1
@@ -27,7 +31,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -81,7 +85,7 @@ def factorint(n: int) -> dict[int, int]:
         stack = [n]
         while stack:
             m = stack.pop()
-            if _is_probable_prime(m):
+            if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
             d = _pollard_rho(m)

@@ -9,7 +9,8 @@ blocks; a*b = a @ T(b), T(b) = b @ W the matrix of multiplication by b
 (W[j, i] = X^(i+j)).  Jacobi sums are gathered from a table of
 Teichmuller powers, any batch of exponent pairs at once; their p-adic
 valuations realize carry counts (Stickelberger), which the verification
-suite checks pair by pair, a batch per gather.
+suite checks pair by pair, a batch per gather.  All of it is int64, at
+the precision N = v_p(uv) + 1 that _precision explains.
 
 The Laplacian restricted to each multiplicative isotypic component is a
 small matrix over this ring whose local Smith form the block checks
@@ -32,7 +33,7 @@ import random
 import numpy as np
 
 from .carries import carry_count, min_carries
-from .errors import MismatchError, PrecisionError
+from .errors import BoundExceededError, MismatchError, PrecisionError
 from .field import FieldTable
 
 # Bytes of the largest array of one class-sum gather, one block batch or
@@ -47,27 +48,37 @@ STICKELBERGER_EXHAUSTIVE_Q = 256
 STICKELBERGER_SAMPLE = 4000
 
 
+def _precision(P) -> int:
+    """N = v_p(uv) + 1, the least precision that reads every valuation the checks expect.
+
+    Block divisors are at most v_p(uv) = (ell-1)t + d and Jacobi valuations
+    (carry counts) at most (ell-1)t; one at or above N reads as an extra zero
+    and fails the check.  Raises BoundExceededError unless the widest int64
+    sum, a Jacobi row's ell*e products of reduced entries, stays below 2^62.
+    """
+    N = P.ext_degree + P.d + 1
+    if P.ell * P.ext_degree * P.p ** (2 * N) >= 1 << 62:
+        raise BoundExceededError(f"GR({P.p}^{N}, {P.ext_degree}) needs ell*e*p^(2N) < 2^62 for int64 arithmetic")
+    return N
+
+
 class GaloisRing:
-    """Arithmetic context for GR(p^N, (ell-1)t) tied to a FieldTable."""
+    """Arithmetic context for GR(p^N, (ell-1)t) tied to a FieldTable, in int64."""
 
     def __init__(self, field: FieldTable):
         P = field.params
         self.field = field
         self.p = P.p
         self.e = P.ext_degree
-        # resolves every valuation up to v_p(uv) = (ell-1)t + d with margin
-        self.precision = P.ext_degree + P.d + 4
+        self.precision = _precision(P)  # v_p(uv) + 1: every expected valuation reads exactly
         self.pN = P.p**self.precision
         self.mod_poly = field.mod_poly
         q, ell, e, k = field.q, P.ell, self.e, P.k
-        # A product of reduced elements sums e terms below pN^2 per coefficient,
-        # and the Jacobi rows take as many classes per product as 2^62 allows.
-        self.dtype = object if (2 * e - 1) * self.pN**2 >= 1 << 62 else np.int64
-        red = np.zeros((2 * e - 1, e), dtype=self.dtype)
-        red[:e] = np.eye(e, dtype=self.dtype)
+        red = np.zeros((2 * e - 1, e), dtype=np.int64)
+        red[:e] = np.eye(e, dtype=np.int64)
         for i in range(e, 2 * e - 1):
             red[i, 1:] = red[i - 1, :-1]
-            red[i] = (red[i] - red[i - 1, -1] * np.array(self.mod_poly, dtype=self.dtype)) % self.pN
+            red[i] = (red[i] - red[i - 1, -1] * np.array(self.mod_poly, dtype=np.int64)) % self.pN
         # _times[j, i] = X^(i+j) mod the lifted modulus: b @ _times[j] is X^j * b
         self._times = red[np.add.outer(np.arange(e), np.arange(e))]
         # Every table is built here and never changed, so a ring can be
@@ -101,10 +112,10 @@ class GaloisRing:
     def teichmuller_generator(self) -> np.ndarray:
         """Lift of the field generator fixed by x -> x^q, as an (e,) array."""
         q = self.field.q
-        y = self.field._digits(self.field.generator).astype(self.dtype)  # coefficientwise lift
+        y = self.field._digits(self.field.generator)  # coefficientwise lift
 
         def frobenius(x):  # x^q by square-and-multiply
-            r, n = np.eye(1, self.e, dtype=self.dtype)[0], q
+            r, n = np.eye(1, self.e, dtype=np.int64)[0], q
             while n:
                 if n & 1:
                     r = self._mul(r, x)
@@ -122,7 +133,7 @@ class GaloisRing:
         """(q-1, e) array of all Teichmuller lifts omega^j, filled by doubling."""
         q = self.field.q
         w = self.teichmuller_generator()
-        table = np.zeros((q - 1, self.e), dtype=self.dtype)
+        table = np.zeros((q - 1, self.e), dtype=np.int64)
         table[0, 0] = 1
         n = 1
         while n < q - 1:  # w = omega^n here
@@ -156,8 +167,8 @@ def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
     idx %= q - 1
     idx += np.arange(a.size)[:, None] * (q - 1)  # pair j counts into bins j(q-1)..(j+1)(q-1)-1
     counts = np.bincount(idx.ravel(), minlength=a.size * (q - 1)).reshape(a.shape + (q - 1,))
-    acc = counts.astype(ring.dtype, copy=False) @ ring._omega_np
-    acc[..., 0] += ((a == 0).astype(np.int64) + (b == 0)).astype(ring.dtype)  # x = 1 and x = 0 terms
+    acc = counts @ ring._omega_np
+    acc[..., 0] += (a == 0).astype(np.int64) + (b == 0)  # x = 1 and x = 0 terms
     return acc % ring.pN
 
 
@@ -165,7 +176,7 @@ def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
     """(len(rs), ell, e) class sums S_c(r) mod pN, one gather per exponent r."""
     q, e, ell = ring.field.q, ring.e, ring.field.params.ell
     per = max(1, BATCH_BYTES // ((q - 2) * e * 8))
-    out = np.zeros((len(rs), ell, e), dtype=ring.dtype)
+    out = np.zeros((len(rs), ell, e), dtype=np.int64)
     for lo in range(0, len(rs), per):
         idx = rs[lo : lo + per, None] * ring._dlog_x % (q - 1)
         out[lo : lo + per] = np.add.reduceat(ring._omega_np[idx], ring._class_starts, axis=1) % ring.pN
@@ -187,13 +198,8 @@ def _frobenius_steps(P) -> tuple[np.ndarray, np.ndarray]:
 def _jacobi_rows(ring: GaloisRing, sums: np.ndarray) -> np.ndarray:
     """(R, ell-1, e) Jacobi rows J(T^r, T^(-nk)), n = 1..ell-1, from (R, ell, e) class sums."""
     R, ell, e = sums.shape
-    # one product per group of classes, as many as keep int64 sums below 2^62
-    per = ell if ring.dtype is object else max(1, (1 << 62) // (e * ring.pN**2))
-    flat, row_map = sums.reshape(R, ell * e), ring._row_map.reshape(ell * e, -1)
-    rows = np.zeros((R, row_map.shape[1]), dtype=ring.dtype)
-    for lo in range(0, ell * e, per * e):
-        rows += flat[:, lo : lo + per * e] @ row_map[lo : lo + per * e]
-        rows %= ring.pN
+    rows = sums.reshape(R, ell * e) @ ring._row_map.reshape(ell * e, -1)
+    rows %= ring.pN
     return rows.reshape(R, ell - 1, e)
 
 
@@ -211,8 +217,8 @@ def _jacobi_row_lookup(ring: GaloisRing, rs: np.ndarray):
     cols = np.arange(1, ell) * np.array([pow(p, -j, ell) for j in range(e)])[:, None] % ell - 1
     reps = np.flatnonzero(np.bincount(rep[rs], minlength=q - 1))
     sums = _gather_class_sums(ring, reps)
-    rows = np.empty((len(reps), ell - 1, e), dtype=ring.dtype)
-    per = max(1, BATCH_BYTES // (64 * ell * e))  # a product and its partial sum: a quarter batch
+    rows = np.empty((len(reps), ell - 1, e), dtype=np.int64)
+    per = max(1, BATCH_BYTES // (64 * ell * e))  # one batch's product: under an eighth of BATCH_BYTES
     for lo in range(0, len(reps), per):
         rows[lo : lo + per] = _jacobi_rows(ring, sums[lo : lo + per])
     del sums  # before the sample's gather, which would otherwise add to the peak
@@ -290,12 +296,12 @@ def _blocks(ring: GaloisRing, idx: np.ndarray, lookup) -> np.ndarray:
     ell, q, pN = P.ell, P.q, ring.pN
     jac = -lookup(_row_residues(P, idx).ravel()) % pN
     if idx[0] > 0:
-        out = np.zeros((len(idx), ell, ell, ring.e), dtype=ring.dtype)
+        out = np.zeros((len(idx), ell, ell, ring.e), dtype=np.int64)
         m = np.arange(ell)
         out[:, m, m, 0] = q % pN
         out[:, m[:, None], (m[:, None] + np.arange(1, ell)) % ell] = jac.reshape(len(idx), ell, ell - 1, -1)
         return out
-    out = np.zeros((1, ell + 1, ell + 1, ring.e), dtype=ring.dtype)
+    out = np.zeros((1, ell + 1, ell + 1, ring.e), dtype=np.int64)
     out[0, 1, :, 0] = pN - 1  # the image of the all-ones vector (row 0) is 0
     out[0, 1, 1, 0] = q % pN
     for j in range(1, ell):
@@ -330,7 +336,7 @@ def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[
     a block stops once its remaining submatrix is zero.
     """
     p, prec = ring.p, ring.precision
-    M = np.asarray(blocks, dtype=ring.dtype) % ring.pN
+    M = np.asarray(blocks, dtype=np.int64) % ring.pN
     nb, n = M.shape[:2]
     live, shift, rank = np.arange(nb), np.zeros(nb, dtype=np.int64), np.zeros(nb, dtype=np.int64)
     exps = np.zeros((nb, n), dtype=np.int64)
@@ -341,13 +347,13 @@ def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[
         live, M, g, vmin = live[going], M[going], g[going], vmin[going]
         if not len(live):
             break
-        pv = np.array([p**v for v in vmin.tolist()], dtype=ring.dtype)
+        pv = np.array([p**v for v in vmin.tolist()], dtype=np.int64)
         # the first entry of valuation vmin is the first whose coefficient gcd p^(vmin+1) does not divide
         pos = (g % (p * pv)[:, None] != 0).argmax(axis=1)
         if vmin.any():
             M //= pv[:, None, None, None]
         shift[live] += vmin
-        modulus = np.array([p ** (prec - s) for s in shift[live].tolist()], dtype=ring.dtype)
+        modulus = np.array([p ** (prec - s) for s in shift[live].tolist()], dtype=np.int64)
         # swap rows 0 and i0, and columns 0 and j0, to put the pivot in the corner
         at, m = np.arange(len(live)), n - t
         perm = np.tile(np.arange(m), (2, len(live), 1))

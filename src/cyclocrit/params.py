@@ -11,24 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import factorint
-from .errors import DisconnectedError, MismatchError, NotPrimeError, NotPrimitiveError
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial division; fine at desk scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+from .abelian import PSI_13, factorint, is_prime
+from .errors import BoundExceededError, DisconnectedError, MismatchError, NotPrimeError, NotPrimitiveError
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -97,7 +81,8 @@ class Params:
 def validate(p: int, ell: int, t: int) -> Params:
     """Check admissibility of (p, ell, t) and derive all constants.
 
-    Raises NotPrimeError, NotPrimitiveError or DisconnectedError; an
+    Raises NotPrimeError, NotPrimitiveError or DisconnectedError, and
+    BoundExceededError for p or ell at or above PSI_13; an
     invariant that fails raises MismatchError where output rests on it
     (the valuations of u, v and uv, the lam/mu divisibility and
     q | u^k v^(q-k-1)) and ValueError otherwise.
@@ -105,6 +90,8 @@ def validate(p: int, ell: int, t: int) -> Params:
     for name, n in (("p", p), ("ell", ell), ("t", t)):
         if not isinstance(n, int) or n < 1:
             raise NotPrimeError(f"{name} must be a positive integer, got {n!r}")
+    if max(p, ell) >= PSI_13:
+        raise BoundExceededError(f"p = {p}, ell = {ell}: primality is decided only below {PSI_13}")
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} is not prime")
     if not is_prime(ell) or ell <= 2:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cyclocrit import cli, field
-from cyclocrit.abelian import AbelianGroupDesc
+from cyclocrit.abelian import PSI_13, AbelianGroupDesc
 from cyclocrit.cli import main, result_to_json
 from cyclocrit.critgroup import critical_group
 from cyclocrit.params import validate
@@ -266,6 +266,13 @@ def test_env_max_q(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--p", "2", "--ell", "3", "--t", "9", "--which", "srg")
     assert code == 1 and out == ""
     assert err == "error: BoundExceededError: q = 262144 exceeds the table bound 65536\n"
+
+
+def test_primality_bound_exits_1(capsys):
+    """p = psi_13, the least strong pseudoprime to the 13 Miller-Rabin bases, is refused with exit 1."""
+    code, out, err = run_cli(capsys, "compute", "--p", str(PSI_13), "--ell", "3", "--t", "1", "--method", "formula")
+    assert code == 1 and out == ""
+    assert err == f"error: BoundExceededError: p = {PSI_13}, ell = 3: primality is decided only below {PSI_13}\n"
 
 
 def test_enumeration_bound_exits_1(capsys):

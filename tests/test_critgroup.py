@@ -93,6 +93,11 @@ def test_method_validation():
         critical_group(params_for(2, 3, 2), "guess")
 
 
+def test_factorint_psi_12():
+    """psi_12, a strong pseudoprime to bases 2..37, is composite to base 41 and factored."""
+    assert factorint(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+
+
 def test_factorint():
     assert factorint(1) == {}
     assert factorint(96) == {2: 5, 3: 1}

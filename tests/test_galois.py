@@ -1,5 +1,6 @@
 import pickle
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from cyclocrit import (
     laplacian_p_multiplicities,
     min_carries,
     p_part_from_carries,
+    validate,
 )
-from cyclocrit.errors import MismatchError
+from cyclocrit.abelian import is_prime
+from cyclocrit.errors import BoundExceededError, CyclocritError, MismatchError
+from cyclocrit.field import DEFAULT_MAX_Q
 from cyclocrit.galois import (
     GaloisRing,
     block_p_multiplicities,
@@ -253,7 +257,9 @@ def test_ring_basics():
     assert tr.valuation(one) == 0
     assert tr.valuation(tr.scalar(2)) == 1
     assert tr.valuation(tr.scalar(ring.field.params.q)) == 4
-    M = np.array([zero, one, tr.scalar(2), tr.scalar(ring.field.params.q)], dtype=ring.dtype)
+    P = ring.field.params
+    assert ring.precision == P.ext_degree + P.d + 1 == P.vp(P.u * P.v) + 1 == 6
+    M = np.array([zero, one, tr.scalar(2), tr.scalar(ring.field.params.q)], dtype=np.int64)
     assert galois._valuations(M, ring.p, ring.precision).tolist() == [ring.precision, 0, 1, 4]
 
 
@@ -267,7 +273,7 @@ def test_array_valuations_match_scalar(trip):
     for _ in range(60):
         v = rng.randrange(ring.precision)  # scale a random element by p^v to reach every valuation
         elems.append(tuple(rng.randrange(ring.pN) * ring.p**v % ring.pN for _ in range(ring.e)))
-    M = np.array(elems, dtype=ring.dtype)
+    M = np.array(elems, dtype=np.int64)
     want = [ring.precision if tr.valuation(a) is None else tr.valuation(a) for a in elems]
     assert galois._valuations(M, ring.p, ring.precision).tolist() == want
     assert galois._valuations(M.reshape(-1, 1, ring.e), ring.p, -1).ravel().tolist() == [
@@ -277,19 +283,58 @@ def test_array_valuations_match_scalar(trip):
 
 @pytest.mark.parametrize("trip", [(2, 3, 3), (5, 3, 1), (3, 7, 1), (41, 3, 1), (2, 3, 4)])
 def test_array_mul_matches_tuple_mul(trip):
-    """a @ T(b) agrees with the scalar product at broadcast shapes, in int64 and in object dtype (41, 3, 1)."""
+    """a @ T(b) agrees with the scalar product at broadcast shapes, up to p = 41."""
     ring = ring_for(*trip)
     tr = TupleRing(ring)
     rng = random.Random(7)
     elems = [tuple(rng.randrange(ring.pN) for _ in range(ring.e)) for _ in range(12)]
-    A = np.array(elems, dtype=ring.dtype)
+    A = np.array(elems, dtype=np.int64)
     prod = ring._mul(A[:, None], A[None, :])
-    assert prod.dtype == ring.dtype
+    assert prod.dtype == np.int64
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             assert tuple(prod[i, j].tolist()) == tr.mul(a, b)
     assert np.array_equal(ring._mul(A[:3, None], A[3:7]), prod[:3, 3:7])  # (3, 1, e) times (4, e)
     assert np.array_equal(ring._mul(A[0], A[:, None]), prod[:, :1])  # (e,) times (12, 1, e)
+
+
+def admissible_up_to_table_bound():
+    """Every admissible triple with q <= 2^16: p < 256 prime, ell odd prime (2^(ell-1) <= 2^16 gives ell <= 17)."""
+    out = []
+    for p in filter(is_prime, range(256)):
+        for ell in filter(is_prime, range(3, 18)):
+            t = 1
+            while p ** ((ell - 1) * t) <= DEFAULT_MAX_Q:
+                try:
+                    out.append(validate(p, ell, t))
+                except CyclocritError:
+                    pass
+                t += 1
+    return out
+
+
+def test_int64_bound_holds_up_to_table_bound():
+    """All 48 admissible triples with q <= 2^16 get the precision v_p(uv) + 1 inside the int64 bound."""
+    triples = admissible_up_to_table_bound()
+    assert len(triples) == 48
+    for P in triples:
+        assert galois._precision(P) == P.vp(P.u * P.v) + 1, (P.p, P.ell, P.t)
+
+
+def test_int64_bound_refuses_before_any_table():
+    """ell*e*p^(2N) < 2^62 holds at p = 953 and fails at 971, the next prime 2 mod 3; the ring
+    refuses the latter from its Params alone, before it reads a table."""
+    assert galois._precision(validate(953, 3, 1)) == 3
+    with pytest.raises(BoundExceededError, match="2\\^62"):
+        GaloisRing(SimpleNamespace(params=validate(971, 3, 1)))
+
+
+@pytest.mark.parametrize("trip", [(2, 3, 2), (41, 3, 1), (2, 13, 1)])
+def test_precision_one_short_fails_block_check(monkeypatch, trip):
+    """At precision v_p(uv), block 1's divisor p^v_p(uv) reads as a zero, so the block check raises."""
+    monkeypatch.setattr(galois, "_precision", lambda P: P.ext_degree + P.d)
+    with pytest.raises(MismatchError, match="^block 1: local Smith valuations"):
+        verify_all_blocks(GaloisRing(field_for(*trip)))
 
 
 def teichmuller(ring, x):
@@ -305,7 +350,7 @@ def test_reduction_compatibility():
 
 
 def test_teichmuller_multiplicative_and_idempotent():
-    for trip in [(2, 3, 3), (41, 3, 1)]:  # the second in object dtype
+    for trip in [(2, 3, 3), (41, 3, 1)]:
         ring = ring_for(*trip)
         w = tuple(ring.teichmuller_generator().tolist())
         assert w == teichmuller(ring, ring.field.generator) and TupleRing(ring).pow(w, ring.field.q) == w
@@ -361,14 +406,6 @@ def test_jacobi_row_matches_jacobi_sum(trip):
     n = np.arange(1, P.ell)
     for a in range(1, P.q - 1):
         assert np.array_equal(jacobi_row(a, ring), jacobi_sum(a, -(n * P.k), ring)), a
-
-
-def test_jacobi_row_object_contraction():
-    """q = 41^2: (2e-1)*pN^2 >= 2^62, so the ring's arrays, contractions included, are object dtype."""
-    tab, ring = field_for(41, 3, 1), ring_for(41, 3, 1)
-    assert (2 * ring.e - 1) * ring.pN**2 >= 1 << 62
-    assert ring.dtype is object and ring._row_map.dtype == object and ring._omega_np.dtype == object
-    assert block_p_multiplicities(ring) == p_part_from_carries(tab.params)
 
 
 def test_block_count_is_a_mismatch(monkeypatch):
@@ -574,11 +611,11 @@ def planted_stack(ring, tr, n, rng):
 @given(st.sampled_from([(2, 3, 4), (41, 3, 1)]), st.integers(2, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_ring_elimination_matches_reference_on_planted_valuations(trip, n, seed):
-    """The batched elimination equals the tuple route block by block, in int64 (2, 3, 4) and object (41, 3, 1)."""
+    """The batched elimination equals the tuple route block by block, at precision 10 (2, 3, 4) and 3 (41, 3, 1)."""
     ring = ring_for(*trip)
     tr = TupleRing(ring)
     stack = planted_stack(ring, tr, n, random.Random(seed))
-    found = ring_divisor_valuations(np.array(stack, dtype=ring.dtype), ring)
+    found = ring_divisor_valuations(np.array(stack, dtype=np.int64), ring)
     assert found == [reference_divisor_valuations(block, tr) for block in stack]
 
 
@@ -589,7 +626,7 @@ BLOCK_REFERENCE_FIXTURES = [(2, 3, 4), (5, 3, 2), (3, 5, 1), (2, 5, 2), (3, 7, 1
 def test_batched_blocks_match_tuple_reference(trip):
     """Every block, and its (valuations, zeros), equals the tuple route's.
 
-    (41, 3, 1) runs in object dtype.  Blocks are compared entry by entry
+    (41, 3, 1) has the largest p.  Blocks are compared entry by entry
     with blocks built from direct Jacobi sums, so the orbit-permuted class
     sums are checked too.
     """

@@ -3,8 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclocrit import validate
-from cyclocrit.errors import DisconnectedError, NotPrimeError, NotPrimitiveError
-from cyclocrit.params import is_prime, multiplicative_order, p_adic_valuation
+from cyclocrit.abelian import PSI_13, is_prime
+from cyclocrit.errors import BoundExceededError, DisconnectedError, NotPrimeError, NotPrimitiveError
+from cyclocrit.params import multiplicative_order, p_adic_valuation
 
 
 def test_clebsch_case():
@@ -39,6 +40,21 @@ def test_non_prime_rejected():
         validate(2, 9, 1)
     with pytest.raises(NotPrimeError):
         validate(5, 2, 1)  # ell must exceed 2
+
+
+def test_large_primes_decided_by_miller_rabin():
+    """psi_11 = 3825123056546413051 passes bases 2..31 and fails 37; 10^18 + 31 is prime and 2 mod 3."""
+    with pytest.raises(NotPrimeError, match="p = 3825123056546413051 is not prime"):
+        validate(3825123056546413051, 3, 1)
+    P = validate(1000000000000000031, 3, 1)
+    assert P.q == P.p**2
+
+
+def test_primality_bound_refused():
+    """p or ell at or above psi_13 is refused as a bound, before any primality test."""
+    for p, ell in ((PSI_13, 3), (2, PSI_13 + 2)):
+        with pytest.raises(BoundExceededError, match=str(PSI_13)):
+            validate(p, ell, 1)
 
 
 def test_derived_invariants_sample():
