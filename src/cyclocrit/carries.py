@@ -149,27 +149,24 @@ def check_conservation(e_mult: dict[int, int], params: Params) -> None:
         raise ConservationError(f"valuation sum {vsum} != v_p(order) = {expected}")
 
 
-def p_part_from_carries(params: Params) -> dict[int, int]:
-    """Sylow p-part multiplicities e_j from the carry-minimum enumeration.
+def p_part_from_lower_half(lower: dict[int, int], params: Params) -> dict[int, int]:
+    """Sylow p-part multiplicities e_j from the lower half {j: e_j : 0 <= j < half}.
 
-    Multiplicities at the extreme exponents come straight from the
-    histogram; the middle exponent(s) are forced by counting, branching
-    on whether p divides ell - 1.  The partial sum in the middle-case
-    formulas runs over all j below half the extension degree (for ell=3
-    this coincides with j < t); the conservation check guards the
-    reading at runtime.
+    The upper range mirrors the lower one, e_(2half+d-j) = e_j for
+    0 < j < half and e_(2half+d) = e_0 - 2, with half = (ell-1)t/2 and
+    d = v_p(ell-1); the middle exponent(s) are forced by counting,
+    branching on whether p divides ell - 1.  The partial sum in the
+    middle-case formulas runs over all j below half (for ell = 3 this
+    coincides with j < t); the conservation check guards the reading at
+    runtime.  Zero multiplicities are dropped.
     """
-    p, ell, t, q, k, d = params.p, params.ell, params.t, params.q, params.k, params.d
-    half = params.ext_degree // 2
-    hist = min_carries_histogram(params)
-    e: dict[int, int] = {}
-    base = hist.get(0, 0)
-    e[0] = base + 2
-    e[params.ext_degree + d] = base
+    ell, q, k, d = params.ell, params.q, params.k, params.d
+    half, top = params.ext_degree // 2, params.ext_degree + d
+    e = dict(lower)
+    e[top] = e[0] - 2
     for j in range(1, half):
-        e[j] = hist.get(j, 0)
-        e[params.ext_degree + d - j] = e[j]
-    below = sum(e.get(j, 0) for j in range(half))
+        e[top - j] = e[j]
+    below = sum(lower.values())
     if d == 0:
         e[half] = q + 1 - 2 * below
     else:
@@ -178,3 +175,15 @@ def p_part_from_carries(params: Params) -> dict[int, int]:
     e = {j: m for j, m in e.items() if m}
     check_conservation(e, params)
     return e
+
+
+def p_part_from_carries(params: Params) -> dict[int, int]:
+    """Sylow p-part multiplicities e_j from the carry-minimum enumeration.
+
+    The lower half comes straight from the histogram: e_0 is its bin 0
+    plus 2, and e_j its bin j for 0 < j < half.
+    """
+    hist = min_carries_histogram(params)
+    lower = {j: hist.get(j, 0) for j in range(params.ext_degree // 2)}
+    lower[0] += 2
+    return p_part_from_lower_half(lower, params)

@@ -1,6 +1,6 @@
 """Command-line front end: compute / verify / table.
 
-Exit codes: 0 success, 1 usage or bound errors, 2 mathematical mismatch
+Exit codes: 0 success, 1 usage, bound or export-file errors, 2 mathematical mismatch
 (two exact computations disagreed).  JSON output is versioned and
 byte-deterministic for identical inputs and seeds.
 """
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     except MismatchError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 2
-    except CyclocritError as exc:
+    except (CyclocritError, OSError) as exc:  # OSError: an export path that cannot be written
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
 

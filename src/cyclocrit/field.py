@@ -8,14 +8,14 @@ modulus polynomial (smallest monic irreducible in the index order) and
 the generator (smallest index of full order) are deterministic, so
 tables and any files derived from them are reproducible.
 
-The tables are built from e x e matrices over F_p, e = (ell-1)t.
-Multiplication by a fixed element is F_p-linear on the digit vectors,
-so it is a polynomial in the companion matrix C of the modulus (the
-matrix of multiplication by x).  A candidate modulus passes Berlekamp's
-criterion on its Frobenius matrix; generator powers are matrix powers;
-and the antilog table is filled by doubling, the digits of
-g^n, ..., g^(2n-1) being one product of the matrix of g^n with those of
-g^0, ..., g^(n-1).
+All of it is arithmetic in Z/m[X]/(f), here at m = p: an element is its
+coefficient vector (the digits of its index), and the product a * b is
+a @ T(b), where T(b) = b @ W is the matrix of multiplication by b and
+W[j, i] = X^(i+j) reduced.  The Galois ring in `galois` is the same
+arithmetic at m = p^N.  A candidate modulus passes Berlekamp's criterion
+on its Frobenius matrix; generator powers are powers of T(g); and the
+antilog table is filled by doubling, the digits of g^n, ..., g^(2n-1)
+being one product of those of g^0, ..., g^(n-1) with T(g^n).
 """
 
 from __future__ import annotations
@@ -34,22 +34,42 @@ DEFAULT_MAX_Q = 1 << 16
 _FILL_CHUNK = 1 << 9
 
 
-def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
-    """Matrix of multiplication by x on F_p[x]/(x^e + f); f holds the low coefficients."""
-    e = len(f)
-    C = np.eye(e, k=-1, dtype=np.int64)
-    C[:, -1] = np.negative(f) % p
-    return C
+def _times_table(f: tuple[int, ...], m: int) -> np.ndarray:
+    """(e, e, e) table W[j, i] = X^(i+j) mod (X^e + f, m); f holds the low coefficients."""
+    e, f = len(f), np.array(f, dtype=np.int64)
+    red = np.zeros((2 * e - 1, e), dtype=np.int64)
+    red[:e] = np.eye(e, dtype=np.int64)
+    for i in range(e, 2 * e - 1):  # X^i = X * X^(i-1), with X^e = -f
+        red[i, 1:] = red[i - 1, :-1]
+        red[i] = (red[i] - red[i - 1, -1] * f) % m
+    return red[np.add.outer(np.arange(e), np.arange(e))]
 
 
-def _mat_pow(M: np.ndarray, n: int, p: int) -> np.ndarray:
-    """M^n mod p by square-and-multiply."""
-    R = np.eye(len(M), dtype=np.int64)
-    while n:
-        if n & 1:
-            R = R @ M % p
-        M, n = M @ M % p, n >> 1
-    return R
+def _times_matrix(b: np.ndarray, W: np.ndarray, m: int) -> np.ndarray:
+    """T(b) = b @ W mod m for coefficient arrays b (last axis e): row j is X^j * b."""
+    T = (b[..., None, None, :] @ W)[..., 0, :]
+    T %= m
+    return T
+
+
+def _mul(a: np.ndarray, T: np.ndarray, m: int) -> np.ndarray:
+    """Broadcast product a @ T mod m of coefficient arrays a and multiplication matrices T."""
+    out = (a[..., None, :] @ T)[..., 0, :]
+    out %= m
+    return out
+
+
+def _power(T: np.ndarray, n: int, m: int) -> np.ndarray:
+    """T^n mod m for n >= 1, by repeated squaring; T(b)^n = T(b^n), whose row 0 is b^n."""
+    if n == 1:
+        return T
+    R = _power(T @ T % m, n >> 1, m)
+    return R @ T % m if n & 1 else R
+
+
+def _digits(xs, p: int, e: int) -> np.ndarray:
+    """Base-p digits of the indices xs, little-endian along a new last axis."""
+    return np.asarray(xs, dtype=np.int64)[..., None] // p ** np.arange(e) % p
 
 
 def _rank_mod_p(M: np.ndarray, p: int) -> int:
@@ -69,17 +89,14 @@ def _rank_mod_p(M: np.ndarray, p: int) -> int:
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     """Berlekamp's criterion: rank Q = e and rank(Q - I) = e - 1.
 
-    Q is the matrix of a -> a^p on F_p[x]/(x^e + f); its column j holds
-    the digits of x^(pj).  Q is invertible iff the ring has no nilpotents,
-    that is iff the modulus is squarefree, and the fixed points of
-    a -> a^p then form one copy of F_p per irreducible factor.
+    Q is the matrix of a -> a^p on F_p[x]/(x^e + f); its row j holds
+    the digits of (x^j)^p, and W[j] = T(x^j).  Q is invertible iff the
+    ring has no nilpotents, that is iff the modulus is squarefree, and
+    the fixed points of a -> a^p then form one copy of F_p per
+    irreducible factor.
     """
     e = len(f)
-    x_p = _mat_pow(_companion(f, p), p, p)
-    cols = [np.eye(e, dtype=np.int64)[0]]
-    for _ in range(e - 1):
-        cols.append(x_p @ cols[-1] % p)
-    Q = np.array(cols).T
+    Q = _power(_times_table(f, p), p, p)[:, 0]
     return _rank_mod_p(Q, p) == e and _rank_mod_p(Q - np.eye(e, dtype=np.int64), p) == e - 1
 
 
@@ -113,11 +130,6 @@ class FieldTable:
     def q(self) -> int:
         return self.params.q
 
-    def _digits(self, xs) -> np.ndarray:
-        """Base-p digits of the indices xs, little-endian along a new last axis."""
-        p = self.params.p
-        return np.asarray(xs, dtype=np.int64)[..., None] // p ** np.arange(self.params.ext_degree) % p
-
     def _index(self, digits) -> np.ndarray:
         """Indices of the digit vectors (entries in 0..p-1) along the last axis of digits."""
         return np.asarray(digits, dtype=np.int64) @ self.params.p ** np.arange(self.params.ext_degree)
@@ -144,7 +156,7 @@ class FieldTable:
             return xs ^ s
         D = self.digit_table()
         out = xs + s
-        for i, si in enumerate(self._digits(s).tolist()):
+        for i, si in enumerate(_digits(s, p, self.params.ext_degree).tolist()):
             if si:
                 np.subtract(out, p ** (i + 1), out=out, where=np.take(D[i], xs) >= p - si)
         return out
@@ -163,38 +175,30 @@ def build_field(params: Params) -> FieldTable:
         raise BoundExceededError(f"q = {q} exceeds the table bound {DEFAULT_MAX_Q}")
 
     mod_poly = smallest_irreducible(p, e)
-    C = _companion(mod_poly, p)
-    C_powers = np.array([_mat_pow(C, i, p) for i in range(e)])
-    powers = p ** np.arange(e)
-
-    def digits(xs) -> np.ndarray:  # one row of base-p digits per index
-        return np.asarray(xs)[..., None] // powers % p
-
-    def mul_matrix(c: int) -> np.ndarray:  # multiplication by the element of index c
-        return np.tensordot(digits(c), C_powers, 1) % p
-
+    W, powers = _times_table(mod_poly, p), p ** np.arange(e)
     divisors = [(q - 1) // r for r in factorint(q - 1)]
+    Ts = (_times_matrix(_digits(c, p, e), W, p) for c in range(2, q))  # T(c) for c = 2, 3, ...
     generator = next(
-        (c for c in range(2, q) if all(_mat_pow(mul_matrix(c), n, p)[:, 0] @ powers != 1 for n in divisors)),
-        None,
+        (c for c, T in enumerate(Ts, 2) if all(_power(T, n, p)[0] @ powers != 1 for n in divisors)), None
     )
     if generator is None:
         raise MismatchError(f"no element of order {q - 1}: modulus {mod_poly} not irreducible?")
 
     antilog = np.zeros(q - 1, dtype=np.int64)
     antilog[0] = 1
-    M, n = mul_matrix(generator), 1
-    while n < q - 1:  # M multiplies by generator^n: it maps antilog[:n] onto antilog[n:2n]
+    T = T_g = _times_matrix(_digits(generator, p, e), W, p)
+    n = 1
+    while n < q - 1:  # T multiplies by generator^n: it maps antilog[:n] onto antilog[n:2n]
         for lo in range(0, min(n, q - 1 - n), _FILL_CHUNK):
             hi = min(lo + _FILL_CHUNK, n, q - 1 - n)
-            antilog[n + lo : n + hi] = digits(antilog[lo:hi]) @ M.T % p @ powers
-        M, n = M @ M % p, 2 * n
+            antilog[n + lo : n + hi] = _mul(_digits(antilog[lo:hi], p, e), T, p) @ powers
+        T, n = T @ T % p, 2 * n
     missing = np.bincount(antilog, minlength=q)[1:] == 0  # none missing: q-1 entries, each index once
     if missing.any():
         raise MismatchError(
             f"powers of generator {generator} miss index {np.argmax(missing) + 1}: modulus {mod_poly} not irreducible?"
         )
-    last = digits(antilog[-1]) @ mul_matrix(generator).T % p @ powers
+    last = _mul(_digits(antilog[-1], p, e), T_g, p) @ powers
     if last != 1:
         raise MismatchError(f"generator^{q - 1} = index {last}, not 1")
     dlog = np.full(q, -1, dtype=np.int64)

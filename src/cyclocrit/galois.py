@@ -6,7 +6,8 @@ tables use (lifted coefficientwise), so reduction mod p lands exactly on
 the field module's representation.  Elements are numpy arrays whose
 last axis is the e coefficients, a single element as much as a stack of
 blocks; a*b = a @ T(b), T(b) = b @ W the matrix of multiplication by b
-(W[j, i] = X^(i+j)).  Jacobi sums are gathered from a table of
+(W[j, i] = X^(i+j)), by the field module's arithmetic at m = p^N in
+place of m = p.  Jacobi sums are gathered from a table of
 Teichmuller powers, any batch of exponent pairs at once; their p-adic
 valuations realize carry counts (Stickelberger), which the verification
 suite checks pair by pair, a batch per gather.  All of it is int64, at
@@ -34,7 +35,7 @@ import numpy as np
 
 from .carries import carry_count, min_carries
 from .errors import BoundExceededError, MismatchError, PrecisionError
-from .field import FieldTable
+from .field import FieldTable, _digits, _mul, _power, _times_matrix, _times_table
 
 # Bytes of the largest array of one class-sum gather, one block batch or
 # one batch of Jacobi sums: it bounds peak memory whatever q and the
@@ -74,13 +75,7 @@ class GaloisRing:
         self.pN = P.p**self.precision
         self.mod_poly = field.mod_poly
         q, ell, e, k = field.q, P.ell, self.e, P.k
-        red = np.zeros((2 * e - 1, e), dtype=np.int64)
-        red[:e] = np.eye(e, dtype=np.int64)
-        for i in range(e, 2 * e - 1):
-            red[i, 1:] = red[i - 1, :-1]
-            red[i] = (red[i] - red[i - 1, -1] * np.array(self.mod_poly, dtype=np.int64)) % self.pN
-        # _times[j, i] = X^(i+j) mod the lifted modulus: b @ _times[j] is X^j * b
-        self._times = red[np.add.outer(np.arange(e), np.arange(e))]
+        self._times = _times_table(self.mod_poly, self.pN)  # _times[j, i] = X^(i+j), reduced
         # Every table is built here and never changed, so a ring can be
         # shared freely.  The Jacobi-sum tables run over x in F_q minus {0, 1},
         # sorted by the coset class c(x) = dlog(1-x) mod ell: class 0 holds
@@ -95,35 +90,20 @@ class GaloisRing:
         self._class_starts = np.searchsorted(self._dlog_1mx % ell, np.arange(ell))
         # _row_map[c, j, (n-1)e + i] is coefficient i of zeta^(-nc) X^j, with
         # zeta = omega^k, so the class sums times it give the Jacobi row.
-        powers = self._mul(self._omega_np[np.arange(ell) * k, None, :], red[:e])
+        powers = _times_matrix(self._omega_np[np.arange(ell) * k], self._times, self.pN)
         s = -np.arange(ell)[:, None] * np.arange(1, ell) % ell
         self._row_map = powers[s].transpose(0, 2, 1, 3).reshape(ell, e, (ell - 1) * e)
 
-    # --- basic ring ops -------------------------------------------------
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Broadcast product a @ T(b) of coefficient arrays (last axis e), reduced mod pN."""
-        T = (b[..., None, None, :] @ self._times)[..., 0, :]  # row j of T(b) is X^j * b
-        T %= self.pN
-        out = (a[..., None, :] @ T)[..., 0, :]
-        out %= self.pN
-        return out
+        return _mul(a, _times_matrix(b, self._times, self.pN), self.pN)
 
     # --- Teichmuller lifts --------------------------------------------------
     def teichmuller_generator(self) -> np.ndarray:
         """Lift of the field generator fixed by x -> x^q, as an (e,) array."""
-        q = self.field.q
-        y = self.field._digits(self.field.generator)  # coefficientwise lift
-
-        def frobenius(x):  # x^q by square-and-multiply
-            r, n = np.eye(1, self.e, dtype=np.int64)[0], q
-            while n:
-                if n & 1:
-                    r = self._mul(r, x)
-                x, n = self._mul(x, x), n >> 1
-            return r
-
+        y = _digits(self.field.generator, self.p, self.e)  # coefficientwise lift
         for _ in range(self.precision + 2):
-            y2 = frobenius(y)
+            y2 = _power(_times_matrix(y, self._times, self.pN), self.field.q, self.pN)[0]  # y^q
             if np.array_equal(y2, y):
                 return y
             y = y2
@@ -360,11 +340,9 @@ def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[
         perm[0, at, pos // m], perm[1, at, pos % m] = 0, 0
         perm[:, :, 0] = pos // m, pos % m
         M = M[at[:, None, None], perm[0, :, :, None], perm[1, :, None, :]]
-        # T[:, :, j] is the matrix T(x) of multiplication by x = M[:, 0, j]
-        T = M[:, :1] @ ring._times
-        T %= ring.pN
-        S = M[:, 1:, 1:] @ T[:, None, :, 0]
-        S -= (M[:, 1:, 0] @ T[:, :, 1:].reshape(len(live), ring.e, -1)).reshape(S.shape)
+        T = _times_matrix(M[:, 0], ring._times, ring.pN)  # T[:, j] multiplies by M[:, 0, j]
+        S = M[:, 1:, 1:] @ T[:, None, 0]
+        S -= (M[:, None, 1:, 0] @ T[:, 1:]).transpose(0, 2, 1, 3)
         S %= modulus[:, None, None, None]
         M = S
         exps[live, t] = shift[live]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundExceededError, MismatchError
-from .field import FieldTable
+from .field import FieldTable, _digits
 
 # Largest dense q x q int64 matrix: 256 MiB holds q = 4096 (the p-local
 # bound, 128 MiB) and refuses q = 2^14 (2 GiB per matrix).
@@ -72,7 +72,7 @@ def verify_srg(table: FieldTable) -> None:
     ind = np.zeros(q, dtype=np.int32)
     ind[S] = 1
 
-    if not ind[table._index(-table._digits(S) % P.p)].all():  # -s in S for every s in S
+    if not ind[table._index(-_digits(S, P.p, P.ext_degree) % P.p)].all():  # -s in S for every s in S
         raise MismatchError("adjacency not symmetric")
     if 0 in table.subgroup:
         raise MismatchError("nonzero diagonal entry")

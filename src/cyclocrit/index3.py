@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .carries import check_conservation
+from .carries import p_part_from_lower_half
 from .errors import BadResidueError, BoundExceededError, MismatchError
 from .params import Params
 
@@ -212,38 +212,20 @@ def p_rank_closed_form(p: int, t: int) -> int:
 def p_part_from_recursion(params: Params) -> dict[int, int]:
     """Sylow p-part multiplicities e_j for the index-3 family.
 
-    e_a for 0 < a < t is a coefficient sum of the walk polynomial C(2t);
-    e_0 has the closed form above (cross-checked against the same
-    coefficient sums); the upper range mirrors the lower one shifted by
-    delta = [p = 2]; the middle is forced by counting.  Raises
-    BadResidueError unless ell = 3; (p, t) = (2, 1), the disconnected
-    graph, is excluded too.
+    The lower half e_a, 0 <= a < t, is a coefficient sum of the walk
+    polynomial C(2t), and e_0 must equal the closed form above;
+    carries.p_part_from_lower_half mirrors it and forces the middle.
+    Raises BadResidueError unless ell = 3; (p, t) = (2, 1), the
+    disconnected graph, is excluded too.
     """
-    p, t, k = params.p, params.t, params.k
+    p, t = params.p, params.t
     if params.ell != 3:
         raise BadResidueError(f"the walk recursion needs ell = 3, not {params.ell}")
     if (p, t) == (2, 1):
         raise BadResidueError("(p, t) = (2, 1) is excluded (disconnected graph)")
-    delta = 1 if p == 2 else 0
     C = closed_walk_poly(p, t)[:, :, 0, 0]
-    e: dict[int, int] = {}
+    lower = {a: int(C[a, a + 1 : t + 1].sum()) for a in range(t)}
     e0 = p_rank_closed_form(p, t)
-    walk_e0 = int(C[0, 1 : t + 1].sum())
-    if walk_e0 != e0:
-        raise MismatchError(
-            f"p-rank closed form {e0} disagrees with walk coefficients {walk_e0}"
-        )
-    e[0] = e0
-    e[2 * t + delta] = e0 - 2
-    for a in range(1, t):
-        e[a] = int(C[a, a + 1 : t + 1].sum())
-        e[2 * t + delta - a] = e[a]
-    below = sum(e.get(j, 0) for j in range(t))
-    if p == 2:
-        e[t + 1] = k + 2 - below
-        e[t] = 2 * k - below
-    else:
-        e[t] = (k + 2 - below) + (2 * k - below)
-    e = {j: m for j, m in e.items() if m}
-    check_conservation(e, params)
-    return e
+    if lower[0] != e0:
+        raise MismatchError(f"p-rank closed form {e0} disagrees with walk coefficients {lower[0]}")
+    return p_part_from_lower_half(lower, params)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,17 @@ def test_export_refused_over_dense_bound(capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("option", ["--export-laplacian", "--export-adjacency"])
+def test_unwritable_export_exits_1(capsys, tmp_path, option):
+    """An export path in a missing directory is one error line and exit 1, not a traceback."""
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(
+        capsys, "compute", "--p", "2", "--ell", "3", "--t", "2", "--method", "formula", option, str(path)
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: '{path}'\n"
+
+
 def test_exports_share_one_table(capsys, tmp_path, monkeypatch):
     calls = []
     build = cli.build_field
@@ -273,6 +285,16 @@ def test_primality_bound_exits_1(capsys):
     code, out, err = run_cli(capsys, "compute", "--p", str(PSI_13), "--ell", "3", "--t", "1", "--method", "formula")
     assert code == 1 and out == ""
     assert err == f"error: BoundExceededError: p = {PSI_13}, ell = 3: primality is decided only below {PSI_13}\n"
+
+
+@pytest.mark.parametrize("command", [["compute", "--method", "formula"], ["verify", "--which", "walks"]])
+def test_q_bits_bound_exits_1_at_once(capsys, command):
+    """ell = 1000003 makes q a 10^6-bit integer; validate refuses it before any q-sized work."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command[0], "--p", "2", "--ell", "1000003", "--t", "1", *command[1:])
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: BoundExceededError: ")
 
 
 def test_enumeration_bound_exits_1(capsys):

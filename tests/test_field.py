@@ -70,6 +70,44 @@ def test_berlekamp_matches_sympy_exhaustively():
     assert checked == 789
 
 
+# --- the shared Z/m[X]/(f) arithmetic: field at m = p, Galois ring at m = p^N ---
+
+
+def _little_endian(poly, e):
+    """Big-endian sympy coefficients as a little-endian list of length e."""
+    return (list(reversed(poly)) + [0] * e)[:e]
+
+
+@pytest.mark.parametrize(
+    "p, f, N",
+    [(2, (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 19), (5, (2, 1, 0, 0, 0, 0), 4), (251, (6, 1), 3),
+     (3, (2,), 5), (7, (3, 0, 6, 1), 3), (2, (0, 1, 1), 9)],
+)
+def test_times_table_mod_p_is_the_field_table(p, f, N):
+    """Reducing the ring's X^(i+j) table mod p gives the field's, for irreducible and reducible f alike."""
+    W = field._times_table(f, p**N)
+    assert W.shape == (len(f),) * 3 and W.dtype == np.int64
+    assert np.array_equal(W % p, field._times_table(f, p))
+    assert np.array_equal(W[0], np.eye(len(f), dtype=np.int64))  # X^i * 1 = X^i
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_product_and_power_match_sympy(p, e):
+    """a @ T(b) and row 0 of T(b)^n at m = p equal sympy's gf_mul + gf_rem and gf_pow_mod modulo a random monic f."""
+    rng = np.random.default_rng(100 * p + e)
+    for _ in range(20):
+        f = tuple(rng.integers(0, p, e).tolist())
+        W = field._times_table(f, p)
+        a, b = rng.integers(0, p, (2, e))
+        n = int(rng.integers(1, 40))
+        T = field._times_matrix(b, W, p)
+        poly_a, poly_b = gf_strip(a[::-1].tolist()), gf_strip(b[::-1].tolist())
+        want = gf_rem(gf_mul(poly_a, poly_b, p, ZZ), modulus(p, f), p, ZZ)
+        assert field._mul(a, T, p).tolist() == _little_endian(want, e), (f, a, b)
+        assert field._power(T, n, p)[0].tolist() == _little_endian(gf_pow_mod(poly_b, n, modulus(p, f), p, ZZ), e)
+
+
 ADMISSIBLE_Q4096 = admissible(4096)
 
 

@@ -163,7 +163,13 @@ def test_excluded_case():
 
 
 def test_recursion_matches_enumeration():
-    """Closed form against the general-ell carry enumeration."""
+    """Closed form against the general-ell carry enumeration.
+
+    Both routes hand their lower half e_0 .. e_(t-1) to the one assembly,
+    carries.p_part_from_lower_half, so this compares the two lower halves
+    (walk coefficient sums against the carry histogram): the only parts
+    they compute independently.
+    """
     for p, t in [(2, 2), (2, 3), (2, 4), (5, 1), (5, 2), (11, 1), (2, 6)]:
         P = params_for(p, 3, t)
         assert p_part_from_recursion(P) == p_part_from_carries(P)

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclocrit import validate
+from cyclocrit import params, validate
 from cyclocrit.abelian import PSI_13, is_prime
 from cyclocrit.errors import BoundExceededError, DisconnectedError, NotPrimeError, NotPrimitiveError
-from cyclocrit.params import multiplicative_order, p_adic_valuation
+from cyclocrit.params import MAX_Q_BITS, multiplicative_order, p_adic_valuation
 
 
 def test_clebsch_case():
@@ -55,6 +55,19 @@ def test_primality_bound_refused():
     for p, ell in ((PSI_13, 3), (2, PSI_13 + 2)):
         with pytest.raises(BoundExceededError, match=str(PSI_13)):
             validate(p, ell, 1)
+
+
+def test_q_bits_bound_refused_before_order(monkeypatch):
+    """q above MAX_Q_BITS bits is refused before validate forms q or runs multiplicative_order."""
+    assert validate(2, 3, MAX_Q_BITS // 2).q.bit_length() == MAX_Q_BITS + 1  # 2^4096 itself is accepted
+
+    def refuse(a, n):
+        raise AssertionError("multiplicative_order ran past the q bound")
+
+    monkeypatch.setattr(params, "multiplicative_order", refuse)
+    for p, ell, t in ((2, 3, MAX_Q_BITS // 2 + 1), (2, 1000003, 1), (3, 5, 10**400)):
+        with pytest.raises(BoundExceededError, match=f"more than {MAX_Q_BITS} bits"):
+            validate(p, ell, t)
 
 
 def test_derived_invariants_sample():
