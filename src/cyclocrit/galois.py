@@ -21,10 +21,12 @@ class c(x) = dlog(1-x) mod ell; so each block row is the class sums
 S_c(a) (T^a(x) summed over x not in {0, 1} with c(x) = c) times a fixed
 matrix of powers of omega^k.  The class sums obey S_c(p*r) = S_{p*c}(r):
 x -> x^p permutes F_q minus {0, 1}, multiplies dlog x by p, and
-multiplies c(x) by p because 1 - x^p = (1 - x)^p.  So the rows obey
-J_n(p^j r) = J_{n p^(-j) mod ell}(r): one exponent per orbit of r -> p*r
-mod q-1 gives the rows of all (a sample is checked), and all blocks of
-one shape are eliminated as one (nb, n, n, e) array, inverse-free.
+multiplies c(x) by p because 1 - x^p = (1 - x)^p.  So block p*i mod k is
+block i with rows and columns permuted alike: one block per orbit of
+i -> p*i mod k (the carry histogram's orbits), weighted by the orbit
+size, gives every local Smith form, and a sample of the others is
+checked.  Blocks of one shape are eliminated as one (nb, n, n, e)
+array, inverse-free.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import random
 
 import numpy as np
 
-from .carries import carry_count, min_carries
+from .carries import ORBIT_SAMPLE, _orbit_representatives, carry_count, min_carries
 from .errors import BoundExceededError, MismatchError, PrecisionError
 from .field import FieldTable, _digits, _mul, _power, _times_matrix, _times_table
 
@@ -41,9 +43,6 @@ from .field import FieldTable, _digits, _mul, _power, _times_matrix, _times_tabl
 # one batch of Jacobi sums: it bounds peak memory whatever q and the
 # number of blocks or pairs.
 BATCH_BYTES = 1 << 18
-# Exponents that are not their orbit's representative, gathered directly
-# to check the orbit identity on every run.
-ORBIT_SAMPLE = 8
 # verify_stickelberger checks every pair up to this q, else STICKELBERGER_SAMPLE seeded pairs.
 STICKELBERGER_EXHAUSTIVE_Q = 256
 STICKELBERGER_SAMPLE = 4000
@@ -163,58 +162,10 @@ def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frobenius_steps(P) -> tuple[np.ndarray, np.ndarray]:
-    """rep[r], least in the orbit of r under r -> p*r mod q-1, and back[r]: r = p^back[r] * rep[r]."""
-    q, p, e = P.q, P.p, P.ext_degree
-    cur = np.arange(q - 1, dtype=np.int64)
-    rep, back = cur.copy(), np.zeros(q - 1, dtype=np.int64)
-    for j in range(1, e):  # p^j * r = rep means r = p^(e-j) * rep
-        cur = cur * p % (q - 1)
-        better = cur < rep
-        rep[better], back[better] = cur[better], e - j
-    return rep, back
-
-
 def _jacobi_rows(ring: GaloisRing, sums: np.ndarray) -> np.ndarray:
     """(R, ell-1, e) Jacobi rows J(T^r, T^(-nk)), n = 1..ell-1, from (R, ell, e) class sums."""
     R, ell, e = sums.shape
-    rows = sums.reshape(R, ell * e) @ ring._row_map.reshape(ell * e, -1)
-    rows %= ring.pN
-    return rows.reshape(R, ell - 1, e)
-
-
-def _jacobi_row_lookup(ring: GaloisRing, rs: np.ndarray):
-    """Lookup from residues in rs (mod q-1) to their Jacobi rows, (len, ell-1, e).
-
-    Gathers only the least residue of each orbit of r -> p*r that meets
-    rs.  Up to ORBIT_SAMPLE other residues of rs, spread evenly, are also
-    gathered directly; any difference raises MismatchError.
-    """
-    P = ring.field.params
-    q, p, e, ell = P.q, P.p, ring.e, P.ell
-    rep, back = _frobenius_steps(P)
-    # cols[j] lists n p^(-j) - 1 mod ell for n = 1..ell-1: where J_n sits in the rows of rep
-    cols = np.arange(1, ell) * np.array([pow(p, -j, ell) for j in range(e)])[:, None] % ell - 1
-    reps = np.flatnonzero(np.bincount(rep[rs], minlength=q - 1))
-    sums = _gather_class_sums(ring, reps)
-    rows = np.empty((len(reps), ell - 1, e), dtype=np.int64)
-    per = max(1, BATCH_BYTES // (64 * ell * e))  # one batch's product: under an eighth of BATCH_BYTES
-    for lo in range(0, len(reps), per):
-        rows[lo : lo + per] = _jacobi_rows(ring, sums[lo : lo + per])
-    del sums  # before the sample's gather, which would otherwise add to the peak
-    at = np.searchsorted(reps, rep)
-
-    def lookup(r: np.ndarray) -> np.ndarray:
-        return rows[at[r][:, None], cols[back[r]]]
-
-    others = np.flatnonzero(np.bincount(rs[rep[rs] != rs], minlength=q - 1))
-    n = min(ORBIT_SAMPLE, len(others))
-    sample = others[np.arange(n) * (len(others) - 1) // max(n - 1, 1)]
-    direct = _jacobi_rows(ring, _gather_class_sums(ring, sample))
-    for r, want, via in zip(sample.tolist(), direct, lookup(sample)):
-        if not np.array_equal(want, via):
-            raise MismatchError(f"Jacobi rows of {r} differ from those of its Frobenius orbit representative {rep[r]}")
-    return lookup
+    return (sums.reshape(R, ell * e) @ ring._row_map.reshape(ell * e, -1) % ring.pN).reshape(R, ell - 1, e)
 
 
 def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
@@ -263,18 +214,18 @@ def _row_residues(P, idx: np.ndarray) -> np.ndarray:
     return -(idx[:, None] + np.arange(P.ell) * P.k) % (P.q - 1)
 
 
-def _blocks(ring: GaloisRing, idx: np.ndarray, lookup) -> np.ndarray:
+def _blocks(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
     """(len(idx), n, n, e) stack of ell*L on the isotypic components i in idx.
 
     For i > 0 (n = ell), row m holds the image of the basis character-sum
-    vector indexed by i + m*k: q on the diagonal, minus Jacobi sums
-    elsewhere.  idx = [0] gives the trivial-character component (n =
-    ell+1) in the basis: all-ones vector, the zero-vertex indicator, then
-    the subgroup-coset character sums.
+    vector indexed by i + m*k: q on the diagonal, minus Jacobi sums from the
+    class sums of exponent -(i + m*k) elsewhere.  idx = [0] gives the
+    trivial-character component (n = ell+1) in the basis: all-ones vector,
+    the zero-vertex indicator, then the subgroup-coset character sums.
     """
     P = ring.field.params
     ell, q, pN = P.ell, P.q, ring.pN
-    jac = -lookup(_row_residues(P, idx).ravel()) % pN
+    jac = -_jacobi_rows(ring, _gather_class_sums(ring, _row_residues(P, idx).ravel())) % pN
     if idx[0] > 0:
         out = np.zeros((len(idx), ell, ell, ring.e), dtype=np.int64)
         m = np.arange(ell)
@@ -367,20 +318,48 @@ def expected_block_valuations(table: FieldTable, idx) -> tuple[np.ndarray, int]:
 def _block_valuations(ring: GaloisRing, indices):
     """Yield (batch, [(valuations, zero count) per block]) over the increasing indices.
 
-    Class sums come from one gather per Frobenius orbit; the blocks are
+    Each batch gathers the class sums of its own rows; the blocks are
     built and eliminated in batches, the trivial block on its own.
     """
     P = ring.field.params
     idx = np.asarray(indices, dtype=np.int64)
-    lookup = _jacobi_row_lookup(ring, _row_residues(P, idx).ravel())
     # about the words of one block's Schur-step temporaries: T of its pivot row and two products
     per = max(1, BATCH_BYTES // (8 * (2 * ring.e - 1) * P.ell * (P.ell + ring.e)))
-    first = int(idx[0] == 0)  # the trivial block has a shape of its own
-    batches = [idx[lo : lo + per] for lo in range(first, len(idx), per)]
-    if first:
-        batches.insert(0, idx[:1])
-    for batch in batches:
-        yield batch, ring_divisor_valuations(_blocks(ring, batch, lookup), ring)
+    first = int(0 in idx[:1])  # the trivial block has a shape of its own
+    for batch in [idx[:1]] * first + [idx[lo : lo + per] for lo in range(first, len(idx), per)]:
+        yield batch, ring_divisor_valuations(_blocks(ring, batch), ring)
+
+
+def _orbit_valuations(ring: GaloisRing):
+    """Yield (batch, orbit sizes, found) for block 0 and the least block of each Frobenius orbit.
+
+    The orbits of i -> p*i mod k are the carry histogram's; their sizes
+    must sum to k-1.  Then ORBIT_SAMPLE other blocks, spread evenly, must
+    match their representative's (sorted valuations, zeros); otherwise
+    MismatchError names both.
+    """
+    P, k = ring.field.params, ring.field.params.k
+    reps, sizes = _orbit_representatives(1, k, P)
+    if sizes.sum() != k - 1:
+        raise MismatchError(f"Frobenius orbit sizes sum to {sizes.sum()}, not k - 1 = {k - 1}")
+    idx, sizes = np.concatenate([[0], reps]), np.concatenate([[1], sizes])
+    got = {}
+    for batch, found in _block_valuations(ring, idx):
+        yield batch, sizes[np.searchsorted(idx, batch)], found
+        got.update((i, (sorted(exps), zeros)) for i, (exps, zeros) in zip(batch.tolist(), found))
+    others = np.ones(k, dtype=bool)  # a mask: np.setdiff1d's sorting temporaries raise peak RSS
+    others[idx] = False
+    others = np.flatnonzero(others)
+    n = min(ORBIT_SAMPLE, len(others))
+    sample = others[np.arange(n) * (len(others) - 1) // max(n - 1, 1)]
+    least = (sample * P.p ** np.arange(P.ext_degree)[:, None] % k).min(axis=0)
+    for batch, found in _block_valuations(ring, sample):
+        for i, r, (exps, zeros) in zip(batch.tolist(), least[np.searchsorted(sample, batch)].tolist(), found):
+            if (sorted(exps), zeros) != got.get(r):
+                raise MismatchError(
+                    f"block {i}: local Smith valuations {sorted(exps)} (zeros {zeros}) "
+                    f"!= {got.get(r)} at its Frobenius orbit representative {r}"
+                )
 
 
 def _check_blocks(table: FieldTable, batch: np.ndarray, found) -> None:
@@ -394,28 +373,27 @@ def _check_blocks(table: FieldTable, batch: np.ndarray, found) -> None:
 
 
 def verify_all_blocks(ring: GaloisRing) -> int:
-    """Local Smith form of every isotypic block against the closed form.
+    """Local Smith form of every isotypic block against the closed form, one block per orbit.
 
     Returns the number of blocks, k.  Raises MismatchError naming the
-    lowest block index that fails.
+    lowest block index that fails, or a sampled block that differs from
+    its orbit representative.
     """
-    k = ring.field.params.k
-    for found in _block_valuations(ring, range(k)):
-        _check_blocks(ring.field, *found)
-    return k
+    for batch, _, found in _orbit_valuations(ring):
+        _check_blocks(ring.field, batch, found)
+    return ring.field.params.k
 
 
 def block_p_multiplicities(ring: GaloisRing) -> dict[int, int]:
-    """p-part multiplicities assembled from all block local Smith forms."""
+    """p-part multiplicities assembled from the block local Smith forms, weighted by orbit size."""
     P = ring.field.params
     hist: dict[int, int] = {}
-    for batch, found in _block_valuations(ring, range(P.k)):
-        for i, (exps, zeros) in zip(batch.tolist(), found):
-            expected_zeros = 1 if i == 0 else 0
-            if zeros != expected_zeros:
-                raise MismatchError(f"block {i} has {zeros} zero divisors, expected {expected_zeros}")
+    for batch, sizes, found in _orbit_valuations(ring):
+        for i, size, (exps, zeros) in zip(batch.tolist(), sizes.tolist(), found):
+            if zeros != (i == 0):
+                raise MismatchError(f"block {i} has {zeros} zero divisors, expected {int(i == 0)}")
             for e in exps:
-                hist[e] = hist.get(e, 0) + 1
+                hist[e] = hist.get(e, 0) + size
     if sum(hist.values()) != P.q - 1:
         raise MismatchError(f"blocks give {sum(hist.values())} divisors, expected q-1 = {P.q - 1}")
     return hist

@@ -13,11 +13,19 @@ polynomials is a (dx, dy, n, m) array, so one product serves both.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .carries import p_part_from_lower_half
 from .errors import BadResidueError, BoundExceededError, MismatchError
 from .params import Params
+
+# p_part_from_recursion's bound on t^3 log2 p, checked before the recursion:
+# t steps over about t^2 coefficients of up to 2t log2 p bits each.  At the
+# bound, `table` at p = 2, t = 158, the slowest admitted p, takes 10.0 s and
+# 70 MB; p = 5, t = 119 takes 5.6 s (2 vCPUs, x86-64, Python 3.11).
+WALK_WORK_BOUND = 4_000_000
 
 
 def _pmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -216,13 +224,16 @@ def p_part_from_recursion(params: Params) -> dict[int, int]:
     polynomial C(2t), and e_0 must equal the closed form above;
     carries.p_part_from_lower_half mirrors it and forces the middle.
     Raises BadResidueError unless ell = 3; (p, t) = (2, 1), the
-    disconnected graph, is excluded too.
+    disconnected graph, is excluded too.  Raises BoundExceededError once
+    t^3 log2 p exceeds WALK_WORK_BOUND.
     """
     p, t = params.p, params.t
     if params.ell != 3:
         raise BadResidueError(f"the walk recursion needs ell = 3, not {params.ell}")
     if (p, t) == (2, 1):
         raise BadResidueError("(p, t) = (2, 1) is excluded (disconnected graph)")
+    if t**3 * math.log2(p) > WALK_WORK_BOUND:
+        raise BoundExceededError(f"p = {p}, t = {t}: t^3 log2 p exceeds the walk recursion's bound {WALK_WORK_BOUND}")
     C = closed_walk_poly(p, t)[:, :, 0, 0]
     lower = {a: int(C[a, a + 1 : t + 1].sum()) for a in range(t)}
     e0 = p_rank_closed_form(p, t)

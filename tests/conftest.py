@@ -95,6 +95,17 @@ OPTIMIZED_SCENARIOS = {
         "galois.min_carries = lambda idx, P: good(idx, P) + 1\n",
         _verify("blocks"),
     ),
+    # block 2 at (2, 3, 2) is not least in its orbit {1, 2, 4, 3}, so only the sample builds it
+    "sampled-block": (
+        "from cyclocrit import galois\n"
+        "good = galois._blocks\n"
+        "def corrupt(ring, idx):\n"
+        "    out = good(ring, idx)\n"
+        "    out[idx == 2] = 0\n"
+        "    return out\n"
+        "galois._blocks = corrupt\n",
+        _verify("blocks"),
+    ),
     "valuation": (
         "from cyclocrit import params\n"
         "good = params.p_adic_valuation\n"

@@ -297,6 +297,22 @@ def test_q_bits_bound_exits_1_at_once(capsys, command):
     assert err.count("\n") == 1 and err.startswith("error: BoundExceededError: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--p", "2", "--ell", "3", "--t", "159", "--method", "formula"],
+        ["table", "--t", "159", "--p-list", "2,5"],
+    ],
+)
+def test_walk_work_bound_exits_1_at_once(capsys, argv):
+    """t^3 log2 p past index3.WALK_WORK_BOUND is refused before the walk recursion."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert err == "error: BoundExceededError: p = 2, t = 159: t^3 log2 p exceeds the walk recursion's bound 4000000\n"
+
+
 def test_enumeration_bound_exits_1(capsys):
     """k - 1 = (2^28 - 1)/5 - 1 cosets exceed DEFAULT_ENUM_BOUND = 2^24; refused before enumerating."""
     code, out, err = run_cli(capsys, "compute", "--p", "2", "--ell", "5", "--t", "7", "--method", "formula")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import admissible, field_for, params_for, ring_for, snf_group_for
 from cyclocrit import (
+    carries,
     carry_count,
     galois,
     jacobi_sum,
@@ -125,11 +126,9 @@ def jacobi_row(a, ring):
     return galois._jacobi_rows(ring, galois._gather_class_sums(ring, np.array([a])))[0]
 
 
-def laplacian_block(table, ring, i):
+def laplacian_block(ring, i):
     """(n, n, e) array of ell*L on the i-th isotypic component (0 is the trivial one)."""
-    idx = np.array([i])
-    lookup = galois._jacobi_row_lookup(ring, galois._row_residues(table.params, idx).ravel())
-    return galois._blocks(ring, idx, lookup)[0]
+    return galois._blocks(ring, np.array([i]))[0]
 
 
 def verify_block(table, ring, i):
@@ -243,8 +242,7 @@ def as_tuples(block):
 def all_blocks(table, ring):
     """Every block from the batched builder: the trivial block, then blocks 1..k-1 as one stack."""
     idx = np.arange(table.params.k)
-    lookup = galois._jacobi_row_lookup(ring, galois._row_residues(table.params, idx).ravel())
-    return [galois._blocks(ring, idx[:1], lookup)[0], *galois._blocks(ring, idx[1:], lookup)]
+    return [galois._blocks(ring, idx[:1])[0], *galois._blocks(ring, idx[1:])]
 
 
 def test_ring_basics():
@@ -485,12 +483,12 @@ def test_block_expected_patterns_q25():
     # min-carry profile over i=1..7 is six zeros and one 1 (see carries tests)
     shapes = set()
     for i in range(1, 8):
-        [(exps, zeros)] = ring_divisor_valuations(laplacian_block(tab, ring, i)[None], ring)
+        [(exps, zeros)] = ring_divisor_valuations(laplacian_block(ring, i)[None], ring)
         assert zeros == 0
         shapes.add(tuple(sorted(exps)))
         verify_block(tab, ring, i)
     assert shapes == {(0, 1, 2), (1, 1, 1)}
-    [(exps, zeros)] = ring_divisor_valuations(laplacian_block(tab, ring, 0)[None], ring)
+    [(exps, zeros)] = ring_divisor_valuations(laplacian_block(ring, 0)[None], ring)
     assert sorted(exps) == [0, 0, 1] and zeros == 1
     verify_block(tab, ring, 0)
 
@@ -627,8 +625,7 @@ def test_batched_blocks_match_tuple_reference(trip):
     """Every block, and its (valuations, zeros), equals the tuple route's.
 
     (41, 3, 1) has the largest p.  Blocks are compared entry by entry
-    with blocks built from direct Jacobi sums, so the orbit-permuted class
-    sums are checked too.
+    with blocks built from direct Jacobi sums.
     """
     tab, ring = field_for(*trip), ring_for(*trip)
     tr = TupleRing(ring)
@@ -640,12 +637,12 @@ def test_batched_blocks_match_tuple_reference(trip):
         assert (exps, zeros) == reference_divisor_valuations(ref, tr), i
 
 
-def _orbits(P):
-    """Orbits of r -> p*r on 0..q-2, by walking each one."""
+def _block_orbits(P):
+    """Orbits of i -> p*i mod k on the block indices 1..k-1, by walking each one."""
     seen, orbits = set(), []
-    for r in range(P.q - 1):
-        if r not in seen:
-            orbit = {r * P.p**j % (P.q - 1) for j in range(P.ext_degree)}
+    for i in range(1, P.k):
+        if i not in seen:
+            orbit = {i * P.p**j % P.k for j in range(P.ext_degree)}
             seen |= orbit
             orbits.append(orbit)
     return orbits
@@ -653,76 +650,108 @@ def _orbits(P):
 
 @pytest.mark.parametrize("trip", [(2, 3, 4), (5, 3, 2), (3, 7, 1)])
 def test_one_gather_per_orbit(monkeypatch, trip):
-    """The block route gathers once per Frobenius orbit, plus a sample of 8 checked directly."""
-    tab, ring = field_for(*trip), ring_for(*trip)
-    sizes = []
-    good = galois._gather_class_sums
+    """The block route gathers and eliminates block 0, the least block of each Frobenius orbit, then 8 others."""
+    P, ring = params_for(*trip), ring_for(*trip)
+    built, eliminated, gathered = [], [], []
+    good_blocks, good_gather = galois._blocks, galois._gather_class_sums
+    good_valuations = galois.ring_divisor_valuations
 
-    def counting(ring, rs):
-        sizes.append(len(rs))
-        return good(ring, rs)
+    def building(ring, idx):
+        built.extend(idx.tolist())
+        return good_blocks(ring, idx)
 
-    monkeypatch.setattr(galois, "_gather_class_sums", counting)
+    def eliminating(blocks, ring):
+        eliminated.append(len(blocks))
+        return good_valuations(blocks, ring)
+
+    def gathering(ring, rs):
+        gathered.append(len(rs))
+        return good_gather(ring, rs)
+
+    monkeypatch.setattr(galois, "_blocks", building)
+    monkeypatch.setattr(galois, "ring_divisor_valuations", eliminating)
+    monkeypatch.setattr(galois, "_gather_class_sums", gathering)
     verify_all_blocks(ring)
-    assert sizes == [len(_orbits(tab.params)), galois.ORBIT_SAMPLE]
+    least = sorted(min(orbit) for orbit in _block_orbits(P))
+    assert sum(eliminated) == 1 + len(least) + carries.ORBIT_SAMPLE == len(built)
+    assert built[: 1 + len(least)] == [0, *least]
+    sample = built[1 + len(least) :]
+    assert sample == sorted(set(sample)) and not set(sample) & {0, *least}
+    assert sum(gathered) == P.ell * len(built)
 
 
 def test_orbit_identity_is_checked(monkeypatch):
-    """Class sums taken from a wrong representative fail the direct sample."""
-    ring = ring_for(2, 3, 4)
-    good = galois._gather_class_sums
-    calls = []
+    """Zeroed blocks that are not least in their orbit fail the sample, which names the representative."""
+    P, ring = params_for(2, 3, 4), ring_for(2, 3, 4)
+    least = {min(orbit) for orbit in _block_orbits(P)}
+    good = galois._blocks
 
-    def first_call_off(ring, rs):
-        out = good(ring, rs)
-        if not calls:
-            out = np.roll(out, 1, axis=1)  # each representative's classes rotated
-        calls.append(rs)
+    def corrupt(ring, idx):
+        out = good(ring, idx)
+        out[[i > 0 and i not in least for i in idx.tolist()]] = 0
         return out
 
-    monkeypatch.setattr(galois, "_gather_class_sums", first_call_off)
-    with pytest.raises(MismatchError, match="Frobenius orbit representative"):
-        verify_all_blocks(ring)
+    monkeypatch.setattr(galois, "_blocks", corrupt)
+    message = r"^block 2: local Smith valuations \[\] \(zeros 3\) != .* at its Frobenius orbit representative 1$"
+    for check in (verify_all_blocks, block_p_multiplicities):
+        with pytest.raises(MismatchError, match=message):
+            check(ring)
 
 
 @pytest.mark.parametrize("trip", [(2, 3, 4), (3, 7, 1), (2, 5, 2)])
 def test_row_lookup_matches_direct_rows(trip):
-    """Rows permuted from each orbit representative equal rows from a direct gather, at every residue."""
+    """Rows looked up from each orbit representative of r -> p*r equal rows from a direct gather, at every residue.
+
+    The rows of p^j * r are those of r with J_n read at n * p^(-j) mod ell:
+    the row identity behind block p*i mod k being block i permuted.
+    """
     ring = ring_for(*trip)
     P = ring.field.params
     rs = np.arange(P.q - 1)
-    lookup = galois._jacobi_row_lookup(ring, rs)
-    assert np.array_equal(lookup(rs), galois._jacobi_rows(ring, galois._gather_class_sums(ring, rs)))
-    _, back = galois._frobenius_steps(P)
-    multipliers = {pow(P.p, -j, P.ell) for j in back.tolist()}
+    direct = galois._jacobi_rows(ring, galois._gather_class_sums(ring, rs))
+    multipliers = set()
+    for r in range(P.q - 1):
+        rep, back = min((r * P.p**j % (P.q - 1), -j % P.ext_degree) for j in range(P.ext_degree))
+        m = pow(P.p, -back, P.ell)
+        multipliers.add(m)
+        assert np.array_equal(direct[r], direct[rep][np.arange(1, P.ell) * m % P.ell - 1]), (r, rep)
     if P.ell > 3:  # some exponent permutes its rows by more than n -> -n
         assert multipliers - {1, P.ell - 1}
 
 
+def test_every_block_matches_its_orbit_representative():
+    """Every block's (sorted valuations, zeros) equals its orbit representative's: all q <= 256, and (3, 7, 1)."""
+    for P in admissible(256) + [params_for(3, 7, 1)]:
+        found = {i: (sorted(exps), zeros) for i, exps, zeros in block_results(ring_for(P.p, P.ell, P.t), range(1, P.k))}
+        orbits = _block_orbits(P)
+        assert max(map(len, orbits)) > 1, P
+        for orbit in orbits:
+            assert {i: found[i] for i in orbit} == dict.fromkeys(orbit, found[min(orbit)]), (P, orbit)
+
+
 @pytest.mark.parametrize("trip", [(2, 5, 2), (3, 7, 1)])
 def test_wrong_multiplier_is_checked(monkeypatch, trip):
-    """Rows of a representative permuted by p^j in place of p^(-j) fail the direct sample."""
-    ring = ring_for(*trip)
-    good = galois._frobenius_steps
+    """Orbits walked by p+1 in place of p have sizes that do not sum to k-1."""
+    good = galois._orbit_representatives
 
-    def inverted(P):  # the lookup then permutes by p^-(e-j) = p^j / q = p^j mod ell
-        rep, back = good(P)
-        return rep, -back % P.ext_degree
+    def wrong(lo, hi, P):
+        return good(lo, hi, SimpleNamespace(p=P.p + 1, k=P.k, ext_degree=P.ext_degree))
 
-    monkeypatch.setattr(galois, "_frobenius_steps", inverted)
-    with pytest.raises(MismatchError, match="Frobenius orbit representative"):
-        verify_all_blocks(ring)
+    monkeypatch.setattr(galois, "_orbit_representatives", wrong)
+    for check in (verify_all_blocks, block_p_multiplicities):
+        with pytest.raises(MismatchError, match=r"^Frobenius orbit sizes sum to \d+, not k - 1 = \d+$"):
+            check(ring_for(*trip))
 
 
 @pytest.mark.parametrize("batch_bytes", [1, galois.BATCH_BYTES])
 def test_corrupt_block_names_lowest_index(monkeypatch, batch_bytes):
-    """Zeroed blocks 7 and 30 fail as block 7, whether or not they share a batch."""
+    """Zeroed blocks 7 and 29, both least in their orbits, fail as block 7, whether or not they share a batch."""
     tab, ring = field_for(2, 3, 4), ring_for(2, 3, 4)
     good = galois._blocks
 
-    def corrupt(ring, idx, lookup):
-        out = good(ring, idx, lookup)
-        out[np.isin(idx, (30, 7))] = 0
+    def corrupt(ring, idx):
+        out = good(ring, idx)
+        out[np.isin(idx, (29, 7))] = 0
         return out
 
     monkeypatch.setattr(galois, "_blocks", corrupt)
@@ -737,7 +766,7 @@ def test_block_index_out_of_range():
     tab, ring = field_for(2, 3, 2), ring_for(2, 3, 2)
     for i in (-1, tab.params.k):
         with pytest.raises(ValueError):
-            laplacian_block(tab, ring, i)
+            laplacian_block(ring, i)
         with pytest.raises(ValueError):
             verify_block(tab, ring, i)
 
@@ -747,6 +776,14 @@ def test_wrong_min_carries_exits_2_under_optimize(optimized_runs):
     code, out, err = optimized_runs["min-carries"]
     assert code == 2, err
     assert err.startswith("mismatch: block 1: local Smith valuations") and not out
+
+
+def test_corrupt_sampled_block_exits_2_under_optimize(optimized_runs):
+    """A zeroed block outside the orbit representatives fails the sample: exit 2 with python -O too."""
+    code, out, err = optimized_runs["sampled-block"]
+    assert code == 2, err
+    assert err.startswith("mismatch: block 2: local Smith valuations [] (zeros 3)") and not out
+    assert err.rstrip().endswith("at its Frobenius orbit representative 1") and err.count("\n") == 1
 
 
 ADMISSIBLE_Q1024 = admissible(1024)

@@ -162,6 +162,20 @@ def test_excluded_case():
         p_part_from_recursion(dataclasses.replace(params_for(2, 3, 2), t=1))
 
 
+@pytest.mark.parametrize(("p", "t"), [(2, 158), (5, 119), (11, 104)])
+def test_walk_work_bound_refused_before_recursion(monkeypatch, p, t):
+    """The last t inside WALK_WORK_BOUND reaches the recursion; t + 1 is refused before it."""
+
+    def reached(p, t):
+        raise RuntimeError(f"recursion reached at t = {t}")
+
+    monkeypatch.setattr(index3, "closed_walk_poly", reached)
+    with pytest.raises(RuntimeError, match=f"at t = {t}$"):
+        p_part_from_recursion(params_for(p, 3, t))
+    with pytest.raises(BoundExceededError, match=f"^p = {p}, t = {t + 1}: t\\^3 log2 p exceeds"):
+        p_part_from_recursion(params_for(p, 3, t + 1))
+
+
 def test_recursion_matches_enumeration():
     """Closed form against the general-ell carry enumeration.
 
