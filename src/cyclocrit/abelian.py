@@ -7,12 +7,17 @@ sorted by (prime, exponent).  Invariant factors are derived on demand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import FactorizationError
 
 TRIAL_LIMIT = 10**6
+# _pollard_rho's step budget over all its constants c, past which it raises
+# FactorizationError.  The slowest composites found, at (2, 3, 129) and
+# (5, 3, 64), split on c = 1 after 1.73M and 1.99M steps.
+RHO_STEP_LIMIT = 1 << 22
 # Miller-Rabin over the first 13 prime bases is exact below PSI_13, the least strong
 # pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017).
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -45,24 +50,23 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """Brent's cycle variant with deterministic parameter sweep."""
+    """A proper divisor of composite n: Floyd's tortoise and hare on x -> x^2 + c, c = 1, 2, ..."""
     if n % 2 == 0:
         return 2
-    for c in range(1, 100):
+    steps = 0
+    for c in itertools.count(1):
         x = y = 2
-        d = 1
-        count = 0
-        while d == 1:
+        for steps in range(steps + 1, RHO_STEP_LIMIT + 1):
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-            count += 1
-            if count > 1 << 22:
+            d = math.gcd(x - y, n)
+            if d != 1:
                 break
-        if 1 < d < n:
+        else:
+            raise FactorizationError(f"failed to factor {n} within {RHO_STEP_LIMIT} Pollard rho steps")
+        if d < n:
             return d
-    raise FactorizationError(f"failed to factor {n}")
 
 
 def factorint(n: int) -> dict[int, int]:

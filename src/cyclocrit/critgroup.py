@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .abelian import AbelianGroupDesc, factorint
+from .abelian import AbelianGroupDesc
 from .carries import p_part_from_carries
 from .errors import MethodMismatchError, MismatchError
 from .field import build_field
 from .index3 import p_part_from_recursion
-from .params import Params, order_factorization
+from .params import EigenFactors, Params, eigenvalue_factorizations, order_factorization
 from .snf import (
     FULL_SNF_MAX_Q,
     critical_group_by_local_snf,
@@ -28,22 +28,17 @@ from .snf import (
 METHODS = ("formula", "bruteforce", "both")
 
 
-def coprime_part(params: Params) -> tuple[AbelianGroupDesc, int, int]:
+def coprime_part(params: Params, eigen: EigenFactors | None = None) -> tuple[AbelianGroupDesc, int, int]:
     """Prime-to-p part: (Z/u')^k x (Z/v')^(q-k-1) in elementary divisor form.
 
     u' and v' are the largest divisors of the eigenvalues u, v coprime
-    to p.  Returns (group, u', v').
+    to p, read off eigen = eigenvalue_factorizations(params), factored
+    here unless given.  Returns (group, u', v').
     """
     p, k, q = params.p, params.k, params.q
-    u_free = params.u // p ** params.vp(params.u)
-    v_free = params.v // p ** params.vp(params.v)
-    entries = []
-    for base, mult in ((u_free, k), (v_free, q - k - 1)):
-        if base == 1:
-            continue
-        for prime, exp in factorint(base).items():
-            entries.append((prime, exp, mult))
-    return AbelianGroupDesc.from_prime_powers(entries), u_free, v_free
+    fu, fv = eigen or eigenvalue_factorizations(params)
+    entries = [(prime, exp, m) for fac, m in ((fu, k), (fv, q - k - 1)) for prime, exp in fac.items() if prime != p]
+    return AbelianGroupDesc.from_prime_powers(entries), params.u // p ** fu[p], params.v // p ** fv[p]
 
 
 def p_part_multiplicities(params: Params) -> dict[int, int]:
@@ -61,18 +56,19 @@ class CriticalGroupResult:
     checks: tuple[str, ...]
 
 
-def _check_order(group: AbelianGroupDesc, params: Params) -> None:
+def _check_order(group: AbelianGroupDesc, params: Params, eigen: EigenFactors | None = None) -> None:
     """Raise MismatchError unless all multiplicities are positive and the order is the tree count.
 
     The p-part routes force their middle multiplicities by counting, so
     the order matches whatever the rest of the histogram says; a wrong
     histogram shows as a multiplicity below 1.  The comparison is
-    factored: the raw order is astronomically large for big q.
+    factored (from eigen, as in coprime_part): the raw order is
+    astronomically large for big q.
     """
     for prime, exp, mult in group.divisors:
         if mult < 1:
             raise MismatchError(f"elementary divisor {prime}^{exp} has multiplicity {mult}")
-    got, want = group.order_factorization(), order_factorization(params)
+    got, want = group.order_factorization(), order_factorization(params, eigen)
     if got != want:
         raise MismatchError(f"group order {got} != spanning-tree count {want}")
 
@@ -89,9 +85,10 @@ def _first_difference(formula: AbelianGroupDesc, bruteforce: AbelianGroupDesc) -
 
 def _formula_group(params: Params) -> AbelianGroupDesc:
     entries = [(params.p, j, m) for j, m in p_part_multiplicities(params).items() if j > 0]
-    entries.extend(coprime_part(params)[0].divisors)
+    eigen = eigenvalue_factorizations(params)
+    entries.extend(coprime_part(params, eigen)[0].divisors)
     group = AbelianGroupDesc.from_prime_powers(entries, free_rank=1)
-    _check_order(group, params)
+    _check_order(group, params, eigen)
     return group
 
 
@@ -120,11 +117,11 @@ def critical_group(params: Params, method: str = "both") -> CriticalGroupResult:
         checks.extend(bf_checks)
         if method == "bruteforce":
             group = bf_group
+            _check_order(group, params)
     if method == "both":
         if group != bf_group:
             raise MethodMismatchError(
                 f"formula and brute-force groups disagree: {_first_difference(group, bf_group)}"
             )
         checks.append("formula==bruteforce")
-    _check_order(group, params)
     return CriticalGroupResult(params=params, group=group, method=method, checks=tuple(checks))

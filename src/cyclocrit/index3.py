@@ -1,10 +1,10 @@
 """Closed-form pipeline for the index-3 family (p = 2 mod 3).
 
 The p-part multiplicities of the critical group come from a bivariate
-generating polynomial computed by a three-term recursion.  Two
-independent anchors validate the recursion: a weighted digraph whose
-closed walks it counts (trace-of-power oracle), and the characteristic
-polynomial of the collapsed 6x6 transfer matrix.
+generating polynomial computed by a three-term recursion.  Two anchors
+check it, both by traces 2 tr((XY)^t) of a matrix [[0, X], [Y, 0]]: the
+carry digraph, whose weighted closed walks it counts, and the 6x6
+transfer matrix, whose first three power sums fix its char polynomial.
 
 A polynomial in Z[x, y] is a numpy array of shape (deg_x+1, deg_y+1, 1, 1)
 whose entry [a, b, 0, 0] is the coefficient of x^a y^b; a matrix of
@@ -84,17 +84,16 @@ def recursion_coefficients(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def closed_walk_poly(p: int, t: int) -> np.ndarray:
-    """Weighted closed-walk sum C(2t), by the three-term recursion."""
+    """Weighted closed-walk sum C(2t), by the three-term recursion from Newton's seeds C(0), C(2), C(4)."""
     _require_index3_prime(p)
     if t < 1:
         raise ValueError("t must be positive")
     P, Q, R = recursion_coefficients(p)
-    PP = _pmul(P, P)
-    window = [2 * P, _padd(2 * PP, -4 * Q), _padd(6 * R, 2 * _pmul(P, PP), -6 * _pmul(P, Q))]
-    for _ in range(t - 3):
+    window = [_poly({(0, 0): 6}), 2 * P, _padd(2 * _pmul(P, P), -4 * Q)]
+    for _ in range(t - 2):
         nxt = _padd(_pmul(P, window[2]), -_pmul(Q, window[1]), _pmul(R, window[0]))
         window = [window[1], window[2], nxt]
-    return window[min(t, 3) - 1]
+    return window[min(t, 2)]
 
 
 # --- walk oracle on the carry digraph --------------------------------------
@@ -120,6 +119,17 @@ def carry_digraph(p: int) -> np.ndarray:
     return arcs
 
 
+def _walk_traces(X: np.ndarray, Y: np.ndarray, t_max: int) -> list[np.ndarray]:
+    """[2 tr((XY)^t) for t = 1..t_max], in the dtype of X and Y."""
+    N = _pmul(X, Y)
+    rows = N.reshape(N.shape[:2] + (1, -1))
+    out, power = [], np.eye(N.shape[2], dtype=N.dtype)[None, None]
+    for t in range(t_max):  # tr(N N^t) = sum_ij N_ij (N^t)_ji, without forming N^(t+1)
+        power = _pmul(N, power) if t else power
+        out.append(2 * _pmul(rows, power.transpose(0, 1, 3, 2).reshape(power.shape[:2] + (-1, 1))))
+    return out
+
+
 def walk_polys_by_trace(p: int, t_max: int) -> list[np.ndarray]:
     """C(2), C(4), ..., C(2 t_max) as traces of powers of the digraph matrix.
 
@@ -138,14 +148,7 @@ def walk_polys_by_trace(p: int, t_max: int) -> list[np.ndarray]:
             f"walk counts up to 8 p^(2t+1) = {bound} at p = {p}, t = {t_max} "
             "exceed the int64 bound 2^63"
         )
-    arcs, n = carry_digraph(p), 4 * p
-    N = _pmul(arcs[0], arcs[1])
-    rows = N.reshape(N.shape[:2] + (1, n * n))
-    out, power = [], np.eye(n, dtype=np.int64)[None, None]
-    for t in range(t_max):  # tr(N N^t) = sum_ij N_ij (N^t)_ji, without forming N^(t+1)
-        power = _pmul(N, power) if t else power
-        out.append(2 * _pmul(rows, power.transpose(0, 1, 3, 2).reshape(power.shape[:2] + (n * n, 1))))
-    return out
+    return _walk_traces(*carry_digraph(p), t_max)
 
 
 # --- collapsed 6x6 transfer matrix ------------------------------------------
@@ -172,33 +175,18 @@ def transfer_blocks(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def verify_transfer_matrix(p: int) -> None:
-    """Characteristic polynomial and determinant identities of the 6x6 matrix.
+    """Raise MismatchError unless det(zI - M) = z^6 - P z^4 + Q z^2 - R for the 6x6 M.
 
-    Raises MismatchError unless det(zI - M) = z^6 - P z^4 + Q z^2 - R and
-    det(M) = -p^2 x^3 y^3.  With N = XY, det(zI - M) = det(z^2 I - N), so
-    the first identity says tr N = P, the principal 2x2 minors of N sum
-    to Q, and det N = R; det M = det(-M) = -det N since M has even order.
+    det(zI - M) = det(z^2 I - N) for N = XY.  Over Q[x, y], Newton's
+    identities turn (tr N, tr N^2, tr N^3) into the characteristic
+    polynomial of N, and C(2t) is twice the t-th power sum of the roots of
+    w^3 - P w^2 + Q w - R: the claim is 2 tr N^t = C(2t) for t <= 3, the
+    message naming the first t that fails.  So det N = R = p^2 x^3 y^3 as
+    built, and det M = -det N.
     """
-    P, Q, R = recursion_coefficients(p)
-    N = _pmul(*transfer_blocks(p))
-
-    def entry(i, j):
-        return N[:, :, i : i + 1, j : j + 1]
-
-    def minor(r0, r1, c0, c1):
-        return _padd(_pmul(entry(r0, c0), entry(r1, c1)), -_pmul(entry(r0, c1), entry(r1, c0)))
-
-    trace = _padd(entry(0, 0), entry(1, 1), entry(2, 2))
-    minors = _padd(minor(0, 1, 0, 1), minor(0, 2, 0, 2), minor(1, 2, 1, 2))
-    det = _padd(
-        _pmul(entry(0, 0), minor(1, 2, 1, 2)),
-        -_pmul(entry(0, 1), minor(1, 2, 0, 2)),
-        _pmul(entry(0, 2), minor(1, 2, 0, 1)),
-    )
-    if not (_peq(trace, P) and _peq(minors, Q) and _peq(det, R)):
-        raise MismatchError(f"transfer matrix char poly mismatch for p={p}")
-    if not _peq(det, _poly({(3, 3): p * p})):
-        raise MismatchError(f"transfer matrix determinant mismatch for p={p}: det M != -p^2 x^3 y^3")
+    for t, trace in enumerate(_walk_traces(*transfer_blocks(p), 3), start=1):
+        if not _peq(trace, closed_walk_poly(p, t)):
+            raise MismatchError(f"transfer matrix char poly mismatch for p={p}: 2 tr (XY)^{t} != C({2 * t})")
 
 
 def verify_walks(p: int, t_max: int = 4) -> None:

@@ -148,11 +148,19 @@ def validate(p: int, ell: int, t: int) -> Params:
     return params
 
 
-def order_factorization(params: Params) -> dict[int, int]:
-    """Factored group order u^k v^(q-k-1) / q."""
+EigenFactors = tuple[dict[int, int], dict[int, int]]
+
+
+def eigenvalue_factorizations(params: Params) -> EigenFactors:
+    """Factorizations of u and v, each factored once with its power of p divided out first."""
+    return tuple({params.p: params.vp(x), **factorint(x // params.p ** params.vp(x))} for x in (params.u, params.v))
+
+
+def order_factorization(params: Params, eigen: EigenFactors | None = None) -> dict[int, int]:
+    """Factored group order u^k v^(q-k-1) / q, from eigenvalue_factorizations(params) unless given."""
     out: dict[int, int] = {}
-    for base, mult in ((params.u, params.k), (params.v, params.q - params.k - 1)):
-        for prime, exp in factorint(base).items():
+    for fac, mult in zip(eigen or eigenvalue_factorizations(params), (params.k, params.q - params.k - 1)):
+        for prime, exp in fac.items():
             out[prime] = out.get(prime, 0) + exp * mult
     out[params.p] -= params.ext_degree
     if out[params.p] == 0:

@@ -151,6 +151,17 @@ OPTIMIZED_SCENARIOS = {
         "index3.closed_walk_poly = bumped\n",
         _compute("--method", "formula"),
     ),
+    # X one off at its constant (0, 0) entry: 2 tr (XY) no longer equals C(2) = 2P
+    "transfer-matrix": (
+        "from cyclocrit import index3\n"
+        "good = index3.transfer_blocks\n"
+        "def bumped(p):\n"
+        "    X, Y = (block.copy() for block in good(p))\n"
+        "    X[0, 0, 0, 0] += 1\n"
+        "    return X, Y\n"
+        "index3.transfer_blocks = bumped\n",
+        _verify("walks"),
+    ),
 }
 
 # Runs every scenario in turn, each with its own captured stdout and stderr,

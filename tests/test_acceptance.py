@@ -171,7 +171,11 @@ def test_criterion_6_block_smith_forms(capsys):
 
 
 def test_criterion_7_transfer_matrix(capsys):
-    """Char poly z^6 - Pz^4 + Qz^2 - R, det -p^2 x^3 y^3, walk oracle == recursion."""
+    """Both trace anchors: 2 tr (XY)^t = C(2t) for the 6x6 blocks (t <= 3) and the carry digraph (t <= 4).
+
+    By Newton's identities the first three power sums fix the 6x6 char poly
+    z^6 - Pz^4 + Qz^2 - R, hence det M = -p^2 x^3 y^3.
+    """
     for p in (2, 5, 11, 17):
         verify_transfer_matrix(p)
         verify_walks(p, t_max=4)

@@ -1,8 +1,10 @@
 
+import hashlib
+
 import pytest
 
 from conftest import both_result_for, params_for, snf_group_for
-from cyclocrit import coprime_part, critgroup, critical_group
+from cyclocrit import abelian, coprime_part, critgroup, critical_group
 from cyclocrit.abelian import AbelianGroupDesc, factorint
 from cyclocrit.carries import check_conservation
 from cyclocrit.cli import main
@@ -104,6 +106,34 @@ def test_factorint():
     assert factorint(2**16 * 5**22) == {2: 16, 5: 22}
     n = 1000003 * 1000033  # beyond the trial-division limit
     assert factorint(n) == {1000003: 1, 1000033: 1}
+
+
+FORMULA_2_3_62 = ["compute", "--p", "2", "--ell", "3", "--t", "62", "--method", "formula"]
+
+
+def test_formula_factors_each_eigenvalue_once(monkeypatch, capsys):
+    """At (2, 3, 62) only v's 61-bit cofactor needs Pollard rho, and it runs once per run.
+
+    The digest pins the run's stdout byte for byte.
+    """
+    calls = []
+    rho = abelian._pollard_rho
+    monkeypatch.setattr(abelian, "_pollard_rho", lambda n: calls.append(n) or rho(n))
+    assert main(FORMULA_2_3_62) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fb3a494f611e728539420f9b146f508d8b00adffd68f91d482511230750b3ced"
+    )
+    assert [n.bit_length() for n in calls] == [61]
+
+
+def test_rho_step_budget_exits_1(monkeypatch, capsys):
+    """The same cofactor needs 19,096 rho steps: a budget of 2^10 refuses it with exit 1."""
+    monkeypatch.setattr(abelian, "RHO_STEP_LIMIT", 1 << 10)
+    assert main(FORMULA_2_3_62) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: FactorizationError: ") and err.count("\n") == 1
 
 
 def test_group_desc_canonical_form():

@@ -80,6 +80,62 @@ def test_transfer_matrix_identities():
         verify_transfer_matrix(p)
 
 
+def _at(poly, x0=10**12, y0=10**100):
+    """A polynomial matrix evaluated exactly at (x0, y0).
+
+    An entry is zero only for the zero polynomial while its coefficients
+    stay below x0 / 2 and its x-degree below 8.
+    """
+    return sum(poly[a, b] * x0**a * y0**b for a, b in np.ndindex(poly.shape[:2]))
+
+
+@pytest.mark.parametrize("p", [2, 5, 11])
+@pytest.mark.parametrize(
+    ("name", "source", "slot"),
+    [
+        ("X", "transfer_blocks", 0),
+        ("Y", "transfer_blocks", 1),
+        ("P", "recursion_coefficients", 0),
+        ("Q", "recursion_coefficients", 1),
+        ("R", "recursion_coefficients", 2),
+    ],
+)
+def test_transfer_matrix_catches_each_unit_bump(monkeypatch, p, name, source, slot):
+    """+1 on any one coefficient of X, Y, P, Q or R fails the 6x6 check at the first power it changes.
+
+    That is t = 1 for P, t = 2 for Q and t = 3 for R.  For X and Y the
+    first t with 2 tr (XY)^t != C(2t) is found here from the bumped
+    blocks evaluated at one point, not from the package's trace loop.
+    """
+    good = getattr(index3, source)
+    C = [_at(closed_walk_poly(p, t))[0, 0] for t in (1, 2, 3)]
+    for entry in np.ndindex(good(p)[slot].shape):
+
+        def bumped(p, entry=entry):
+            parts = [part.copy() for part in good(p)]
+            parts[slot][entry] += 1
+            return tuple(parts)
+
+        monkeypatch.setattr(index3, source, bumped)
+        if name in "XY":
+            X, Y = (_at(block) for block in bumped(p))
+            traces = [2 * np.trace(np.linalg.matrix_power(X @ Y, t)) for t in (1, 2, 3)]
+            first = next(t for t in (1, 2, 3) if traces[t - 1] != C[t - 1])
+        else:
+            first = "PQR".index(name) + 1
+        want = f"transfer matrix char poly mismatch for p={p}: 2 tr (XY)^{first} != C({2 * first})"
+        with pytest.raises(MismatchError) as err:
+            verify_transfer_matrix(p)
+        assert str(err.value) == want, entry
+
+
+def test_transfer_matrix_exits_2_under_optimize(optimized_runs):
+    """The 6x6 check is a raise, so python -O still reports a bumped transfer block."""
+    code, out, err = optimized_runs["transfer-matrix"]
+    assert (code, out) == (2, ""), err
+    assert err == "mismatch: transfer matrix char poly mismatch for p=2: 2 tr (XY)^1 != C(2)\n"
+
+
 @pytest.mark.parametrize("p", [2, 5, 11, 17, 23])
 def test_transfer_blocks_charpoly_via_sympy(p):
     """sympy's charpoly of [[0, X], [Y, 0]] is z^6 - P z^4 + Q z^2 - R."""
