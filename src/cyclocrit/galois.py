@@ -10,8 +10,11 @@ blocks; a*b = a @ T(b), T(b) = b @ W the matrix of multiplication by b
 place of m = p.  Jacobi sums are gathered from a table of
 Teichmuller powers, any batch of exponent pairs at once; their p-adic
 valuations realize carry counts (Stickelberger), which the verification
-suite checks pair by pair, a batch per gather.  All of it is int64, at
-the precision N = v_p(uv) + 1 that _precision explains.
+suite checks pair by pair.  Up to q = 256 it checks every pair, from the
+2-D character transform: the coefficients of omega^(-a dlog x) and of
+omega^(-b dlog(1-x)) over x, multiplied as float64 GEMM tiles that stay
+exact below 2^53; beyond, a seeded sample by gather.  The ring itself
+is int64, at the precision N = v_p(uv) + 1 that _precision explains.
 
 The Laplacian restricted to each multiplicative isotypic component is a
 small matrix over this ring whose local Smith form the block checks
@@ -39,9 +42,9 @@ from .carries import ORBIT_SAMPLE, _orbit_representatives, carry_count, min_carr
 from .errors import BoundExceededError, MismatchError, PrecisionError
 from .field import FieldTable, _digits, _mul, _power, _times_matrix, _times_table
 
-# Bytes of the largest array of one class-sum gather, one block batch or
-# one batch of Jacobi sums: it bounds peak memory whatever q and the
-# number of blocks or pairs.
+# Bytes of the largest array of one class-sum gather, one block batch,
+# one batch of Jacobi sums or the two sides of one Jacobi tile: it bounds
+# peak memory whatever q and the number of blocks or pairs.
 BATCH_BYTES = 1 << 18
 # verify_stickelberger checks every pair up to this q, else STICKELBERGER_SAMPLE seeded pairs.
 STICKELBERGER_EXHAUSTIVE_Q = 256
@@ -168,35 +171,68 @@ def _jacobi_rows(ring: GaloisRing, sums: np.ndarray) -> np.ndarray:
     return (sums.reshape(R, ell * e) @ ring._row_map.reshape(ell * e, -1) % ring.pN).reshape(R, ell - 1, e)
 
 
+def _jacobi_chunk(ring: GaloisRing, a: np.ndarray, n: int) -> np.ndarray:
+    """(len(a), q-2, e) Jacobi sums J(T^-a, T^-b) mod pN, 0 < a, b < q-1, one dgemm per n exponents b.
+
+    Row (i, a) of U holds coefficient i of omega^(-a dlog x) over the x not
+    in {0, 1}, and row (j, b) of V that of omega^(-b dlog(1-x)), both read
+    from a float64 copy of the Teichmuller table; the tile G = U @ V.T sums
+    each product of coefficients over x, and G @ W folds X^(i+j) back into
+    the ring.  Every value is an integer in [0, (q-2) e^2 (pN-1)^3], exact
+    in float64 while that is below 2^53.
+    """
+    q, e = ring.field.q, ring.e
+    omega = np.ascontiguousarray(ring._omega_np.T, dtype=np.float64)  # (e, q-1): a gather is C-ordered
+    W = ring._times.reshape(e * e, e).astype(np.float64)
+    U = np.take(omega, -a[:, None] * ring._dlog_x % (q - 1), axis=1).reshape(e * len(a), q - 2)
+    out = np.empty((len(a), q - 2, e), dtype=np.int64)
+    for lo in range(0, q - 2, n):
+        b = np.arange(lo + 1, min(lo + n, q - 2) + 1)
+        G = U @ np.take(omega, -b[:, None] * ring._dlog_1mx % (q - 1), axis=1).reshape(e * len(b), q - 2).T
+        out[:, lo : lo + len(b)] = G.reshape(e, len(a), e, len(b)).transpose(1, 3, 0, 2).reshape(len(a), len(b), -1) @ W
+    out %= ring.pN
+    return out
+
+
 def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
     """Jacobi valuation == carry count over admissible exponent pairs.
 
-    Exhaustive (in lexicographic order) when q <= STICKELBERGER_EXHAUSTIVE_Q,
-    otherwise STICKELBERGER_SAMPLE pairs drawn with the seed; one
-    jacobi_sum and one carry_count per batch of pairs.  Returns the
-    number of pairs checked.  Raises MismatchError on the first failing
-    pair; a Jacobi sum that vanishes mod p^N counts as valuation N.
+    Exhaustive when q <= STICKELBERGER_EXHAUSTIVE_Q: the Jacobi sums of a
+    chunk of rows a come from float64 GEMM tiles (_jacobi_chunk), and the
+    chunk's pairs are checked in lexicographic order with one carry_count.
+    The tiles are exact while (q-2) e^2 (pN-1)^3 < 2^53, else
+    BoundExceededError before the first one; the triples with q <= 256
+    use at most 2^47, at (2, 5, 2).  Otherwise STICKELBERGER_SAMPLE pairs
+    drawn with the seed, summed by jacobi_sum a batch at a time and
+    checked in the order drawn with one carry_count.  Returns the number
+    of pairs checked.  Raises MismatchError on the first failing pair; a
+    Jacobi sum that vanishes mod p^N counts as valuation N.
     """
     P = ring.field.params
-    q, sample = P.q, STICKELBERGER_SAMPLE
-    per = max(1, BATCH_BYTES // (24 * (q - 1)))  # jacobi_sum's indices, one temporary and counts
-    if q <= STICKELBERGER_EXHAUSTIVE_Q:  # lexicographic order, built a batch at a time
-        total = (q - 2) ** 2
-        batches = (np.array(np.divmod(np.arange(lo, min(lo + per, total)), q - 2)) + 1 for lo in range(0, total, per))
-    else:
+    p, q, e, pN, N, sample = P.p, P.q, ring.e, ring.pN, ring.precision, STICKELBERGER_SAMPLE
+    if q > STICKELBERGER_EXHAUSTIVE_Q:
         rng, pairs, made = random.Random(seed), np.zeros((2, sample), dtype=np.int64), 0
         while made < sample:
             pair = rng.randrange(1, q - 1), rng.randrange(1, q - 1)
             if sum(pair) % (q - 1):
                 pairs[:, made] = pair
                 made += 1
-        batches = (pairs[:, lo : lo + per] for lo in range(0, sample, per))
+        per = max(1, BATCH_BYTES // (24 * (q - 1)))  # jacobi_sum's indices, one temporary and counts
+        batches = np.split(pairs, range(per, sample, per), axis=1)
+        # an element's valuation is that of the gcd of its coefficients
+        gcds = np.concatenate([np.gcd.reduce(jacobi_sum(-a, -b, ring), axis=-1) for a, b in batches])
+        chunks = [(*pairs, _valuations(gcds[:, None], p, N))]
+    else:
+        if (q - 2) * e * e * (pN - 1) ** 3 >= 1 << 53:
+            raise BoundExceededError(f"Jacobi tiles at q = {q} need (q-2)*e^2*(p^N-1)^3 < 2^53 to be exact in float64")
+        n, ex = max(1, BATCH_BYTES // (16 * e * (q - 2))), np.arange(1, q - 1)  # U and V fill BATCH_BYTES
+        rows = (ex[lo : lo + n] for lo in range(0, q - 2, n))
+        chunks = ((*np.broadcast_arrays(a[:, None], ex), _valuations(_jacobi_chunk(ring, a, n), p, N)) for a in rows)
     checked = 0
-    for a, b in batches:
+    for a, b, v in chunks:
         keep = (a + b) % (q - 1) != 0
-        a, b = a[keep], b[keep]
+        a, b, v = a[keep], b[keep], v[keep]
         c = carry_count(a, b, P)
-        v = _valuations(jacobi_sum(-a, -b, ring), P.p, ring.precision)
         if (bad := v != c).any():
             j = np.argmax(bad)
             raise MismatchError(f"Stickelberger fails at (a,b)=({a[j]},{b[j]}): valuation {v[j]} != carries {c[j]}")

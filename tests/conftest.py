@@ -89,6 +89,17 @@ OPTIMIZED_SCENARIOS = {
         "galois.carry_count = lambda a, b, P: good(a, b, P) + ((a == 7) & (b == 11))\n",
         _verify("stickelberger"),
     ),
+    # pair (5, 6) has one carry; its Jacobi sum zeroed reads as valuation N = 6
+    "stickelberger-tile": (
+        "from cyclocrit import galois\n"
+        "good = galois._jacobi_chunk\n"
+        "def corrupt(ring, a, n):\n"
+        "    out = good(ring, a, n)\n"
+        "    out[a == 5, 6 - 1] = 0\n"
+        "    return out\n"
+        "galois._jacobi_chunk = corrupt\n",
+        _verify("stickelberger"),
+    ),
     "min-carries": (
         "from cyclocrit import galois\n"
         "good = galois.min_carries\n"

@@ -11,6 +11,7 @@ from conftest import admissible, field_for, params_for, ring_for, snf_group_for
 from cyclocrit import (
     carries,
     carry_count,
+    cli,
     galois,
     jacobi_sum,
     laplacian_p_multiplicities,
@@ -426,9 +427,28 @@ def test_jacobi_valuation_example():
 
 
 def test_stickelberger_exhaustive_small():
-    for trip in [(2, 3, 2), (5, 3, 1)]:
-        q = field_for(*trip).q
-        assert verify_stickelberger(ring_for(*trip)) == (q - 2) * (q - 2) - (q - 2)
+    """Every admissible pair on each of the seven triples with q <= STICKELBERGER_EXHAUSTIVE_Q."""
+    triples = admissible(galois.STICKELBERGER_EXHAUSTIVE_Q)
+    assert len(triples) == 7
+    for P in triples:
+        assert verify_stickelberger(ring_for(P.p, P.ell, P.t)) == (P.q - 2) ** 2 - (P.q - 2)
+
+
+@pytest.mark.parametrize("trip", [(2, 3, 2), (5, 3, 1), (3, 5, 1), (11, 3, 1), (2, 3, 3), (2, 3, 4)])
+def test_jacobi_tiles_match_jacobi_sum(trip):
+    """The float64 tiles equal jacobi_sum(-a, -b) coefficient for coefficient.
+
+    Every pair up to q = 121, in chunks of 5 rows and tiles of 5 columns,
+    so most chunks end in a short tile; at q = 256 every 7th chunk of the
+    check's own tiling.
+    """
+    ring = ring_for(*trip)
+    q = ring.field.q
+    ex = np.arange(1, q - 1)
+    n = 5 if q < 256 else galois.BATCH_BYTES // (16 * ring.e * (q - 2))
+    for lo in range(0, q - 2, n if q < 256 else 7 * n):
+        a = ex[lo : lo + n]
+        assert np.array_equal(galois._jacobi_chunk(ring, a, n), jacobi_sum(-a[:, None], -ex, ring)), a
 
 
 def test_stickelberger_sampled_mode(monkeypatch):
@@ -468,6 +488,54 @@ def test_stickelberger_names_first_failing_pair(monkeypatch, batch_bytes):
     with pytest.raises(MismatchError) as err:
         verify_stickelberger(ring)
     assert str(err.value) == "Stickelberger fails at (a,b)=(3,5): valuation 3 != carries 4"
+
+
+@pytest.mark.parametrize("batch_bytes", [1, galois.BATCH_BYTES])
+def test_stickelberger_names_first_zeroed_jacobi_sum(monkeypatch, batch_bytes):
+    """Two zeroed Jacobi sums in different tiles fail as the lexicographically first.
+
+    At q = 64 the default tiles hold 44 exponents a side, so (3, 7) sits in
+    the chunk's first tile and (2, 50) in its second; with BATCH_BYTES = 1
+    every pair is a tile of its own.
+    """
+    ring = ring_for(2, 3, 3)
+    good = galois._jacobi_chunk
+
+    def corrupt(ring, a, n):
+        out = good(ring, a, n)
+        out[a == 2, 50 - 1] = 0
+        out[a == 3, 7 - 1] = 0
+        return out
+
+    monkeypatch.setattr(galois, "_jacobi_chunk", corrupt)
+    monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
+    with pytest.raises(MismatchError) as err:
+        verify_stickelberger(ring)
+    c = carry_count(2, 50, ring.field.params)
+    assert str(err.value) == f"Stickelberger fails at (a,b)=(2,50): valuation {ring.precision} != carries {c}"
+
+
+def test_stickelberger_tiles_refused_past_float64_bound(monkeypatch, capsys):
+    """Forced onto the exhaustive route at (2, 3, 6), where (q-2) e^2 (pN-1)^3 ~ 2^61: exit 1 before any gather."""
+    ring = ring_for(2, 3, 6)
+    assert (ring.field.q - 2) * ring.e**2 * (ring.pN - 1) ** 3 >= 1 << 53
+    gathers = []
+    monkeypatch.setattr(galois, "STICKELBERGER_EXHAUSTIVE_Q", ring.field.q)
+    monkeypatch.setattr(galois, "_jacobi_chunk", lambda *args: gathers.append(args))
+    monkeypatch.setattr(galois, "carry_count", lambda *args: gathers.append(args))
+    with pytest.raises(BoundExceededError, match=r"\(q-2\)\*e\^2\*\(p\^N-1\)\^3 < 2\^53"):
+        verify_stickelberger(ring)
+    code = cli.main(["verify", "--p", "2", "--ell", "3", "--t", "6", "--which", "stickelberger"])
+    out, err = capsys.readouterr()
+    assert code == 1 and not out and not gathers
+    assert err.count("\n") == 1 and err.startswith("error: BoundExceededError: Jacobi tiles at q = 4096 need")
+
+
+def test_stickelberger_zeroed_jacobi_sum_exits_2_under_optimize(optimized_runs):
+    """One zeroed tile entry in verify --which stickelberger at q=16: exit 2 naming the pair, under python -O."""
+    code, out, err = optimized_runs["stickelberger-tile"]
+    assert code == 2, err
+    assert err == "mismatch: Stickelberger fails at (a,b)=(5,6): valuation 6 != carries 1\n" and not out
 
 
 def test_stickelberger_corrupt_pair_exits_2_under_optimize(optimized_runs):
