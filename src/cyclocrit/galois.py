@@ -7,14 +7,13 @@ the field module's representation.  Elements are numpy arrays whose
 last axis is the e coefficients, a single element as much as a stack of
 blocks; a*b = a @ T(b), T(b) = b @ W the matrix of multiplication by b
 (W[j, i] = X^(i+j)), by the field module's arithmetic at m = p^N in
-place of m = p.  Jacobi sums are gathered from a table of
-Teichmuller powers, any batch of exponent pairs at once; their p-adic
+place of m = p.  Jacobi sums and class sums are counts of Teichmuller
+exponents times the float64 table of their powers (_count_sums).  Jacobi
 valuations realize carry counts (Stickelberger), which the verification
-suite checks pair by pair.  Up to q = 256 it checks every pair, from the
-2-D character transform: the coefficients of omega^(-a dlog x) and of
-omega^(-b dlog(1-x)) over x, multiplied as float64 GEMM tiles that stay
-exact below 2^53; beyond, a seeded sample by gather.  The ring itself
-is int64, at the precision N = v_p(uv) + 1 that _precision explains.
+suite checks: up to q = 256 every pair, from the 2-D character transform
+(float64 GEMM tiles of the coefficients of omega^(-a dlog x) and of
+omega^(-b dlog(1-x)) over x, exact below 2^53), beyond it a seeded sample.
+The ring is int64, at the precision N = v_p(uv) + 1 that _precision explains.
 
 The Laplacian restricted to each multiplicative isotypic component is a
 small matrix over this ring whose local Smith form the block checks
@@ -42,9 +41,8 @@ from .carries import ORBIT_SAMPLE, _orbit_representatives, carry_count, min_carr
 from .errors import BoundExceededError, MismatchError, PrecisionError
 from .field import FieldTable, _digits, _mul, _power, _times_matrix, _times_table
 
-# Bytes of the largest array of one class-sum gather, one block batch,
-# one batch of Jacobi sums or the two sides of one Jacobi tile: it bounds
-# peak memory whatever q and the number of blocks or pairs.
+# Bytes of the largest array of one batch of class sums or Jacobi sums (the counts), one block
+# batch or the two sides of one Jacobi tile: it bounds peak memory whatever q and the batch sizes.
 BATCH_BYTES = 1 << 18
 # verify_stickelberger checks every pair up to this q, else STICKELBERGER_SAMPLE seeded pairs.
 STICKELBERGER_EXHAUSTIVE_Q = 256
@@ -79,20 +77,16 @@ class GaloisRing:
         q, ell, e, k = field.q, P.ell, self.e, P.k
         self._times = _times_table(self.mod_poly, self.pN)  # _times[j, i] = X^(i+j), reduced
         # Every table is built here and never changed, so a ring can be
-        # shared freely.  The Jacobi-sum tables run over x in F_q minus {0, 1},
-        # sorted by the coset class c(x) = dlog(1-x) mod ell: class 0 holds
-        # k-1 >= 1 elements (1-x != 1) and every other class k.
-        self._omega_np = self.omega_table()
+        # shared freely.  _omega[i, j] is coefficient i of omega^j: float64 for
+        # BLAS, and (e, q-1) so that products and the tiles' np.take read it as is.
+        self._omega = np.ascontiguousarray(self.omega_table().T, dtype=np.float64)
         # -x = (-1) * x with -1 at index p-1, and 1 + y changes only digit 0 of y
-        minus_x = field.antilog[(field.dlog[2:] + field.dlog[self.p - 1]) % (q - 1)]
-        dlog_1mx = field.dlog[minus_x + 1 - self.p * (minus_x % self.p == self.p - 1)]
-        by_class = np.argsort(dlog_1mx % ell, kind="stable")
-        self._dlog_x = field.dlog[2:][by_class]
-        self._dlog_1mx = dlog_1mx[by_class]
-        self._class_starts = np.searchsorted(self._dlog_1mx % ell, np.arange(ell))
+        self._dlog_x = field.dlog[2:]  # x runs over F_q minus {0, 1}
+        minus_x = field.antilog[(self._dlog_x + field.dlog[self.p - 1]) % (q - 1)]
+        self._dlog_1mx = field.dlog[minus_x + 1 - self.p * (minus_x % self.p == self.p - 1)]
         # _row_map[c, j, (n-1)e + i] is coefficient i of zeta^(-nc) X^j, with
         # zeta = omega^k, so the class sums times it give the Jacobi row.
-        powers = _times_matrix(self._omega_np[np.arange(ell) * k], self._times, self.pN)
+        powers = _times_matrix(self._omega[:, np.arange(ell) * k].T.astype(np.int64), self._times, self.pN)
         s = -np.arange(ell)[:, None] * np.arange(1, ell) % ell
         self._row_map = powers[s].transpose(0, 2, 1, 3).reshape(ell, e, (ell - 1) * e)
 
@@ -131,6 +125,19 @@ class GaloisRing:
 # --- Jacobi sums ---------------------------------------------------------
 
 
+def _count_sums(ring: GaloisRing, bins: np.ndarray, width: int) -> np.ndarray:
+    """(len(bins), width, e) sums mod pN: entry c*(q-1) + r of row i adds omega^r to sum (i, c).
+
+    Offsets bins in place; one bincount with unit weights (so the counts are float64) and one
+    product with the table.  Exact: a sum's counts add to at most q-2 < 2^16 (DEFAULT_MAX_Q) and
+    its entries are below p^N < 2^31 (_precision's bound), so partial sums stay below 2^47 < 2^53.
+    """
+    n, q = len(bins), ring.field.q
+    bins += np.arange(n)[:, None] * (width * (q - 1))
+    counts = np.bincount(bins.ravel(), np.ones(bins.size), n * width * (q - 1)).reshape(n * width, q - 1)
+    return ((counts @ ring._omega.T).astype(np.int64) % ring.pN).reshape(n, width, -1)
+
+
 def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
     """J(T^a, T^b) = sum over x in K of T^a(x) T^b(1-x), exactly mod p^N.
 
@@ -139,30 +146,29 @@ def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
     all-ones character (nonzero multiples of q-1 select the character
     vanishing at zero), matching the usual boundary conventions.  Over
     x not in {0, 1} the sum is sum_r N(r) omega^r, where N(r) counts the
-    x with a*dlog(x) + b*dlog(1-x) = r mod q-1: one bincount for all
-    pairs, then one product with the Teichmuller table.
+    x with a*dlog(x) + b*dlog(1-x) = r mod q-1: one sum of _count_sums
+    per pair, BATCH_BYTES of pairs at a time.
     """
     q = ring.field.q
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    idx = a.reshape(-1, 1) % (q - 1) * ring._dlog_x
-    idx += b.reshape(-1, 1) % (q - 1) * ring._dlog_1mx
-    idx %= q - 1
-    idx += np.arange(a.size)[:, None] * (q - 1)  # pair j counts into bins j(q-1)..(j+1)(q-1)-1
-    counts = np.bincount(idx.ravel(), minlength=a.size * (q - 1)).reshape(a.shape + (q - 1,))
-    acc = counts @ ring._omega_np
-    acc[..., 0] += (a == 0).astype(np.int64) + (b == 0)  # x = 1 and x = 0 terms
-    return acc % ring.pN
+    fa, fb = a.reshape(-1, 1) % (q - 1), b.reshape(-1, 1) % (q - 1)
+    per = max(1, BATCH_BYTES // (24 * (q - 1)))  # a pair's exponents, one temporary and its counts
+    acc = np.empty((a.size, 1, ring.e), dtype=np.int64)
+    for lo in range(0, a.size, per):
+        bins = fa[lo : lo + per] * ring._dlog_x
+        bins += fb[lo : lo + per] * ring._dlog_1mx
+        acc[lo : lo + per] = _count_sums(ring, bins % (q - 1), 1)
+    acc[:, 0, 0] = (acc[:, 0, 0] + (a == 0).ravel() + (b == 0).ravel()) % ring.pN  # x = 1 and x = 0 terms
+    return acc.reshape(a.shape + (ring.e,))
 
 
 def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
-    """(len(rs), ell, e) class sums S_c(r) mod pN, one gather per exponent r."""
-    q, e, ell = ring.field.q, ring.e, ring.field.params.ell
-    per = max(1, BATCH_BYTES // ((q - 2) * e * 8))
-    out = np.zeros((len(rs), ell, e), dtype=np.int64)
-    for lo in range(0, len(rs), per):
-        idx = rs[lo : lo + per, None] * ring._dlog_x % (q - 1)
-        out[lo : lo + per] = np.add.reduceat(ring._omega_np[idx], ring._class_starts, axis=1) % ring.pN
-    return out
+    """(len(rs), ell, e) class sums S_c(r) mod pN: sum (r, c) of _count_sums counts r*dlog x, c(x) = c."""
+    q, ell = ring.field.q, ring.field.params.ell
+    per = max(1, BATCH_BYTES // (8 * ell * (q - 1)))  # the counts of one exponent
+    cls = ring._dlog_1mx % ell * (q - 1)  # x counts into the bins of its class c(x)
+    batches = (rs[lo : lo + per, None] * ring._dlog_x % (q - 1) + cls for lo in range(0, len(rs), per))
+    return np.concatenate([_count_sums(ring, bins, ell) for bins in batches])
 
 
 def _jacobi_rows(ring: GaloisRing, sums: np.ndarray) -> np.ndarray:
@@ -176,14 +182,13 @@ def _jacobi_chunk(ring: GaloisRing, a: np.ndarray, n: int) -> np.ndarray:
 
     Row (i, a) of U holds coefficient i of omega^(-a dlog x) over the x not
     in {0, 1}, and row (j, b) of V that of omega^(-b dlog(1-x)), both read
-    from a float64 copy of the Teichmuller table; the tile G = U @ V.T sums
-    each product of coefficients over x, and G @ W folds X^(i+j) back into
-    the ring.  Every value is an integer in [0, (q-2) e^2 (pN-1)^3], exact
-    in float64 while that is below 2^53.
+    from the ring's float64 table; the tile G = U @ V.T sums each product
+    of coefficients over x, and G @ W folds X^(i+j) back into the ring.
+    Every value is an integer in [0, (q-2) e^2 (pN-1)^3], exact in float64
+    while that is below 2^53.
     """
     q, e = ring.field.q, ring.e
-    omega = np.ascontiguousarray(ring._omega_np.T, dtype=np.float64)  # (e, q-1): a gather is C-ordered
-    W = ring._times.reshape(e * e, e).astype(np.float64)
+    omega, W = ring._omega, ring._times.reshape(e * e, e).astype(np.float64)
     U = np.take(omega, -a[:, None] * ring._dlog_x % (q - 1), axis=1).reshape(e * len(a), q - 2)
     out = np.empty((len(a), q - 2, e), dtype=np.int64)
     for lo in range(0, q - 2, n):
@@ -202,11 +207,10 @@ def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
     chunk's pairs are checked in lexicographic order with one carry_count.
     The tiles are exact while (q-2) e^2 (pN-1)^3 < 2^53, else
     BoundExceededError before the first one; the triples with q <= 256
-    use at most 2^47, at (2, 5, 2).  Otherwise STICKELBERGER_SAMPLE pairs
-    drawn with the seed, summed by jacobi_sum a batch at a time and
-    checked in the order drawn with one carry_count.  Returns the number
-    of pairs checked.  Raises MismatchError on the first failing pair; a
-    Jacobi sum that vanishes mod p^N counts as valuation N.
+    use at most 2^47, at (2, 5, 2).  Otherwise STICKELBERGER_SAMPLE pairs drawn
+    with the seed, summed by one jacobi_sum and checked in the order drawn with
+    one carry_count.  Returns the number of pairs checked.  Raises MismatchError
+    on the first failing pair; a Jacobi sum that vanishes mod p^N counts as valuation N.
     """
     P = ring.field.params
     p, q, e, pN, N, sample = P.p, P.q, ring.e, ring.pN, ring.precision, STICKELBERGER_SAMPLE
@@ -217,11 +221,7 @@ def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
             if sum(pair) % (q - 1):
                 pairs[:, made] = pair
                 made += 1
-        per = max(1, BATCH_BYTES // (24 * (q - 1)))  # jacobi_sum's indices, one temporary and counts
-        batches = np.split(pairs, range(per, sample, per), axis=1)
-        # an element's valuation is that of the gcd of its coefficients
-        gcds = np.concatenate([np.gcd.reduce(jacobi_sum(-a, -b, ring), axis=-1) for a, b in batches])
-        chunks = [(*pairs, _valuations(gcds[:, None], p, N))]
+        chunks = [(*pairs, _valuations(jacobi_sum(-pairs[0], -pairs[1], ring), p, N))]
     else:
         if (q - 2) * e * e * (pN - 1) ** 3 >= 1 << 53:
             raise BoundExceededError(f"Jacobi tiles at q = {q} need (q-2)*e^2*(p^N-1)^3 < 2^53 to be exact in float64")
@@ -354,7 +354,7 @@ def expected_block_valuations(table: FieldTable, idx) -> tuple[np.ndarray, int]:
 def _block_valuations(ring: GaloisRing, indices):
     """Yield (batch, [(valuations, zero count) per block]) over the increasing indices.
 
-    Each batch gathers the class sums of its own rows; the blocks are
+    Each batch computes the class sums of its own rows; the blocks are
     built and eliminated in batches, the trivial block on its own.
     """
     P = ring.field.params

@@ -100,6 +100,18 @@ OPTIMIZED_SCENARIOS = {
         "galois._jacobi_chunk = corrupt\n",
         _verify("stickelberger"),
     ),
+    # the sampled route forced at q = 16; pair (5, 6) is drawn from seed 0
+    "stickelberger-sample": (
+        "from cyclocrit import galois\n"
+        "galois.STICKELBERGER_EXHAUSTIVE_Q = 10\n"
+        "good = galois.jacobi_sum\n"
+        "def corrupt(a, b, ring):\n"
+        "    out = good(a, b, ring)\n"
+        "    out[(-a % 15 == 5) & (-b % 15 == 6)] = 0\n"
+        "    return out\n"
+        "galois.jacobi_sum = corrupt\n",
+        _verify("stickelberger"),
+    ),
     "min-carries": (
         "from cyclocrit import galois\n"
         "good = galois.min_carries\n"

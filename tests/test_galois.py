@@ -123,7 +123,7 @@ def jac(a, b, ring):
 
 
 def jacobi_row(a, ring):
-    """(ell-1, e) row [J(T^a, T^(-nk)) for n = 1..ell-1] from one coset-class gather, 0 < a < q-1."""
+    """(ell-1, e) row [J(T^a, T^(-nk)) for n = 1..ell-1] from the coset-class sums of a, 0 < a < q-1."""
     return galois._jacobi_rows(ring, galois._gather_class_sums(ring, np.array([a])))[0]
 
 
@@ -337,15 +337,15 @@ def test_precision_one_short_fails_block_check(monkeypatch, trip):
 
 
 def teichmuller(ring, x):
-    """Teichmuller lift of the nonzero field element x, as a tuple."""
-    return tuple(ring._omega_np[int(ring.field.dlog[x])].tolist())
+    """Teichmuller lift of the nonzero field element x, as a tuple, read from the ring's float64 table."""
+    return tuple(int(c) for c in ring._omega[:, ring.field.dlog[x]])
 
 
 def test_reduction_compatibility():
     ring = ring_for(5, 3, 1)
     tab = ring.field
     xs = np.arange(1, tab.q)
-    assert np.array_equal(ring._omega_np[tab.dlog[xs]] % ring.p @ ring.p ** np.arange(ring.e), xs)
+    assert np.array_equal(ring.omega_table()[tab.dlog[xs]] % ring.p @ ring.p ** np.arange(ring.e), xs)
 
 
 def test_teichmuller_multiplicative_and_idempotent():
@@ -405,6 +405,89 @@ def test_jacobi_row_matches_jacobi_sum(trip):
     n = np.arange(1, P.ell)
     for a in range(1, P.q - 1):
         assert np.array_equal(jacobi_row(a, ring), jacobi_sum(a, -(n * P.k), ring)), a
+
+
+def one_minus(tab, x):
+    """Index of 1 - x in F_q, digit by digit: negate every digit mod p, then add 1 to digit 0."""
+    p, e = tab.params.p, tab.params.ext_degree
+    digits = [-(x // p**i) % p for i in range(e)]
+    digits[0] = (digits[0] + 1) % p
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+def jacobi_reference(ring, omega, a, b):
+    """J(T^a, T^b) from the definition: T^a(x) T^b(1-x) over every x in F_q, multiplied in TupleRing.
+
+    T^n(y) is row n*dlog(y) mod q-1 of omega (the int64 omega_table) for
+    y != 0; at y = 0 it is 1 for a literal n = 0 and 0 otherwise.  No
+    bincount, no table product, no dlog(1-x) table of the ring.
+    """
+    tr, tab = TupleRing(ring), ring.field
+    q = tab.q
+
+    def char(n, y):
+        if y == 0:
+            return tr.one() if n == 0 else tr.zero()
+        return tuple(omega[n * int(tab.dlog[y]) % (q - 1)].tolist())
+
+    total = tr.zero()
+    for x in range(q):
+        total = tr.add(total, tr.mul(char(a, x), char(b, one_minus(tab, x))))
+    return total
+
+
+@pytest.mark.parametrize("trip, sample", [((2, 3, 2), None), ((5, 3, 1), 60), ((3, 5, 1), 60)])
+def test_jacobi_sum_matches_definition(monkeypatch, trip, sample):
+    """jacobi_sum equals the sum from the definition, literal-0 and q-1 exponents included.
+
+    Every pair of exponents 0..q-1 at (2, 3, 2); elsewhere a seeded sample
+    of exponents in -(q-1)..q-1 plus the boundary pairs.  Once in one batch
+    and once with one pair per batch.
+    """
+    ring = ring_for(*trip)
+    q, omega = ring.field.q, ring.omega_table()
+    if sample is None:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(11)
+        pairs = [(0, 0), (0, 3), (3, 0), (q - 1, 3), (3, q - 1), (q - 1, q - 1)]
+        pairs += [(rng.randrange(-(q - 1), q), rng.randrange(-(q - 1), q)) for _ in range(sample)]
+    a, b = np.array(pairs).T
+    want = [jacobi_reference(ring, omega, x, y) for x, y in pairs]
+    for batch_bytes in (galois.BATCH_BYTES, 1):
+        monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
+        assert [tuple(row) for row in jacobi_sum(a, b, ring).tolist()] == want
+
+
+@pytest.mark.parametrize("trip", [(2, 3, 2), (3, 5, 1)])
+def test_class_sums_match_definition(monkeypatch, trip):
+    """_gather_class_sums equals S_c(r), T^r(x) summed in TupleRing over the x not in {0, 1} with
+    dlog(1-x) = c mod ell, for every exponent r; once in one batch and once one exponent per batch."""
+    ring = ring_for(*trip)
+    tr, tab, omega = TupleRing(ring), ring.field, ring.omega_table()
+    q, ell = tab.q, tab.params.ell
+    want = [[tr.zero()] * ell for _ in range(q - 1)]
+    for x in range(2, q):
+        c = int(tab.dlog[one_minus(tab, x)]) % ell
+        for r in range(q - 1):
+            want[r][c] = tr.add(want[r][c], tuple(omega[r * int(tab.dlog[x]) % (q - 1)].tolist()))
+    for batch_bytes in (galois.BATCH_BYTES, 1):
+        monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
+        got = galois._gather_class_sums(ring, np.arange(q - 1))
+        assert [[tuple(s) for s in row] for row in got.tolist()] == want
+
+
+def test_count_sums_exact_in_table_dtype():
+    """Every sum _count_sums forms, at most (q-2)(p^N-1), is an integer its table's dtype holds exactly.
+
+    For every admissible q <= DEFAULT_MAX_Q, and for any q up to that bound
+    from _precision's int64 bound p^N < 2^31 alone: raising the field's q
+    bound past 2^22, or a narrower table, fails here before it rounds.
+    """
+    exact = 2 ** (np.finfo(ring_for(2, 3, 2)._omega.dtype).nmant + 1)
+    assert (DEFAULT_MAX_Q - 2) * ((1 << 31) - 1) < exact
+    for P in admissible(DEFAULT_MAX_Q):
+        assert (P.q - 2) * (P.p ** galois._precision(P) - 1) < exact, (P.p, P.ell, P.t)
 
 
 def test_block_count_is_a_mismatch(monkeypatch):
@@ -534,6 +617,13 @@ def test_stickelberger_tiles_refused_past_float64_bound(monkeypatch, capsys):
 def test_stickelberger_zeroed_jacobi_sum_exits_2_under_optimize(optimized_runs):
     """One zeroed tile entry in verify --which stickelberger at q=16: exit 2 naming the pair, under python -O."""
     code, out, err = optimized_runs["stickelberger-tile"]
+    assert code == 2, err
+    assert err == "mismatch: Stickelberger fails at (a,b)=(5,6): valuation 6 != carries 1\n" and not out
+
+
+def test_stickelberger_sampled_zeroed_sum_exits_2_under_optimize(optimized_runs):
+    """The sampled route forced at q=16, one pair's Jacobi sum zeroed: exit 2 naming that pair, under python -O."""
+    code, out, err = optimized_runs["stickelberger-sample"]
     assert code == 2, err
     assert err == "mismatch: Stickelberger fails at (a,b)=(5,6): valuation 6 != carries 1\n" and not out
 
@@ -718,7 +808,7 @@ def _block_orbits(P):
 
 @pytest.mark.parametrize("trip", [(2, 3, 4), (5, 3, 2), (3, 7, 1)])
 def test_one_gather_per_orbit(monkeypatch, trip):
-    """The block route gathers and eliminates block 0, the least block of each Frobenius orbit, then 8 others."""
+    """The block route sums classes for and eliminates block 0, the least block of each Frobenius orbit, then 8 others."""
     P, ring = params_for(*trip), ring_for(*trip)
     built, eliminated, gathered = [], [], []
     good_blocks, good_gather = galois._blocks, galois._gather_class_sums
@@ -768,7 +858,7 @@ def test_orbit_identity_is_checked(monkeypatch):
 
 @pytest.mark.parametrize("trip", [(2, 3, 4), (3, 7, 1), (2, 5, 2)])
 def test_row_lookup_matches_direct_rows(trip):
-    """Rows looked up from each orbit representative of r -> p*r equal rows from a direct gather, at every residue.
+    """Rows looked up from each orbit representative of r -> p*r equal rows from direct class sums, at every residue.
 
     The rows of p^j * r are those of r with J_n read at n * p^(-j) mod ell:
     the row identity behind block p*i mod k being block i permuted.
