@@ -43,7 +43,7 @@ class BadResidueError(CyclocritError):
 
 
 class PrecisionError(CyclocritError):
-    """Ring precision too small to resolve a required valuation."""
+    """Ring or float64 precision too small to resolve a required value."""
 
 
 class MismatchError(CyclocritError):

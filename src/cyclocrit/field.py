@@ -130,10 +130,6 @@ class FieldTable:
     def q(self) -> int:
         return self.params.q
 
-    def _index(self, digits) -> np.ndarray:
-        """Indices of the digit vectors (entries in 0..p-1) along the last axis of digits."""
-        return np.asarray(digits, dtype=np.int64) @ self.params.p ** np.arange(self.params.ext_degree)
-
     # --- vectorized add (adjacency construction) ------------------------
     def digit_table(self) -> np.ndarray:
         """(e, q) array: row i holds base-p digit i of every index; built on first use."""

@@ -41,8 +41,8 @@ from .carries import ORBIT_SAMPLE, _orbit_representatives, carry_count, min_carr
 from .errors import BoundExceededError, MismatchError, PrecisionError
 from .field import FieldTable, _digits, _mul, _power, _times_matrix, _times_table
 
-# Bytes of the largest array of one batch of class sums or Jacobi sums (the counts), one block
-# batch or the two sides of one Jacobi tile: it bounds peak memory whatever q and the batch sizes.
+# Bytes of the largest array of one batch of class sums or Jacobi sums (the counts), one block batch or the
+# two sides of one Jacobi tile.  A batch holds at least one row, so peak memory is max(BATCH_BYTES, one row).
 BATCH_BYTES = 1 << 18
 # verify_stickelberger checks every pair up to this q, else STICKELBERGER_SAMPLE seeded pairs.
 STICKELBERGER_EXHAUSTIVE_Q = 256
@@ -147,7 +147,7 @@ def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
     vanishing at zero), matching the usual boundary conventions.  Over
     x not in {0, 1} the sum is sum_r N(r) omega^r, where N(r) counts the
     x with a*dlog(x) + b*dlog(1-x) = r mod q-1: one sum of _count_sums
-    per pair, BATCH_BYTES of pairs at a time.
+    per pair, in batches of max(BATCH_BYTES, 24*(q-1)) bytes (one pair from q = 2^14).
     """
     q = ring.field.q
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
@@ -163,7 +163,10 @@ def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
 
 
 def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
-    """(len(rs), ell, e) class sums S_c(r) mod pN: sum (r, c) of _count_sums counts r*dlog x, c(x) = c."""
+    """(len(rs), ell, e) class sums S_c(r) mod pN: sum (r, c) of _count_sums counts r*dlog x, c(x) = c.
+
+    A batch holds max(BATCH_BYTES, 8*ell*(q-1)) bytes of counts: at least one exponent (1.57 MB at (2,3,8)).
+    """
     q, ell = ring.field.q, ring.field.params.ell
     per = max(1, BATCH_BYTES // (8 * ell * (q - 1)))  # the counts of one exponent
     cls = ring._dlog_1mx % ell * (q - 1)  # x counts into the bins of its class c(x)

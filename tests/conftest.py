@@ -19,7 +19,9 @@ from cyclocrit import (
     min_carries,
     validate,
 )
+from cyclocrit.abelian import is_prime
 from cyclocrit.errors import CyclocritError
+from cyclocrit.field import DEFAULT_MAX_Q
 from cyclocrit.snf import _swap_into_pivot
 
 
@@ -30,6 +32,21 @@ def admissible(max_q):
         for ell in (3, 5, 7, 11):
             t = 1
             while p ** ((ell - 1) * t) <= max_q:
+                try:
+                    out.append(validate(p, ell, t))
+                except CyclocritError:
+                    pass
+                t += 1
+    return out
+
+
+def admissible_up_to_table_bound():
+    """Every admissible triple with q <= 2^16: p < 256 prime, ell odd prime (2^(ell-1) <= 2^16 gives ell <= 17)."""
+    out = []
+    for p in filter(is_prime, range(256)):
+        for ell in filter(is_prime, range(3, 18)):
+            t = 1
+            while p ** ((ell - 1) * t) <= DEFAULT_MAX_Q:
                 try:
                     out.append(validate(p, ell, t))
                 except CyclocritError:

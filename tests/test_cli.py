@@ -92,10 +92,11 @@ def test_verify_all_small(capsys):
 
 
 def test_verify_walks_requires_ell3(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--p", "3", "--ell", "5", "--t", "1", "--which", "walks"
     )
     assert code == 1
+    assert (out, err) == ("", "error: BadResidueError: walks: only defined for ell = 3\n")
 
 
 def test_table(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible, field_for, params_for, ring_for, snf_group_for
+from conftest import admissible, admissible_up_to_table_bound, field_for, params_for, ring_for, snf_group_for
 from cyclocrit import (
     carries,
     carry_count,
@@ -19,8 +19,7 @@ from cyclocrit import (
     p_part_from_carries,
     validate,
 )
-from cyclocrit.abelian import is_prime
-from cyclocrit.errors import BoundExceededError, CyclocritError, MismatchError
+from cyclocrit.errors import BoundExceededError, MismatchError
 from cyclocrit.field import DEFAULT_MAX_Q
 from cyclocrit.galois import (
     GaloisRing,
@@ -295,21 +294,6 @@ def test_array_mul_matches_tuple_mul(trip):
             assert tuple(prod[i, j].tolist()) == tr.mul(a, b)
     assert np.array_equal(ring._mul(A[:3, None], A[3:7]), prod[:3, 3:7])  # (3, 1, e) times (4, e)
     assert np.array_equal(ring._mul(A[0], A[:, None]), prod[:, :1])  # (e,) times (12, 1, e)
-
-
-def admissible_up_to_table_bound():
-    """Every admissible triple with q <= 2^16: p < 256 prime, ell odd prime (2^(ell-1) <= 2^16 gives ell <= 17)."""
-    out = []
-    for p in filter(is_prime, range(256)):
-        for ell in filter(is_prime, range(3, 18)):
-            t = 1
-            while p ** ((ell - 1) * t) <= DEFAULT_MAX_Q:
-                try:
-                    out.append(validate(p, ell, t))
-                except CyclocritError:
-                    pass
-                t += 1
-    return out
 
 
 def test_int64_bound_holds_up_to_table_bound():

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_for
-from cyclocrit import graph
+from conftest import admissible_up_to_table_bound, field_for
+from cyclocrit import build_field, graph
+from cyclocrit.cli import main
 from cyclocrit.errors import BoundExceededError, MismatchError
 from cyclocrit.graph import adjacency, laplacian, verify_srg, write_matrix
 
@@ -249,8 +250,8 @@ def test_dense_guard_bounds():
     assert 4096 * 4096 * 8 <= graph.DENSE_MAX_BYTES < 16384 * 16384 * 8
 
 
-def test_srg_q16384():
-    """verify --which srg at q = 2^14 runs in O(q) memory (a dense int64 A alone is 2 GiB).
+def _srg_cli_peak(p, ell, t):
+    """(stdout lines, peak RSS in KiB) of `verify --which srg` at (p, ell, t), which must exit 0.
 
     A child's ru_maxrss starts from the peak RSS of the process it was exec'd
     from, so the CLI runs under a small launcher that reports its os.wait4.
@@ -263,9 +264,138 @@ def test_srg_q16384():
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-m", "cyclocrit", "verify", "--p", "2", "--ell", "3", "--t", "7", "--which", "srg"]
+    argv = [sys.executable, "-m", "cyclocrit", "verify", "--p", str(p), "--ell", str(ell), "--t", str(t), "--which", "srg"]
     proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env, capture_output=True, text=True)
     out, status = proc.stdout.splitlines(), proc.stdout.splitlines()[-1].split()
     assert int(status[0]) == 0, proc.stderr
-    assert out[:-1] == ["srg: pass (16384, 5461, 1848, 1806)"]
-    assert int(status[1]) < 100 * 1024  # KiB on Linux
+    return out[:-1], int(status[1])
+
+
+def test_srg_q16384():
+    """verify --which srg at q = 2^14 runs in O(q) memory (a dense int64 A alone is 2 GiB)."""
+    out, peak = _srg_cli_peak(2, 3, 7)
+    assert out == ["srg: pass (16384, 5461, 1848, 1806)"]
+    assert peak < 100 * 1024  # KiB on Linux
+
+
+@pytest.mark.parametrize(
+    "trip, line",
+    [((2, 3, 8), "srg: pass (65536, 21845, 7224, 7310)"), ((251, 3, 1), "srg: pass (63001, 21000, 7055, 6972)")],
+    ids=["q65536", "q63001"],
+)
+def test_srg_reach_table_bound(trip, line):
+    """The largest q of the table range, in characteristic 2 and at the largest p: one transform each."""
+    out, peak = _srg_cli_peak(*trip)
+    assert out == [line]
+    assert peak < 100 * 1024  # KiB on Linux
+
+
+def test_srg_every_admissible_triple(monkeypatch):
+    """verify_srg passes on all 48 admissible triples with q <= DEFAULT_MAX_Q, every p.
+
+    The transform's row is exact at p = 2 and within the docstring's 1e-9 of
+    an integer at odd p, far inside the 1/4 that PrecisionError guards.
+    """
+    ifftn, errs = np.fft.ifftn, []
+
+    def spy(a, *args, **kwargs):
+        out = ifftn(a, *args, **kwargs)
+        errs.append(float(np.abs(out.real - np.rint(out.real)).max()))
+        return out
+
+    monkeypatch.setattr(np.fft, "ifftn", spy)
+    triples = admissible_up_to_table_bound()
+    assert len(triples) == 48
+    for P in triples:
+        assert verify_srg(build_field(P)) is None, (P.p, P.ell, P.t)
+    assert len(errs) == 48
+    assert all(err == 0 for P, err in zip(triples, errs) if P.p == 2)
+    assert max(errs) < 1e-9
+
+
+def test_srg_rounding_tripwire(monkeypatch, capsys):
+    """A transform entry 0.3 from an integer is refused with exit 1, not rounded into a verdict."""
+    ifftn = np.fft.ifftn
+
+    def shifted(a, *args, **kwargs):
+        out = ifftn(a, *args, **kwargs)
+        out.flat[1] += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "ifftn", shifted)
+    code = main(["verify", "--p", "2", "--ell", "3", "--t", "2", "--which", "srg"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: PrecisionError: row 0 of A^2 lies 0.3 from an integer in float64, not under 1/4\n"
+
+
+def srg_row_by_scan(table) -> np.ndarray:
+    """Reference for verify_srg's transform: row 0 of A^2 by k shifted gathers.
+
+    r[d] = #{(s, s') in S^2 : s + s' = d} = sum over s in S of 1_S(d - s),
+    one FieldTable.add_many gather per s.  O(q*k*e) work: it reaches past the
+    dense reference, but takes tens of seconds at q near 2^16 and odd p.
+    """
+    S = sorted(table.subgroup)
+    ind = np.zeros(table.q, dtype=np.int32)  # int32 halves the gathers' memory traffic; counts stay <= k
+    ind[S] = 1
+    xs = np.arange(table.q, dtype=np.int32)
+    row = np.zeros(table.q, dtype=np.int32)
+    for s in neg_indices(table)[S].tolist():
+        row += ind[table.add_many(xs, s)]
+    return row
+
+
+def neg_indices(table) -> np.ndarray:
+    """Index of -x for every index x, as neg does one at a time."""
+    p, e = table.params.p, table.params.ext_degree
+    return (-table.digit_table() % p).T @ p ** np.arange(e)
+
+
+def scan_verify_srg(table) -> str | None:
+    """verify_srg's checks up to the A^2 identity, that row from srg_row_by_scan: the first failure's detail, or None."""
+    P, S = table.params, table.subgroup
+    if not S >= set(neg_indices(table)[sorted(S)].tolist()):
+        return "adjacency not symmetric"
+    if 0 in S:
+        return "nonzero diagonal entry"
+    if len(S) != P.k:
+        return f"vertex 0 has degree {len(S)} != {P.k}"
+    lhs = srg_row_by_scan(table)
+    rhs = np.full(table.q, P.mu, dtype=np.int64)
+    rhs[sorted(S)] = P.lam
+    rhs[0] = P.k
+    if not np.array_equal(lhs, rhs):
+        j = int(np.argmax(lhs != rhs))
+        return f"A^2 identity fails at (0,{j}): {lhs[j]} != {rhs[j]}"
+    return None
+
+
+def scan_mutations(tab):
+    """Named broken copies of tab.  Edits of S set k = |S|, so the degree check passes and row 0 is compared."""
+    P, S = tab.params, set(tab.subgroup)
+    s = min(S)
+    x = min(x for x in range(1, tab.q) if x not in S)  # -x is outside S too, as S = -S
+
+    def with_set(T):
+        return dataclasses.replace(tab, subgroup=frozenset(T), params=dataclasses.replace(P, k=len(T)))
+
+    yield "drop-pair", with_set(S - {s, neg(tab, s)})
+    yield "add-pair", with_set(S | {x, neg(tab, x)})
+    yield "drop-one", with_set(S - {max(S)})  # a pair at p = 2, S != -S at odd p
+    for name, delta in [("lam", 1), ("mu", -1)]:
+        yield f"{name}{delta:+d}", dataclasses.replace(tab, params=dataclasses.replace(P, **{name: getattr(P, name) + delta}))
+
+
+@pytest.mark.parametrize("trip", [(2, 3, 7), (3, 5, 2)], ids=["q16384", "q6561"])
+def test_srg_transform_matches_scan(trip):
+    """Same verdict and detail as the k-gather scan, at q beyond the dense reference's reach."""
+    tab = field_for(*trip)
+    assert srg_detail(tab) is None and scan_verify_srg(tab) is None
+    for name, mutant in scan_mutations(tab):
+        want = scan_verify_srg(mutant)
+        if name == "drop-one" and tab.params.p != 2:
+            assert want == "adjacency not symmetric"
+        else:
+            assert want.startswith("A^2 identity fails at (0,"), name
+        assert srg_detail(mutant) == want, name
