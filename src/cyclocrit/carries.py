@@ -100,6 +100,14 @@ def _orbit_representatives(lo: int, hi: int, params: Params) -> tuple[np.ndarray
     return reps, params.ext_degree // fixed
 
 
+def check_enumeration_bound(params: Params) -> None:
+    """Refuse, before any work, k - 1 cosets past DEFAULT_ENUM_BOUND or a q past int64 enumeration."""
+    if params.k - 1 > DEFAULT_ENUM_BOUND:
+        raise BoundExceededError(f"k - 1 = {params.k - 1} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
+    if params.q > (1 << 62) // (params.ell + 1):
+        raise BoundExceededError("q too large for int64 coset enumeration")
+
+
 def min_carries_histogram(params: Params) -> dict[int, int]:
     """Multiset {min_carries(i) : 1 <= i <= k-1} as a histogram, one coset per Frobenius orbit.
 
@@ -107,11 +115,8 @@ def min_carries_histogram(params: Params) -> dict[int, int]:
     and min_carries must be constant on ORBIT_SAMPLE evenly spread
     orbits evaluated in full; otherwise MismatchError.
     """
-    p, k, q, half = params.p, params.k, params.q, params.ext_degree // 2
-    if k - 1 > DEFAULT_ENUM_BOUND:
-        raise BoundExceededError(f"k - 1 = {k - 1} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
-    if q > (1 << 62) // (params.ell + 1):
-        raise BoundExceededError("q too large for int64 coset enumeration")
+    check_enumeration_bound(params)
+    p, k, half = params.p, params.k, params.ext_degree // 2
     counts = np.zeros(half + 1, dtype=np.int64)
     for lo in range(1, k, HIST_CHUNK):
         reps, sizes = _orbit_representatives(lo, min(lo + HIST_CHUNK, k), params)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .abelian import AbelianGroupDesc
-from .carries import p_part_from_carries
+from .carries import check_enumeration_bound, p_part_from_carries
 from .errors import MethodMismatchError, MismatchError
 from .field import build_field
-from .index3 import p_part_from_recursion
+from .index3 import check_walk_bound, p_part_from_recursion
 from .params import EigenFactors, Params, eigenvalue_factorizations, order_factorization
 from .snf import (
     FULL_SNF_MAX_Q,
@@ -84,8 +84,10 @@ def _first_difference(formula: AbelianGroupDesc, bruteforce: AbelianGroupDesc) -
 
 
 def _formula_group(params: Params) -> AbelianGroupDesc:
-    entries = [(params.p, j, m) for j, m in p_part_multiplicities(params).items() if j > 0]
+    # cheapest refusal first: the p-part's work bound, then factoring u and v, then the p-part
+    (check_walk_bound if params.ell == 3 else check_enumeration_bound)(params)
     eigen = eigenvalue_factorizations(params)
+    entries = [(params.p, j, m) for j, m in p_part_multiplicities(params).items() if j > 0]
     entries.extend(coprime_part(params, eigen)[0].divisors)
     group = AbelianGroupDesc.from_prime_powers(entries, free_rank=1)
     _check_order(group, params, eigen)

@@ -140,8 +140,8 @@ class FieldTable:
             self._digit_table = D
         return self._digit_table
 
-    def add_many(self, xs: np.ndarray, s: int) -> np.ndarray:
-        """Index of x + s for every x in xs.
+    def add_many(self, xs: np.ndarray, s: int | np.ndarray) -> np.ndarray:
+        """Index of x + s for every x in xs and s in s, broadcast together.
 
         Digit i of the sum is d_i(x) + s_i, less p exactly when
         d_i(x) >= p - s_i, so the index of x + s is the integer
@@ -152,9 +152,9 @@ class FieldTable:
             return xs ^ s
         D = self.digit_table()
         out = xs + s
-        for i, si in enumerate(_digits(s, p, self.params.ext_degree).tolist()):
-            if si:
-                np.subtract(out, p ** (i + 1), out=out, where=np.take(D[i], xs) >= p - si)
+        sd = _digits(s, p, self.params.ext_degree)
+        for i in range(self.params.ext_degree):
+            np.subtract(out, p ** (i + 1), out=out, where=np.take(D[i], xs) >= p - sd[..., i])
         return out
 
 

@@ -19,6 +19,8 @@ from .field import FieldTable
 # Largest dense q x q int64 matrix: 256 MiB holds q = 4096 (the p-local
 # bound, 128 MiB) and refuses q = 2^14 (2 GiB per matrix).
 DENSE_MAX_BYTES = 1 << 28
+# Entries of one (rows, k) int64 block of column indices in `adjacency`: 256 KiB.
+INDEX_BLOCK = 1 << 15
 
 
 def adjacency(table: FieldTable) -> np.ndarray:
@@ -30,9 +32,11 @@ def adjacency(table: FieldTable) -> np.ndarray:
             f"DENSE_MAX_BYTES = {DENSE_MAX_BYTES}"
         )
     A = np.zeros((q, q), dtype=np.int64)
-    xs = np.arange(q, dtype=np.int64)
-    for s in sorted(table.subgroup):
-        A[xs, table.add_many(xs, s)] = 1
+    S = np.array(sorted(table.subgroup), dtype=np.int64)
+    rows = max(1, INDEX_BLOCK // len(S))
+    for x0 in range(0, q, rows):  # row x has its ones in the columns x + S
+        xs = np.arange(x0, min(x0 + rows, q), dtype=np.int64)[:, None]
+        A[xs, table.add_many(xs, S)] = 1
     return A
 
 

@@ -205,16 +205,8 @@ def p_rank_closed_form(p: int, t: int) -> int:
     return ((p + 1) // 3) ** (2 * t) * (2 ** (t + 1) - 2)
 
 
-def p_part_from_recursion(params: Params) -> dict[int, int]:
-    """Sylow p-part multiplicities e_j for the index-3 family.
-
-    The lower half e_a, 0 <= a < t, is a coefficient sum of the walk
-    polynomial C(2t), and e_0 must equal the closed form above;
-    carries.p_part_from_lower_half mirrors it and forces the middle.
-    Raises BadResidueError unless ell = 3; (p, t) = (2, 1), the
-    disconnected graph, is excluded too.  Raises BoundExceededError once
-    t^3 log2 p exceeds WALK_WORK_BOUND.
-    """
+def check_walk_bound(params: Params) -> None:
+    """Refuse before any work: ell != 3 or (p, t) = (2, 1), and t^3 log2 p past WALK_WORK_BOUND."""
     p, t = params.p, params.t
     if params.ell != 3:
         raise BadResidueError(f"the walk recursion needs ell = 3, not {params.ell}")
@@ -222,6 +214,18 @@ def p_part_from_recursion(params: Params) -> dict[int, int]:
         raise BadResidueError("(p, t) = (2, 1) is excluded (disconnected graph)")
     if t**3 * math.log2(p) > WALK_WORK_BOUND:
         raise BoundExceededError(f"p = {p}, t = {t}: t^3 log2 p exceeds the walk recursion's bound {WALK_WORK_BOUND}")
+
+
+def p_part_from_recursion(params: Params) -> dict[int, int]:
+    """Sylow p-part multiplicities e_j for the index-3 family.
+
+    The lower half e_a, 0 <= a < t, is a coefficient sum of the walk
+    polynomial C(2t), and e_0 must equal the closed form above;
+    carries.p_part_from_lower_half mirrors it and forces the middle.
+    Refuses first what check_walk_bound refuses.
+    """
+    check_walk_bound(params)
+    p, t = params.p, params.t
     C = closed_walk_poly(p, t)[:, :, 0, 0]
     lower = {a: int(C[a, a + 1 : t + 1].sum()) for a in range(t)}
     e0 = p_rank_closed_form(p, t)

@@ -5,14 +5,15 @@ on the integer Laplacian.  The pivot is always a nonzero entry of
 minimal absolute value in the remaining submatrix (ties broken by first
 position in row-major order), with full row and column reduction and a
 divisibility fix-up so the diagonal comes out as the invariant-factor
-chain.  Without a modulus the entries are exact Python integers (the
-sympy-checked reference); the Laplacian oracle runs it modulo 2uv in
-int64, which is exact once the quadratic Laplacian identity has been
-checked.  A p-local variant tracks only valuations, working modulo p^B
-on balanced residues held exactly in float64: pending pivots are applied
-to the trailing block as one BLAS dgemm per panel of rows (the delayed
-updates of FFLAS-FFPACK, Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008),
-which is what makes q up to 2^12 tractable.
+chain.  Without a modulus the entries are exact Python integers in
+object-dtype rows (the sympy-checked reference); the Laplacian oracle
+runs it modulo 2uv on int64 residues, which is exact once the quadratic
+Laplacian identity has been checked.  A p-local variant tracks only
+valuations, working modulo p^B on balanced residues held exactly in
+float64: pending pivots are applied to the trailing block as one BLAS
+dgemm per panel of rows (the delayed updates of FFLAS-FFPACK, Dumas,
+Giorgi & Pernet, ACM TOMS 35(3), 2008), which is what makes q up to
+2^12 tractable.
 """
 
 from __future__ import annotations
@@ -64,21 +65,31 @@ def smith_normal_form(mat, modulus: int | None = None) -> tuple[tuple[int, ...],
     """Invariant factors (positive, divisibility chain) and cokernel free rank.
 
     Treats an n x m input as a map Z^m -> Z^n, so the free rank is
-    n - (number of nonzero invariant factors).  Object-dtype numpy rows
-    keep the row/column operations vectorized while entries stay exact
-    Python integers.
+    n - (number of nonzero invariant factors).  Entries are exact Python
+    integers in object-dtype rows, or int64 under a modulus D below 2^31
+    (read straight from an integer array).  With D, updated rows and
+    columns go back to symmetric residues, which keep Euclid terminating,
+    and each diagonal d becomes gcd(d, D).  That is the integer answer
+    when every invariant factor divides D and is below it; one divisible
+    by D would count as free rank.
 
-    With a modulus D (int64 below 2^31) updated rows and columns go back
-    to symmetric residues, which keep Euclid terminating, and each
-    diagonal d becomes gcd(d, D).  That is the integer answer when every
-    invariant factor divides D and is below it; one divisible by D would
-    count as free rank.
+    While column t is zero below the pivot a column operation changes row
+    t only, so only M[t, cols] is updated.  The divisibility scan is
+    skipped when |pivot| equals the last value c whose scan passed and c
+    divides D (or there is no D): that scan left every trailing entry a
+    multiple of c, and later row and column operations, fix-ups and
+    reductions modulo D keep it one.
     """
-    M = _sym_mod(np.array([[int(x) for x in row] for row in mat], dtype=object), modulus)
-    if modulus is not None and modulus < 1 << 31:
+    M = np.asarray(mat)
+    small = modulus is not None and modulus < 1 << 31
+    if not (small and M.dtype.kind in "iu"):
+        M = np.array([[int(x) for x in row] for row in mat], dtype=object)
+    M = _sym_mod(M % modulus if small else M, modulus)
+    if small:
         M = M.astype(np.int64)
     n, m = M.shape
     divisors: list[int] = []
+    checked = 0  # the last pivot value whose divisibility scan passed
     t = 0
     while t < min(n, m):
         piv = _find_min_pivot(M, t)
@@ -111,7 +122,8 @@ def smith_normal_form(mat, modulus: int | None = None) -> tuple[tuple[int, ...],
                 hit = np.nonzero(qv)[0]
                 if hit.size:
                     cols = nzc[hit] + (t + 1)
-                    M[t:, cols] = _sym_mod(M[t:, cols] - np.outer(M[t:, t], qv[hit]), modulus)
+                    rs = slice(t, None if col_dirtied else t + 1)  # row t alone while column t is clear
+                    M[rs, cols] = _sym_mod(M[rs, cols] - np.outer(M[rs, t], qv[hit]), modulus)
                 row = M[t, t + 1:]
                 nzc = np.nonzero(row)[0]
                 if nzc.size:
@@ -121,14 +133,15 @@ def smith_normal_form(mat, modulus: int | None = None) -> tuple[tuple[int, ...],
                     col_dirtied = True
             if col_dirtied and (M[t + 1:, t] != 0).any():
                 continue
-            a = M[t, t]
-            if abs(a) != 1:
+            a = abs(M[t, t])
+            if a != 1 and not (a == checked and (modulus is None or modulus % a == 0)):
                 # invariant-factor chain: pivot must divide every later entry
                 rem = M[t + 1:, t + 1:] % a
                 bad = np.nonzero(rem)
                 if bad[0].size:
                     M[t, t:] = _sym_mod(M[t, t:] + M[int(bad[0][0]) + t + 1, t:], modulus)
                     continue
+                checked = a
             break
         divisors.append(abs(int(M[t, t])) if modulus is None else math.gcd(int(M[t, t]), modulus))
         t += 1
@@ -324,14 +337,16 @@ def critical_group_by_snf(table: FieldTable) -> AbelianGroupDesc:
     The reduction is exact only after L is checked: zero row and column
     sums and (L - uI)(L - vI) = mu*J.  Then every y with sum 0 has
     uv*y = -L(L - (u+v)I)y in im L, so uv kills the torsion and each
-    invariant factor divides uv < 2uv.
+    invariant factor divides uv < 2uv.  The product runs in float64
+    (BLAS), exactly: every partial sum is an integer of magnitude at most
+    q*(k+|u|)*(k+|v|), below 2^53 for q <= FULL_SNF_MAX_Q.
     """
     P = table.params
     if P.q > FULL_SNF_MAX_Q:
         raise BoundExceededError(f"q = {P.q} exceeds the full-SNF bound {FULL_SNF_MAX_Q}")
     L = laplacian(table)
-    I = np.eye(P.q, dtype=np.int64)
-    if L.sum(axis=0).any() or L.sum(axis=1).any() or ((L - P.u * I) @ (L - P.v * I) != P.mu).any():
+    Lf, I = L.astype(np.float64), np.eye(P.q)
+    if L.sum(axis=0).any() or L.sum(axis=1).any() or ((Lf - P.u * I) @ (Lf - P.v * I) != P.mu).any():
         raise MismatchError("Laplacian fails zero line sums or (L-uI)(L-vI) = mu*J")
     factors, free_rank = smith_normal_form(L, modulus=2 * P.u * P.v)
     if free_rank != 1:

@@ -4,12 +4,12 @@ import hashlib
 import pytest
 
 from conftest import both_result_for, params_for, snf_group_for
-from cyclocrit import abelian, coprime_part, critgroup, critical_group
+from cyclocrit import abelian, coprime_part, critgroup, critical_group, index3
 from cyclocrit.abelian import AbelianGroupDesc, factorint
 from cyclocrit.carries import check_conservation
 from cyclocrit.cli import main
 from cyclocrit.critgroup import order_factorization
-from cyclocrit.errors import MethodMismatchError
+from cyclocrit.errors import BoundExceededError, MethodMismatchError
 
 
 def test_coprime_part_trivial_q16():
@@ -134,6 +134,27 @@ def test_rho_step_budget_exits_1(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: FactorizationError: ") and err.count("\n") == 1
+
+
+def test_rho_refusal_precedes_the_walk_recursion(monkeypatch, capsys):
+    """u and v are factored before the p-part: a refused factorization never reaches the walk recursion."""
+    monkeypatch.setattr(abelian, "RHO_STEP_LIMIT", 1 << 10)
+    calls = []
+    monkeypatch.setattr(index3, "closed_walk_poly", lambda p, t: calls.append((p, t)))
+    assert main(FORMULA_2_3_62) == 1
+    out, err = capsys.readouterr()
+    assert calls == [] and out == ""
+    assert err.startswith("error: FactorizationError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trip", [(2, 3, 159), (2, 5, 7)])
+def test_work_bound_refusal_precedes_factoring(monkeypatch, trip):
+    """The walk and enumeration bounds refuse before u and v are factored."""
+    calls = []
+    monkeypatch.setattr(critgroup, "eigenvalue_factorizations", calls.append)
+    with pytest.raises(BoundExceededError):
+        critical_group(params_for(*trip), "formula")
+    assert calls == []
 
 
 def test_group_desc_canonical_form():

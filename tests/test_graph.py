@@ -40,16 +40,19 @@ def dense_verify_srg(table) -> str | None:
         i = int(np.argmax(deg != k))
         return f"vertex {i} has degree {int(deg[i])} != {k}"
 
+    # the products run in float64 (BLAS), exactly: for any 0/1 matrix A every
+    # partial sum is an integer of magnitude at most q*(q+|u|)*(q+|v|) < 2^53
     I = np.eye(q, dtype=np.int64)
     J = np.ones((q, q), dtype=np.int64)
-    lhs = A @ A
+    Af = A.astype(np.float64)
+    lhs = Af @ Af
     rhs = k * I + lam * A + mu * (J - I - A)
     if not np.array_equal(lhs, rhs):
         i, j = np.unravel_index(int(np.argmax(lhs != rhs)), lhs.shape)
         return f"A^2 identity fails at ({i},{j}): {int(lhs[i, j])} != {int(rhs[i, j])}"
 
     L = k * I - A
-    lhs = (L - u * I) @ (L - v * I)
+    lhs = (L - u * I).astype(np.float64) @ (L - v * I).astype(np.float64)
     rhs = mu * J
     if not np.array_equal(lhs, rhs):
         i, j = np.unravel_index(int(np.argmax(lhs != rhs)), lhs.shape)

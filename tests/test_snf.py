@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -290,8 +291,8 @@ def test_invariant_factor_chain_roundtrip():
 
 
 def test_modular_snf_matches_exact_on_fixtures():
-    """SNF mod 2uv equals the unreduced object-dtype SNF on every fixture with q <= 64."""
-    for trip in [(2, 3, 2), (5, 3, 1), (2, 3, 3)]:
+    """SNF mod 2uv equals the unreduced object-dtype SNF on every fixture with q <= 64, and at q = 81, 121."""
+    for trip in [(2, 3, 2), (5, 3, 1), (2, 3, 3), (3, 5, 1), (11, 3, 1)]:
         tab = field_for(*trip)
         P = tab.params
         L = laplacian(tab)
@@ -314,6 +315,36 @@ def test_modular_snf_against_sympy_nonsingular():
         ref = sympy_snf(sympy.Matrix(M), domain=sympy.ZZ)
         assert sorted(ours) == sorted(abs(ref[i, i]) for i in range(n))
         assert free == 0
+
+
+@pytest.mark.parametrize("D", [12, 30, 60, 210])
+def test_modular_snf_small_composite_moduli(D):
+    """Modulo D the factors are gcd(d_i, D) over sympy's diagonal d, less those equal to D (free rank).
+
+    Entries carry the primes of D and others, so pivots that do not divide
+    D (5 or 7 modulo 12, say) reach the divisibility scan; the exact path
+    sees the same matrices.
+    """
+    rng = random.Random(D)
+    for _ in range(30):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        M = [[rng.randint(-6, 6) * rng.choice([1, 2, 3, 4, 5, 6, 7, 10]) for _ in range(m)] for _ in range(n)]
+        ref = sympy_snf(sympy.Matrix(M), domain=sympy.ZZ)
+        diag = [abs(int(ref[i, i])) for i in range(min(n, m))]
+        want = sorted(g for g in (math.gcd(d, D) for d in diag) if g != D)
+        assert smith_normal_form(M, modulus=D) == (tuple(want), n - len(want)), (M, D)
+        exact = sorted(d for d in diag if d)
+        assert smith_normal_form(M) == (tuple(exact), n - len(exact)), M
+
+
+def test_dropped_edge_message_full_snf(monkeypatch):
+    """At (2,5,2) a dropped edge keeps the line sums zero and fails the full-SNF identity check."""
+    L = drop_edge(laplacian(field_for(2, 5, 2)))
+    assert not L.sum(axis=0).any() and not L.sum(axis=1).any()
+    monkeypatch.setattr(snf, "laplacian", lambda table: drop_edge(laplacian(table)))
+    with pytest.raises(MismatchError) as exc:
+        critical_group(params_for(2, 5, 2), "both")
+    assert str(exc.value) == "Laplacian fails zero line sums or (L-uI)(L-vI) = mu*J"
 
 
 def test_p_local_int64_object_switch():
