@@ -29,6 +29,8 @@ from .errors import BoundExceededError, MismatchError
 from .params import Params
 
 DEFAULT_MAX_Q = 1 << 16
+# Bytes of the largest array in one batch of `graph` or `galois` work, at least one row.
+BATCH_BYTES = 1 << 18
 # Antilog entries mapped per product in the fill: its (chunk, e) int64
 # temporaries stay at 64 KiB or less for every q up to DEFAULT_MAX_Q.
 _FILL_CHUNK = 1 << 9

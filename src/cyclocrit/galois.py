@@ -39,11 +39,8 @@ import numpy as np
 
 from .carries import ORBIT_SAMPLE, _orbit_representatives, carry_count, min_carries
 from .errors import BoundExceededError, MismatchError, PrecisionError
-from .field import FieldTable, _digits, _mul, _power, _times_matrix, _times_table
+from .field import BATCH_BYTES, FieldTable, _digits, _mul, _power, _times_matrix, _times_table
 
-# Bytes of the largest array of one batch of class sums or Jacobi sums (the counts), one block batch or the
-# two sides of one Jacobi tile.  A batch holds at least one row, so peak memory is max(BATCH_BYTES, one row).
-BATCH_BYTES = 1 << 18
 # verify_stickelberger checks every pair up to this q, else STICKELBERGER_SAMPLE seeded pairs.
 STICKELBERGER_EXHAUSTIVE_Q = 256
 STICKELBERGER_SAMPLE = 4000

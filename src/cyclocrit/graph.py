@@ -14,13 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundExceededError, MismatchError, PrecisionError
-from .field import FieldTable
+from .field import BATCH_BYTES, FieldTable
 
 # Largest dense q x q int64 matrix: 256 MiB holds q = 4096 (the p-local
 # bound, 128 MiB) and refuses q = 2^14 (2 GiB per matrix).
 DENSE_MAX_BYTES = 1 << 28
-# Entries of one (rows, k) int64 block of column indices in `adjacency`: 256 KiB.
-INDEX_BLOCK = 1 << 15
 
 
 def adjacency(table: FieldTable) -> np.ndarray:
@@ -33,7 +31,7 @@ def adjacency(table: FieldTable) -> np.ndarray:
         )
     A = np.zeros((q, q), dtype=np.int64)
     S = np.array(sorted(table.subgroup), dtype=np.int64)
-    rows = max(1, INDEX_BLOCK // len(S))
+    rows = max(1, BATCH_BYTES // (8 * len(S)))  # one (rows, k) int64 block of column indices
     for x0 in range(0, q, rows):  # row x has its ones in the columns x + S
         xs = np.arange(x0, min(x0 + rows, q), dtype=np.int64)[:, None]
         A[xs, table.add_many(xs, S)] = 1

@@ -1,19 +1,19 @@
 """Integer Smith normal form and derived cokernel descriptions.
 
-This is the brute-force oracle side of the package: plain elimination
-on the integer Laplacian.  The pivot is always a nonzero entry of
-minimal absolute value in the remaining submatrix (ties broken by first
-position in row-major order), with full row and column reduction and a
-divisibility fix-up so the diagonal comes out as the invariant-factor
-chain.  Without a modulus the entries are exact Python integers in
-object-dtype rows (the sympy-checked reference); the Laplacian oracle
-runs it modulo 2uv on int64 residues, which is exact once the quadratic
-Laplacian identity has been checked.  A p-local variant tracks only
-valuations, working modulo p^B on balanced residues held exactly in
-float64: pending pivots are applied to the trailing block as one BLAS
-dgemm per panel of rows (the delayed updates of FFLAS-FFPACK, Dumas,
-Giorgi & Pernet, ACM TOMS 35(3), 2008), which is what makes q up to
-2^12 tractable.
+This is the brute-force oracle side of the package: plain elimination on
+the integer Laplacian.  The pivot is always a nonzero entry of minimal
+absolute value in the remaining submatrix (ties broken by first position
+in row-major order); one Euclid routine clears its column by row
+operations and, on the transpose, its row by column operations; a
+divisibility fix-up makes the diagonal the invariant-factor chain.
+Without a modulus the entries are exact Python integers in object-dtype
+rows (the sympy-checked reference); the Laplacian oracle runs it modulo
+2uv on int64 residues, which is exact once the quadratic Laplacian
+identity has been checked.  A p-local variant tracks only valuations,
+working modulo p^B on balanced residues held exactly in float64: pending
+pivots are applied to the trailing block as one BLAS dgemm per panel of
+rows (the delayed updates of FFLAS-FFPACK, Dumas, Giorgi & Pernet, ACM
+TOMS 35(3), 2008), which is what makes q up to 2^12 tractable.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ PANEL_ROWS = 128  # rows per flush, reduction and scan step through one scratch 
 
 
 def _find_min_pivot(M: np.ndarray, t: int):
-    sub = M[t:, t:]
-    A = np.abs(sub)
-    nz = A != 0
-    if not nz.any():
+    """Row-major first entry of least nonzero |x| in M[t:, t:], or None if all are zero."""
+    A = np.abs(M[t:, t:])
+    A -= 1  # a zero becomes -1: the largest uint64 on int64 rows, masked on object rows
+    i = int(np.argmin(A.view(np.uint64) if A.dtype != object else np.where(A < 0, A.max() + 1, A)))
+    if A.flat[i] < 0:
         return None
-    A = np.where(nz, A, A.max() + 1)
-    i, j = divmod(int(np.argmin(A)), A.shape[1])
+    i, j = divmod(i, A.shape[1])
     return t + i, t + j
 
 
@@ -61,6 +61,36 @@ def _sym_mod(X, D):
     return (X + h) % D - h
 
 
+def _clear(M: np.ndarray, t: int, modulus: int | None) -> bool:
+    """Clear column t below the pivot by Euclid row operations; True if a row swapped into row t.
+
+    A remainder that beats the pivot is swapped into row t and the clear
+    goes on.  A row operation rewrites only the columns where row t is
+    nonzero: by index when under half of the m - t left, else as a slice.
+    On M.T it clears row t by column operations.
+    """
+    swapped, m = False, M.shape[1]
+    col = M[t + 1 :, t]
+    nzr = np.nonzero(col)[0]
+    while nzr.size:
+        a = M[t, t]
+        qv = (2 * col[nzr] + a) // (2 * a)
+        hit = np.nonzero(qv)[0]
+        if hit.size:
+            rows, cols = nzr[hit] + (t + 1), np.flatnonzero(M[t, t:]) + t
+            if 2 * cols.size < m - t:
+                rows = rows[:, None]
+            else:
+                cols = slice(t, None)
+            M[rows, cols] = _sym_mod(M[rows, cols] - np.outer(qv[hit], M[t, cols]), modulus)
+        nzr = np.nonzero(col)[0]
+        if nzr.size:  # promote the smallest remainder
+            i0 = int(nzr[int(np.argmin(np.abs(col[nzr])))]) + t + 1
+            M[[t, i0], :] = M[[i0, t], :]
+            swapped = True
+    return swapped
+
+
 def smith_normal_form(mat, modulus: int | None = None) -> tuple[tuple[int, ...], int]:
     """Invariant factors (positive, divisibility chain) and cokernel free rank.
 
@@ -73,12 +103,15 @@ def smith_normal_form(mat, modulus: int | None = None) -> tuple[tuple[int, ...],
     when every invariant factor divides D and is below it; one divisible
     by D would count as free rank.
 
-    While column t is zero below the pivot a column operation changes row
-    t only, so only M[t, cols] is updated.  The divisibility scan is
-    skipped when |pivot| equals the last value c whose scan passed and c
-    divides D (or there is no D): that scan left every trailing entry a
-    multiple of c, and later row and column operations, fix-ups and
-    reductions modulo D keep it one.
+    Each pivot step runs _clear on M, then on M.T, and repeats while the
+    second run swapped a column in and left column t nonzero below the
+    pivot.  So a column operation reaches only the rows where column t is
+    nonzero (row t alone while column t is clear); the others would
+    subtract q*0 from a reduced residue.  The divisibility scan is skipped
+    when |pivot| equals the last value c whose scan passed and c divides D
+    (or there is no D): that scan left every trailing entry a multiple of
+    c, and later row and column operations, fix-ups and reductions modulo
+    D keep it one.
     """
     M = np.asarray(mat)
     small = modulus is not None and modulus < 1 << 31
@@ -97,42 +130,9 @@ def smith_normal_form(mat, modulus: int | None = None) -> tuple[tuple[int, ...],
             break
         _swap_into_pivot(M, t, *piv)
         while True:
-            a = M[t, t]
-            # clear the column below the pivot with rounded quotients (Euclid)
-            col = M[t + 1:, t]
-            nzr = np.nonzero(col)[0]
-            while nzr.size:
-                qv = (2 * col[nzr] + a) // (2 * a)
-                hit = np.nonzero(qv)[0]
-                if hit.size:
-                    rows = nzr[hit] + (t + 1)
-                    M[rows, t:] = _sym_mod(M[rows, t:] - np.outer(qv[hit], M[t, t:]), modulus)
-                col = M[t + 1:, t]
-                nzr = np.nonzero(col)[0]
-                if nzr.size:  # a remainder beat the pivot; promote the smallest
-                    i0 = int(nzr[int(np.argmin(np.abs(col[nzr])))]) + t + 1
-                    M[[t, i0], :] = M[[i0, t], :]
-                    a = M[t, t]
-            # clear the row right of the pivot (column operations)
-            row = M[t, t + 1:]
-            nzc = np.nonzero(row)[0]
-            col_dirtied = False
-            while nzc.size:
-                qv = (2 * row[nzc] + a) // (2 * a)
-                hit = np.nonzero(qv)[0]
-                if hit.size:
-                    cols = nzc[hit] + (t + 1)
-                    rs = slice(t, None if col_dirtied else t + 1)  # row t alone while column t is clear
-                    M[rs, cols] = _sym_mod(M[rs, cols] - np.outer(M[rs, t], qv[hit]), modulus)
-                row = M[t, t + 1:]
-                nzc = np.nonzero(row)[0]
-                if nzc.size:
-                    j0 = int(nzc[int(np.argmin(np.abs(row[nzc])))]) + t + 1
-                    M[:, [t, j0]] = M[:, [j0, t]]
-                    a = M[t, t]
-                    col_dirtied = True
-            if col_dirtied and (M[t + 1:, t] != 0).any():
-                continue
+            _clear(M, t, modulus)
+            if _clear(M.T, t, modulus) and (M[t + 1 :, t] != 0).any():
+                continue  # a column swap refilled column t
             a = abs(M[t, t])
             if a != 1 and not (a == checked and (modulus is None or modulus % a == 0)):
                 # invariant-factor chain: pivot must divide every later entry

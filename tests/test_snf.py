@@ -337,6 +337,56 @@ def test_modular_snf_small_composite_moduli(D):
         assert smith_normal_form(M) == (tuple(exact), n - len(exact)), M
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_find_min_pivot_matches_row_major_reference(data):
+    """The first entry of least nonzero |x| in M[t:, t:] in row-major order, or None on an all-zero block.
+
+    int64 entries within +-2^30 and object entries past 2^63, drawn with
+    many zeros and repeated magnitudes so ties and empty blocks are common.
+    """
+    big = data.draw(st.booleans(), label="object")
+    bound = 1 << 70 if big else 1 << 30
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+    entry = st.one_of(small, st.integers(-bound, bound))
+    n, m = data.draw(st.integers(1, 6), label="rows"), data.draw(st.integers(1, 6), label="cols")
+    rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n), label="M")
+    t = data.draw(st.integers(0, min(n, m) - 1), label="t")
+    if data.draw(st.booleans(), label="zero block"):
+        for row in rows[t:]:
+            row[t:] = [0] * (m - t)
+    M = np.array(rows, dtype=object if big else np.int64)
+    block = [(abs(rows[i][j]), i, j) for i in range(t, n) for j in range(t, m) if rows[i][j]]
+    assert snf._find_min_pivot(M, t) == (min(block)[1:] if block else None)
+
+
+def test_column_swap_refills_pivot_column(monkeypatch):
+    """[[-4, -6], [-8, -7]]: the row clear swaps a column in and leaves 5 below the pivot, so the clear repeats.
+
+    Column 0 clears to [-4, 0]; the row clear leaves the remainder 2 in
+    row 0, swaps that column in, and its column operation also reaches row
+    1, giving [[2, 0], [5, 10]].  Exact and modulo 2|det| = 40 the factors
+    are sympy's (1, 20); stopping at the 5 would give (2, 10).
+    """
+    calls = []
+    clear = snf._clear
+
+    def recorded(M, t, modulus):
+        swapped = clear(M, t, modulus)
+        if M.strides[0] < M.strides[1]:  # the transpose: a row clear by column operations
+            calls.append((t, swapped, bool((M[t, t + 1 :] != 0).any())))
+        return swapped
+
+    monkeypatch.setattr(snf, "_clear", recorded)
+    M = [[-4, -6], [-8, -7]]
+    ref = sympy_snf(sympy.Matrix(M), domain=sympy.ZZ)
+    assert sorted(abs(int(ref[i, i])) for i in range(2)) == [1, 20]
+    for D in (None, 40):
+        calls.clear()
+        assert smith_normal_form(M, modulus=D) == ((1, 20), 0), D
+        assert (0, True, True) in calls, D
+
+
 def test_dropped_edge_message_full_snf(monkeypatch):
     """At (2,5,2) a dropped edge keeps the line sums zero and fails the full-SNF identity check."""
     L = drop_edge(laplacian(field_for(2, 5, 2)))
