@@ -88,8 +88,8 @@ def _p_list(text: str) -> list[int]:
 
 def cmd_compute(args) -> int:
     params = validate(args.p, args.ell, args.t)
+    table = build_field(params) if args.export_laplacian or args.export_adjacency else None  # refuses q > 2^16 first
     result = critical_group(params, args.method)
-    table = build_field(params) if args.export_laplacian or args.export_adjacency else None
     if args.export_laplacian:
         write_matrix(args.export_laplacian, laplacian(table))
     if args.export_adjacency:

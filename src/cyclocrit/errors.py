@@ -43,7 +43,7 @@ class BadResidueError(CyclocritError):
 
 
 class PrecisionError(CyclocritError):
-    """Ring or float64 precision too small to resolve a required value."""
+    """float64 rounding too coarse to resolve a required value."""
 
 
 class MismatchError(CyclocritError):

@@ -20,7 +20,7 @@ being one product of those of g^0, ..., g^(n-1) with T(g^n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,13 +111,13 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldTable:
     """F_q arithmetic tables plus the index-ell subgroup S.
 
     dlog maps a nonzero element index to its exponent with respect to the
     fixed generator; antilog is the inverse table.  S is the set of
-    indices whose dlog is divisible by ell.
+    indices whose dlog is divisible by ell.  Frozen, with no cached tables.
     """
 
     params: Params
@@ -126,22 +126,12 @@ class FieldTable:
     dlog: np.ndarray
     antilog: np.ndarray
     subgroup: frozenset[int]
-    _digit_table: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def q(self) -> int:
         return self.params.q
 
     # --- vectorized add (adjacency construction) ------------------------
-    def digit_table(self) -> np.ndarray:
-        """(e, q) array: row i holds base-p digit i of every index; built on first use."""
-        if self._digit_table is None:
-            p, e = self.params.p, self.params.ext_degree
-            D = np.arange(self.q, dtype=np.int64) // p ** np.arange(e)[:, None]
-            D %= p
-            self._digit_table = D
-        return self._digit_table
-
     def add_many(self, xs: np.ndarray, s: int | np.ndarray) -> np.ndarray:
         """Index of x + s for every x in xs and s in s, broadcast together.
 
@@ -149,14 +139,13 @@ class FieldTable:
         d_i(x) >= p - s_i, so the index of x + s is the integer
         x + s - sum_i p^(i+1) [d_i(x) >= p - s_i].
         """
-        p = self.params.p
+        p, e = self.params.p, self.params.ext_degree
         if p == 2:
             return xs ^ s
-        D = self.digit_table()
         out = xs + s
-        sd = _digits(s, p, self.params.ext_degree)
-        for i in range(self.params.ext_degree):
-            np.subtract(out, p ** (i + 1), out=out, where=np.take(D[i], xs) >= p - sd[..., i])
+        xd, sd = _digits(xs, p, e), _digits(s, p, e)
+        for i in range(e):
+            np.subtract(out, p ** (i + 1), out=out, where=xd[..., i] >= p - sd[..., i])
         return out
 
 

@@ -7,13 +7,15 @@ the field module's representation.  Elements are numpy arrays whose
 last axis is the e coefficients, a single element as much as a stack of
 blocks; a*b = a @ T(b), T(b) = b @ W the matrix of multiplication by b
 (W[j, i] = X^(i+j)), by the field module's arithmetic at m = p^N in
-place of m = p.  Jacobi sums and class sums are counts of Teichmuller
-exponents times the float64 table of their powers (_count_sums).  Jacobi
-valuations realize carry counts (Stickelberger), which the verification
-suite checks: up to q = 256 every pair, from the 2-D character transform
-(float64 GEMM tiles of the coefficients of omega^(-a dlog x) and of
-omega^(-b dlog(1-x)) over x, exact below 2^53), beyond it a seeded sample.
-The ring is int64, at the precision N = v_p(uv) + 1 that _precision explains.
+place of m = p.  The Teichmuller generator omega is the lifted field
+generator raised to q^2, which omega^(q-1) = 1 certifies (omega_table).
+Jacobi sums and class sums are counts of Teichmuller exponents times the
+float64 table of their powers (_count_sums).  Jacobi valuations realize
+carry counts (Stickelberger), which the verification suite checks: up to
+q = 256 every pair, from the 2-D character transform (float64 GEMM tiles
+of the coefficients of omega^(-a dlog x) and of omega^(-b dlog(1-x)) over
+x, exact below 2^53), beyond it a seeded sample.  The ring is int64, at
+the precision N = v_p(uv) + 1 that _precision explains.
 
 The Laplacian restricted to each multiplicative isotypic component is a
 small matrix over this ring whose local Smith form the block checks
@@ -38,7 +40,7 @@ import random
 import numpy as np
 
 from .carries import ORBIT_SAMPLE, _orbit_representatives, carry_count, min_carries
-from .errors import BoundExceededError, MismatchError, PrecisionError
+from .errors import BoundExceededError, MismatchError
 from .field import BATCH_BYTES, FieldTable, _digits, _mul, _power, _times_matrix, _times_table
 
 # verify_stickelberger checks every pair up to this q, else STICKELBERGER_SAMPLE seeded pairs.
@@ -73,48 +75,39 @@ class GaloisRing:
         self.mod_poly = field.mod_poly
         q, ell, e, k = field.q, P.ell, self.e, P.k
         self._times = _times_table(self.mod_poly, self.pN)  # _times[j, i] = X^(i+j), reduced
-        # Every table is built here and never changed, so a ring can be
-        # shared freely.  _omega[i, j] is coefficient i of omega^j: float64 for
-        # BLAS, and (e, q-1) so that products and the tiles' np.take read it as is.
-        self._omega = np.ascontiguousarray(self.omega_table().T, dtype=np.float64)
+        # Every table is built here and never changed, so a ring can be shared freely.  _omega[i, j] is
+        # coefficient i of omega^j: float64 for BLAS, and (e, q-1) so that products and np.take read it as is.
+        table = self.omega_table()
+        self._omega = np.ascontiguousarray(table.T, dtype=np.float64)
+        # _row_map[c, j, (n-1)e + i] is coefficient i of zeta^(-nc) X^j, with
+        # zeta = omega^k, so the class sums times it give the Jacobi row.
+        powers = _times_matrix(table[np.arange(ell) * k], self._times, self.pN)
+        del table  # the int64 copy of _omega: free it before the q-sized dlog arrays
+        s = -np.arange(ell)[:, None] * np.arange(1, ell) % ell
+        self._row_map = powers[s].transpose(0, 2, 1, 3).reshape(ell, e, (ell - 1) * e)
         # -x = (-1) * x with -1 at index p-1, and 1 + y changes only digit 0 of y
         self._dlog_x = field.dlog[2:]  # x runs over F_q minus {0, 1}
         minus_x = field.antilog[(self._dlog_x + field.dlog[self.p - 1]) % (q - 1)]
         self._dlog_1mx = field.dlog[minus_x + 1 - self.p * (minus_x % self.p == self.p - 1)]
-        # _row_map[c, j, (n-1)e + i] is coefficient i of zeta^(-nc) X^j, with
-        # zeta = omega^k, so the class sums times it give the Jacobi row.
-        powers = _times_matrix(self._omega[:, np.arange(ell) * k].T.astype(np.int64), self._times, self.pN)
-        s = -np.arange(ell)[:, None] * np.arange(1, ell) % ell
-        self._row_map = powers[s].transpose(0, 2, 1, 3).reshape(ell, e, (ell - 1) * e)
-
-    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Broadcast product a @ T(b) of coefficient arrays (last axis e), reduced mod pN."""
-        return _mul(a, _times_matrix(b, self._times, self.pN), self.pN)
 
     # --- Teichmuller lifts --------------------------------------------------
-    def teichmuller_generator(self) -> np.ndarray:
-        """Lift of the field generator fixed by x -> x^q, as an (e,) array."""
-        y = _digits(self.field.generator, self.p, self.e)  # coefficientwise lift
-        for _ in range(self.precision + 2):
-            y2 = _power(_times_matrix(y, self._times, self.pN), self.field.q, self.pN)[0]  # y^q
-            if np.array_equal(y2, y):
-                return y
-            y = y2
-        raise PrecisionError(f"Teichmuller lift not fixed by x -> x^q within {self.precision + 1} steps")
-
     def omega_table(self) -> np.ndarray:
-        """(q-1, e) array of all Teichmuller lifts omega^j, filled by doubling."""
-        q = self.field.q
-        w = self.teichmuller_generator()
+        """(q-1, e) array of all Teichmuller lifts omega^j, filled by doubling as build_field fills antilog.
+
+        omega = x^(q^2), x the coefficientwise lift of the field generator: x = omega*u with v_p(u-1) >= 1,
+        each q-th power raises v_p(u-1) by e or more, and 1 + 2e > e + d = N - 1 as d = v_p(ell-1) < ell-1 <= e.
+        omega^(q-1) = 1 certifies the lift, else MismatchError.
+        """
+        q, pN = self.field.q, self.pN
+        T = T_w = _power(_times_matrix(_digits(self.field.generator, self.p, self.e), self._times, pN), q * q, pN)
         table = np.zeros((q - 1, self.e), dtype=np.int64)
         table[0, 0] = 1
         n = 1
-        while n < q - 1:  # w = omega^n here
+        while n < q - 1:  # T multiplies by omega^n
             m = min(n, q - 1 - n)
-            table[n : n + m] = self._mul(table[:m], w)
-            w = self._mul(w, w)
-            n += m
-        if not np.array_equal(self._mul(table[-1], table[1]), table[0]):
+            table[n : n + m] = _mul(table[:m], T, pN)
+            T, n = T @ T % pN, n + m
+        if not np.array_equal(_mul(table[-1], T_w, pN), table[0]):
             raise MismatchError(f"Teichmuller generator does not have order q-1 = {q - 1}")
         return table
 

@@ -236,6 +236,23 @@ def test_export_refused_over_dense_bound(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("option", ["--export-laplacian", "--export-adjacency"])
+def test_export_over_table_bound_refused_before_the_group(capsys, tmp_path, monkeypatch, option):
+    """q = 2^18 > DEFAULT_MAX_Q: the export's table is refused before critical_group runs."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("critical_group called before the export's table bound")
+
+    monkeypatch.setattr(cli, "critical_group", fail)
+    path = tmp_path / "x.txt"
+    code, out, err = run_cli(
+        capsys, "compute", "--p", "2", "--ell", "3", "--t", "9", "--method", "formula", option, str(path)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: BoundExceededError:") and "table bound" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("option", ["--export-laplacian", "--export-adjacency"])
 def test_unwritable_export_exits_1(capsys, tmp_path, option):
     """An export path in a missing directory is one error line and exit 1, not a traceback."""
     path = tmp_path / "missing" / "x.txt"

@@ -242,17 +242,23 @@ def test_dlog_antilog_roundtrip():
     assert sorted(int(v) for v in tab.antilog) == list(range(1, tab.q))
 
 
+def test_field_table_is_frozen():
+    """A FieldTable is shared between the graph, the ring and the exports, so no field can be reassigned."""
+    tab = field_for(2, 3, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tab.generator = 3
+
+
 def add_many_by_digits(tab, xs, s):
     """Reference for add_many at odd p: digitwise sum mod p, re-encoded by a matmul."""
     p, e = tab.params.p, tab.params.ext_degree
-    D = tab.digit_table().T
-    return ((D[xs] + s // p ** np.arange(e)) % p) @ (p ** np.arange(e))
+    return ((field._digits(xs, p, e) + s // p ** np.arange(e)) % p) @ (p ** np.arange(e))
 
 
 def _digits_only_table(p, e):
     """A FieldTable carrying only what digit arithmetic reads, for F_p^e outside the graph family."""
     params = dataclasses.replace(params_for(3, 5, 1), p=p, ell=e + 1, t=1, q=p**e)
-    return dataclasses.replace(field_for(3, 5, 1), params=params, _digit_table=None)
+    return dataclasses.replace(field_for(3, 5, 1), params=params)
 
 
 @pytest.mark.parametrize(
@@ -261,7 +267,7 @@ def _digits_only_table(p, e):
 def test_add_many_carry_formula_every_shift(tab):
     xs32 = np.arange(tab.q, dtype=np.int32)
     p, e = tab.params.p, tab.params.ext_degree
-    assert np.array_equal(tab.digit_table(), [[x // p**i % p for x in range(tab.q)] for i in range(e)])
+    assert np.array_equal(field._digits(xs32, p, e).T, [[x // p**i % p for x in range(tab.q)] for i in range(e)])
     for s in range(tab.q):
         want = add_many_by_digits(tab, xs32, s)
         got = tab.add_many(xs32, s)

@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from cyclocrit import (
     carries,
     carry_count,
     cli,
+    field,
     galois,
     jacobi_sum,
     laplacian_p_multiplicities,
@@ -287,13 +289,17 @@ def test_array_mul_matches_tuple_mul(trip):
     rng = random.Random(7)
     elems = [tuple(rng.randrange(ring.pN) for _ in range(ring.e)) for _ in range(12)]
     A = np.array(elems, dtype=np.int64)
-    prod = ring._mul(A[:, None], A[None, :])
+
+    def mul(a, b):
+        return field._mul(a, field._times_matrix(b, ring._times, ring.pN), ring.pN)
+
+    prod = mul(A[:, None], A[None, :])
     assert prod.dtype == np.int64
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             assert tuple(prod[i, j].tolist()) == tr.mul(a, b)
-    assert np.array_equal(ring._mul(A[:3, None], A[3:7]), prod[:3, 3:7])  # (3, 1, e) times (4, e)
-    assert np.array_equal(ring._mul(A[0], A[:, None]), prod[:, :1])  # (e,) times (12, 1, e)
+    assert np.array_equal(mul(A[:3, None], A[3:7]), prod[:3, 3:7])  # (3, 1, e) times (4, e)
+    assert np.array_equal(mul(A[0], A[:, None]), prod[:, :1])  # (e,) times (12, 1, e)
 
 
 def test_int64_bound_holds_up_to_table_bound():
@@ -335,7 +341,7 @@ def test_reduction_compatibility():
 def test_teichmuller_multiplicative_and_idempotent():
     for trip in [(2, 3, 3), (41, 3, 1)]:
         ring = ring_for(*trip)
-        w = tuple(ring.teichmuller_generator().tolist())
+        w = tuple(ring.omega_table()[1].tolist())
         assert w == teichmuller(ring, ring.field.generator) and TupleRing(ring).pow(w, ring.field.q) == w
     ring = ring_for(5, 3, 1)
     tr = TupleRing(ring)
@@ -349,6 +355,35 @@ def test_teichmuller_multiplicative_and_idempotent():
         assert tr.mul(wx, wy) == teichmuller(ring, tab.antilog[(tab.dlog[x] + tab.dlog[y]) % (q - 1)])
         assert tr.pow(wx, q) == wx
         assert tr.pow(wx, q - 1) == tr.one()
+
+
+def fixed_point_lift(ring):
+    """The Teichmuller generator as the fixed point of y -> y^q from the lifted field generator, in TupleRing."""
+    tr, q = TupleRing(ring), ring.field.q
+    y = tuple(ring.field.generator // ring.p**i % ring.p for i in range(ring.e))
+    while (z := tr.pow(y, q)) != y:
+        y = z
+    return y
+
+
+@pytest.mark.parametrize("trip", [(2, 3, 3), (41, 3, 1), (2, 13, 1), (251, 3, 1)])
+def test_lift_to_q_squared_is_the_fixed_point(trip):
+    """omega = x^(q^2) is the lift that x -> x^q fixes, at p = 2 (where one q-th power is short) and odd p."""
+    ring = ring_for(*trip)
+    assert tuple(ring.omega_table()[1].tolist()) == fixed_point_lift(ring)
+
+
+@pytest.mark.parametrize(
+    "trip, exponent",
+    [((2, 3, 2), math.isqrt), ((2, 5, 2), math.isqrt), ((5, 3, 1), lambda n: 1), ((11, 3, 1), lambda n: 1)],
+    ids=["x^q-2-3-2", "x^q-2-5-2", "x-5-3-1", "x-11-3-1"],
+)
+def test_short_lift_fails_order_check(monkeypatch, trip, exponent):
+    """x^q falls short of the lift at p = 2, and x itself at odd p: omega^(q-1) = 1 then fails."""
+    power = galois._power
+    monkeypatch.setattr(galois, "_power", lambda T, n, m: power(T, exponent(n), m))
+    with pytest.raises(MismatchError, match="order q-1"):
+        GaloisRing(field_for(*trip))
 
 
 def test_jacobi_boundary_conventions():

@@ -14,6 +14,7 @@ from conftest import admissible_up_to_table_bound, field_for
 from cyclocrit import build_field, graph
 from cyclocrit.cli import main
 from cyclocrit.errors import BoundExceededError, MismatchError
+from cyclocrit.field import _digits
 from cyclocrit.graph import adjacency, laplacian, verify_srg, write_matrix
 
 # every q <= 256 fixture of the suite, plus one odd-p case at each of q = 729, 625
@@ -352,7 +353,7 @@ def srg_row_by_scan(table) -> np.ndarray:
 def neg_indices(table) -> np.ndarray:
     """Index of -x for every index x, as neg does one at a time."""
     p, e = table.params.p, table.params.ext_degree
-    return (-table.digit_table() % p).T @ p ** np.arange(e)
+    return (-_digits(np.arange(table.q), p, e) % p) @ p ** np.arange(e)
 
 
 def scan_verify_srg(table) -> str | None:

@@ -337,6 +337,22 @@ def test_modular_snf_small_composite_moduli(D):
         assert smith_normal_form(M) == (tuple(exact), n - len(exact)), M
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("D", [2, 7, 8, 6143, 6144])
+def test_sym_mod_range(D, dtype):
+    """_sym_mod returns the residue of each entry in (-D/2, D/2]: at even D, -D/2 maps to D/2.
+
+    Object input reaches past 2^63, where only the exact path runs.
+    """
+    offset = 1 << 70 if dtype is object else 0
+    X = np.array([offset + x for x in range(-3 * D, 3 * D + 1)], dtype=dtype)
+    R = snf._sym_mod(X, D)
+    assert R.dtype == X.dtype and R.shape == X.shape
+    assert all((r - x) % D == 0 and -D < 2 * r <= D for r, x in zip(R.tolist(), X.tolist()))
+    assert sorted(set(R.tolist())) == list(range(-((D - 1) // 2), D // 2 + 1))
+    assert snf._sym_mod(X, None) is X
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_find_min_pivot_matches_row_major_reference(data):
