@@ -16,7 +16,7 @@ from .critgroup import METHODS, CriticalGroupResult, critical_group
 from .errors import BadResidueError, CyclocritError, MismatchError
 from .field import build_field
 from .galois import GaloisRing, verify_all_blocks, verify_stickelberger
-from .graph import adjacency, laplacian, verify_srg, write_matrix
+from .graph import _refuse_dense, adjacency, laplacian, verify_srg, write_matrix
 from .index3 import p_part_from_recursion, verify_transfer_matrix, verify_walks
 from .params import validate
 
@@ -89,6 +89,8 @@ def _p_list(text: str) -> list[int]:
 def cmd_compute(args) -> int:
     params = validate(args.p, args.ell, args.t)
     table = build_field(params) if args.export_laplacian or args.export_adjacency else None  # refuses q > 2^16 first
+    if table is not None:
+        _refuse_dense(table.q)  # then a dense matrix over DENSE_MAX_BYTES, still before the group
     result = critical_group(params, args.method)
     if args.export_laplacian:
         write_matrix(args.export_laplacian, laplacian(table))

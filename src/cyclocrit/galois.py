@@ -26,11 +26,11 @@ S_c(a) (T^a(x) summed over x not in {0, 1} with c(x) = c) times a fixed
 matrix of powers of omega^k.  The class sums obey S_c(p*r) = S_{p*c}(r):
 x -> x^p permutes F_q minus {0, 1}, multiplies dlog x by p, and
 multiplies c(x) by p because 1 - x^p = (1 - x)^p.  So block p*i mod k is
-block i with rows and columns permuted alike: one block per orbit of
-i -> p*i mod k (the carry histogram's orbits), weighted by the orbit
-size, gives every local Smith form, and a sample of the others is
-checked.  Blocks of one shape are eliminated as one (nb, n, n, e)
-array, inverse-free.
+block i with rows and columns permuted alike.  block_p_multiplicities,
+which verify_all_blocks runs, is one pass: one block per orbit of i -> p*i
+mod k (the carry histogram's) checked on the closed form and counted once
+per orbit member, then a sample of the others against their representative.
+Blocks of one shape are eliminated as one (nb, n, n, e) array, inverse-free.
 """
 
 from __future__ import annotations
@@ -359,13 +359,16 @@ def _block_valuations(ring: GaloisRing, indices):
         yield batch, ring_divisor_valuations(_blocks(ring, batch), ring)
 
 
-def _orbit_valuations(ring: GaloisRing):
-    """Yield (batch, orbit sizes, found) for block 0 and the least block of each Frobenius orbit.
+def block_p_multiplicities(ring: GaloisRing) -> dict[int, int]:
+    """p-part multiplicities from the block local Smith forms, in one pass that checks every block.
 
     The orbits of i -> p*i mod k are the carry histogram's; their sizes
-    must sum to k-1.  Then ORBIT_SAMPLE other blocks, spread evenly, must
-    match their representative's (sorted valuations, zeros); otherwise
-    MismatchError names both.
+    must sum to k-1.  Block 0 and the least block of each orbit must have
+    the closed-form pattern (expected_block_valuations), and each adds its
+    valuations once per block of its orbit.  Then ORBIT_SAMPLE other
+    blocks, spread evenly, must match their representative's (sorted
+    valuations, zeros).  Raises MismatchError naming the lowest failing
+    block, or a sampled block and its representative.
     """
     P, k = ring.field.params, ring.field.params.k
     reps, sizes = _orbit_representatives(1, k, P)
@@ -374,8 +377,18 @@ def _orbit_valuations(ring: GaloisRing):
     idx, sizes = np.concatenate([[0], reps]), np.concatenate([[1], sizes])
     got = {}
     for batch, found in _block_valuations(ring, idx):
-        yield batch, sizes[np.searchsorted(idx, batch)], found
-        got.update((i, (sorted(exps), zeros)) for i, (exps, zeros) in zip(batch.tolist(), found))
+        want, want_zeros = expected_block_valuations(ring.field, batch)
+        for i, (exps, zeros), w in zip(batch.tolist(), found, want.tolist()):
+            got[i] = sorted(exps), zeros
+            if got[i] != (w, want_zeros):
+                raise MismatchError(
+                    f"block {i}: local Smith valuations {sorted(exps)} (zeros {zeros}) "
+                    f"!= expected {w} (zeros {want_zeros})"
+                )
+    hist: dict[int, int] = {}
+    for i, size in zip(idx.tolist(), sizes.tolist()):
+        for v in got[i][0]:
+            hist[v] = hist.get(v, 0) + size
     others = np.ones(k, dtype=bool)  # a mask: np.setdiff1d's sorting temporaries raise peak RSS
     others[idx] = False
     others = np.flatnonzero(others)
@@ -389,40 +402,10 @@ def _orbit_valuations(ring: GaloisRing):
                     f"block {i}: local Smith valuations {sorted(exps)} (zeros {zeros}) "
                     f"!= {got.get(r)} at its Frobenius orbit representative {r}"
                 )
-
-
-def _check_blocks(table: FieldTable, batch: np.ndarray, found) -> None:
-    want, want_zeros = expected_block_valuations(table, batch)
-    for i, (exps, zeros), w in zip(batch.tolist(), found, want.tolist()):
-        if sorted(exps) != w or zeros != want_zeros:
-            raise MismatchError(
-                f"block {i}: local Smith valuations {sorted(exps)} (zeros {zeros}) "
-                f"!= expected {w} (zeros {want_zeros})"
-            )
+    return hist
 
 
 def verify_all_blocks(ring: GaloisRing) -> int:
-    """Local Smith form of every isotypic block against the closed form, one block per orbit.
-
-    Returns the number of blocks, k.  Raises MismatchError naming the
-    lowest block index that fails, or a sampled block that differs from
-    its orbit representative.
-    """
-    for batch, _, found in _orbit_valuations(ring):
-        _check_blocks(ring.field, batch, found)
+    """block_p_multiplicities' checks of every isotypic block; returns the number of blocks, k."""
+    block_p_multiplicities(ring)
     return ring.field.params.k
-
-
-def block_p_multiplicities(ring: GaloisRing) -> dict[int, int]:
-    """p-part multiplicities assembled from the block local Smith forms, weighted by orbit size."""
-    P = ring.field.params
-    hist: dict[int, int] = {}
-    for batch, sizes, found in _orbit_valuations(ring):
-        for i, size, (exps, zeros) in zip(batch.tolist(), sizes.tolist(), found):
-            if zeros != (i == 0):
-                raise MismatchError(f"block {i} has {zeros} zero divisors, expected {int(i == 0)}")
-            for e in exps:
-                hist[e] = hist.get(e, 0) + size
-    if sum(hist.values()) != P.q - 1:
-        raise MismatchError(f"blocks give {sum(hist.values())} divisors, expected q-1 = {P.q - 1}")
-    return hist

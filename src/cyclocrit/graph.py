@@ -21,14 +21,18 @@ from .field import BATCH_BYTES, FieldTable
 DENSE_MAX_BYTES = 1 << 28
 
 
-def adjacency(table: FieldTable) -> np.ndarray:
-    q = table.q
-    nbytes = q * q * 8
-    if nbytes > DENSE_MAX_BYTES:
+def _refuse_dense(q: int) -> None:
+    """BoundExceededError when one dense q x q int64 matrix would exceed DENSE_MAX_BYTES."""
+    if (nbytes := q * q * 8) > DENSE_MAX_BYTES:
         raise BoundExceededError(
             f"a dense {q}x{q} int64 matrix needs {nbytes} bytes, over the bound "
             f"DENSE_MAX_BYTES = {DENSE_MAX_BYTES}"
         )
+
+
+def adjacency(table: FieldTable) -> np.ndarray:
+    q = table.q
+    _refuse_dense(q)
     A = np.zeros((q, q), dtype=np.int64)
     S = np.array(sorted(table.subgroup), dtype=np.int64)
     rows = max(1, BATCH_BYTES // (8 * len(S)))  # one (rows, k) int64 block of column indices

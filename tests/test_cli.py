@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,24 @@ from cyclocrit.abelian import PSI_13, AbelianGroupDesc
 from cyclocrit.cli import main, result_to_json
 from cyclocrit.critgroup import critical_group
 from cyclocrit.params import validate
+
+
+def _bench_run():
+    """bench/run.py as a module; bench/ is on sys.path while it loads, as when it runs as a script."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("_bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # @dataclass looks up its class's module there
+    sys.path.insert(0, str(bench))
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(bench))
+    return run
+
+
+BENCH_RUN = _bench_run()
+BENCH_CASES = sorted({c for cs in BENCH_RUN.WORKLOADS.values() for c in cs} | set(BENCH_RUN.SMOKE), key=lambda c: c.id)
 
 
 def run_cli(capsys, *argv):
@@ -222,8 +241,13 @@ def test_export_laplacian(capsys, tmp_path):
     assert lines[0].split()[0] == "5"
 
 
-def test_export_refused_over_dense_bound(capsys, tmp_path):
-    # q = 2^14: the formula path runs, but a dense Laplacian would take 2 GiB
+def test_export_refused_over_dense_bound(capsys, tmp_path, monkeypatch):
+    """q = 2^14 passes the table bound, but a dense Laplacian would take 2 GiB: refused before critical_group runs."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("critical_group called before the export's dense bound")
+
+    monkeypatch.setattr(cli, "critical_group", fail)
     path = tmp_path / "lap.txt"
     code, out, err = run_cli(
         capsys, "compute", "--p", "2", "--ell", "3", "--t", "7",
@@ -356,3 +380,11 @@ def test_malformed_input_exits_1_without_traceback(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", BENCH_CASES, ids=lambda c: c.id)
+def test_bench_case_matches_golden(capsys, case):
+    """Every benchmark case, run in process at seed 0 (as its golden was recorded), prints its golden bytes."""
+    code, out, err = run_cli(capsys, *case.argv(0))
+    assert code == 0, err
+    assert out.encode() == (BENCH_RUN.GOLDEN / f"{case.id}.out").read_bytes()

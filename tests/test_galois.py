@@ -134,9 +134,10 @@ def laplacian_block(ring, i):
 
 
 def verify_block(table, ring, i):
-    """The block check of verify_all_blocks on block i alone."""
-    for found in galois._block_valuations(ring, [i]):
-        galois._check_blocks(table, *found)
+    """Block i alone, eliminated as the block route does, has its closed-form pattern."""
+    [(batch, [(exps, zeros)])] = galois._block_valuations(ring, [i])
+    want, want_zeros = expected_block_valuations(table, batch)
+    assert (sorted(exps), zeros) == (want[0].tolist(), want_zeros), i
 
 
 def block_results(ring, indices):
@@ -933,10 +934,11 @@ def test_corrupt_block_names_lowest_index(monkeypatch, batch_bytes):
 
     monkeypatch.setattr(galois, "_blocks", corrupt)
     monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
-    with pytest.raises(MismatchError) as err:
-        verify_all_blocks(ring)
     want, _ = expected_block_valuations(tab, [7])
-    assert str(err.value) == f"block 7: local Smith valuations [] (zeros 3) != expected {want[0].tolist()} (zeros 0)"
+    for check in (verify_all_blocks, block_p_multiplicities):
+        with pytest.raises(MismatchError) as err:
+            check(ring)
+        assert str(err.value) == f"block 7: local Smith valuations [] (zeros 3) != expected {want[0].tolist()} (zeros 0)"
 
 
 def test_block_index_out_of_range():
