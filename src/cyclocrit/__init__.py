@@ -8,75 +8,58 @@ integer Laplacian.  The package cross-validates the two at every scale
 the oracle can reach.
 """
 
-from .abelian import AbelianGroupDesc, factorint
-from .carries import (
-    carry_count,
-    digit_sums,
-    min_carries,
-    min_carries_histogram,
-    p_part_from_carries,
-)
-from .critgroup import CriticalGroupResult, coprime_part, critical_group
-from .field import FieldTable, build_field
-from .galois import (
-    GaloisRing,
-    jacobi_sum,
-    verify_all_blocks,
-    verify_stickelberger,
-)
-from .graph import adjacency, laplacian, verify_srg
-from .index3 import (
-    closed_walk_poly,
-    p_part_from_recursion,
-    p_rank_closed_form,
-    recursion_coefficients,
-    verify_transfer_matrix,
-    verify_walks,
-    walk_polys_by_trace,
-)
-from .params import Params, validate
-from .snf import (
-    critical_group_by_local_snf,
-    critical_group_by_snf,
-    laplacian_p_multiplicities,
-    p_local_multiplicities,
-    smith_normal_form,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroupDesc",
-    "CriticalGroupResult",
-    "FieldTable",
-    "GaloisRing",
-    "Params",
-    "adjacency",
-    "build_field",
-    "carry_count",
-    "closed_walk_poly",
-    "coprime_part",
-    "critical_group",
-    "critical_group_by_local_snf",
-    "critical_group_by_snf",
-    "digit_sums",
-    "factorint",
-    "jacobi_sum",
-    "laplacian",
-    "laplacian_p_multiplicities",
-    "min_carries",
-    "min_carries_histogram",
-    "p_local_multiplicities",
-    "p_part_from_carries",
-    "p_part_from_recursion",
-    "p_rank_closed_form",
-    "recursion_coefficients",
-    "smith_normal_form",
-    "validate",
-    "verify_all_blocks",
-    "verify_srg",
-    "verify_stickelberger",
-    "verify_transfer_matrix",
-    "verify_walks",
-    "walk_polys_by_trace",
-]
+# Each public name and the module that defines it, imported on first use (PEP 562),
+# so `import cyclocrit` loads no numpy and each command only the modules it runs.
+_EXPORTS = {
+    "AbelianGroupDesc": "abelian",
+    "factorint": "abelian",
+    "carry_count": "carries",
+    "digit_sums": "carries",
+    "min_carries": "carries",
+    "min_carries_histogram": "carries",
+    "p_part_from_carries": "carries",
+    "CriticalGroupResult": "critgroup",
+    "coprime_part": "critgroup",
+    "critical_group": "critgroup",
+    "FieldTable": "field",
+    "build_field": "field",
+    "GaloisRing": "galois",
+    "jacobi_sum": "galois",
+    "verify_all_blocks": "galois",
+    "verify_stickelberger": "galois",
+    "adjacency": "graph",
+    "laplacian": "graph",
+    "verify_srg": "graph",
+    "closed_walk_poly": "index3",
+    "p_part_from_recursion": "index3",
+    "p_rank_closed_form": "index3",
+    "recursion_coefficients": "index3",
+    "verify_transfer_matrix": "index3",
+    "verify_walks": "index3",
+    "walk_polys_by_trace": "index3",
+    "Params": "params",
+    "validate": "params",
+    "critical_group_by_local_snf": "snf",
+    "critical_group_by_snf": "snf",
+    "laplacian_p_multiplicities": "snf",
+    "p_local_multiplicities": "snf",
+    "smith_normal_form": "snf",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

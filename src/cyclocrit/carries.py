@@ -18,16 +18,12 @@ bound still counts all k-1 cosets.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .errors import (
-    BoundExceededError,
-    ConservationError,
-    MismatchError,
-    UndefinedSumError,
-    ZeroResidueError,
-)
-from .params import Params
+from .errors import BoundExceededError, MismatchError, UndefinedSumError, ZeroResidueError
+from .params import Params, check_conservation, p_part_from_lower_half  # the assembly, re-exported
 
 DEFAULT_ENUM_BOUND = 1 << 24
 # Candidate cosets per step of the histogram.  A candidate leaves at its first
@@ -38,21 +34,31 @@ HIST_CHUNK = 1 << 12
 ORBIT_SAMPLE = 8  # orbits whose every coset the histogram also evaluates directly
 
 
+@lru_cache(maxsize=None)
+def _digit_sum_table(p: int) -> tuple[np.ndarray, int]:
+    """(digit sums of 0..p^h - 1, h) for the largest h >= 1 with p^h <= max(p, 2^12)."""
+    table, h = np.zeros(1, dtype=np.int64), 0
+    while table.size * p <= max(p, 1 << 12):
+        table, h = np.add.outer(table, np.arange(p)).ravel(), h + 1  # s(p*n + a) = s(n) + a
+    table.flags.writeable = False
+    return table, h
+
+
 def digit_sums(x, params: Params) -> np.ndarray:
     """Base-p digit sums of the residues x mod q-1, which must be nonzero.
 
-    Legendre's identity s(r) = r - (p-1) * sum_{i>=1} floor(r / p^i)
-    needs one floor division per digit.
+    One lookup per base-p^h digit in a table of the digit sums of
+    0..p^h - 1.
     """
-    p = params.p
     r = np.asarray(x, dtype=np.int64) % (params.q - 1)
     if not r.all():
         raise ZeroResidueError(f"{np.asarray(x).ravel()[np.argmin(r)]} is divisible by q-1 = {params.q - 1}")
-    y, floors = np.array(r), np.zeros_like(r)
-    for _ in range(params.ext_degree - 1):
-        np.floor_divide(y, p, out=y)
-        floors += y
-    return r - (p - 1) * floors
+    table, h = _digit_sum_table(params.p)
+    s = np.zeros_like(r)
+    for _ in range(-(-params.ext_degree // h) - 1):  # every base-p^h digit below the leading one
+        r, digit = np.divmod(r, table.size)
+        s += table[digit]
+    return s + table[r]
 
 
 def carry_count(a, b, params: Params) -> np.ndarray:
@@ -135,51 +141,6 @@ def min_carries_histogram(params: Params) -> dict[int, int]:
             f"at its Frobenius orbit representative {orbits[rep[c], c]}"
         )
     return {j: int(cnt) for j, cnt in enumerate(counts) if cnt}
-
-
-def check_conservation(e_mult: dict[int, int], params: Params) -> None:
-    """Count and valuation conservation for a claimed p-part multiplicity map."""
-    total = sum(e_mult.values())
-    if total != params.q - 1:
-        raise ConservationError(
-            f"sum of multiplicities {total} != q - 1 = {params.q - 1}"
-        )
-    vsum = sum(j * m for j, m in e_mult.items())
-    expected = (
-        params.k * params.vp(params.u)
-        + (params.q - params.k - 1) * params.vp(params.v)
-        - params.ext_degree
-    )
-    if vsum != expected:
-        raise ConservationError(f"valuation sum {vsum} != v_p(order) = {expected}")
-
-
-def p_part_from_lower_half(lower: dict[int, int], params: Params) -> dict[int, int]:
-    """Sylow p-part multiplicities e_j from the lower half {j: e_j : 0 <= j < half}.
-
-    The upper range mirrors the lower one, e_(2half+d-j) = e_j for
-    0 < j < half and e_(2half+d) = e_0 - 2, with half = (ell-1)t/2 and
-    d = v_p(ell-1); the middle exponent(s) are forced by counting,
-    branching on whether p divides ell - 1.  The partial sum in the
-    middle-case formulas runs over all j below half (for ell = 3 this
-    coincides with j < t); the conservation check guards the reading at
-    runtime.  Zero multiplicities are dropped.
-    """
-    ell, q, k, d = params.ell, params.q, params.k, params.d
-    half, top = params.ext_degree // 2, params.ext_degree + d
-    e = dict(lower)
-    e[top] = e[0] - 2
-    for j in range(1, half):
-        e[top - j] = e[j]
-    below = sum(lower.values())
-    if d == 0:
-        e[half] = q + 1 - 2 * below
-    else:
-        e[half + d] = k + 2 - below
-        e[half] = (ell - 1) * k - below
-    e = {j: m for j, m in e.items() if m}
-    check_conservation(e, params)
-    return e
 
 
 def p_part_from_carries(params: Params) -> dict[int, int]:

@@ -2,21 +2,18 @@
 
 Exit codes: 0 success, 1 usage, bound or export-file errors, 2 mathematical mismatch
 (two exact computations disagreed).  JSON output is versioned and
-byte-deterministic for identical inputs and seeds.
+byte-deterministic for identical inputs and seeds.  Each command imports
+the numpy-backed modules (field, galois, graph) only for the work it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
 from .critgroup import METHODS, CriticalGroupResult, critical_group
 from .errors import BadResidueError, CyclocritError, MismatchError
-from .field import build_field
-from .galois import GaloisRing, verify_all_blocks, verify_stickelberger
-from .graph import _refuse_dense, adjacency, laplacian, verify_srg, write_matrix
 from .index3 import p_part_from_recursion, verify_transfer_matrix, verify_walks
 from .params import validate
 
@@ -57,6 +54,8 @@ def result_to_json(result: CriticalGroupResult) -> dict:
 
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(doc, sort_keys=True))
     else:
         params = doc.get("params", {})
@@ -88,10 +87,14 @@ def _p_list(text: str) -> list[int]:
 
 def cmd_compute(args) -> int:
     params = validate(args.p, args.ell, args.t)
-    table = build_field(params) if args.export_laplacian or args.export_adjacency else None  # refuses q > 2^16 first
-    if table is not None:
+    table = None
+    if args.export_laplacian or args.export_adjacency:
+        from .field import build_field
+        from .graph import _refuse_dense, adjacency, laplacian, write_matrix
+
+        table = build_field(params)  # refuses q > 2^16 first
         _refuse_dense(table.q)  # then a dense matrix over DENSE_MAX_BYTES, still before the group
-    result = critical_group(params, args.method)
+    result = critical_group(params, args.method, table)  # the brute force shares the export's table
     if args.export_laplacian:
         write_matrix(args.export_laplacian, laplacian(table))
     if args.export_adjacency:
@@ -107,9 +110,17 @@ def cmd_verify(args) -> int:
         raise BadResidueError("walks: only defined for ell = 3")
     reports: list[str] = []
     # one table and one ring, built only for the checks that read them
-    table = build_field(params) if which != "walks" else None
-    ring = GaloisRing(table) if which in ("stickelberger", "blocks", "all") else None
+    if which != "walks":
+        from .field import build_field
+
+        table = build_field(params)
+    if which in ("stickelberger", "blocks", "all"):
+        from .galois import GaloisRing, verify_all_blocks, verify_stickelberger
+
+        ring = GaloisRing(table)
     if which in ("srg", "all"):
+        from .graph import verify_srg
+
         verify_srg(table)
         reports.append(f"srg: pass {(params.q, params.k, params.lam, params.mu)}")
     if which in ("stickelberger", "all"):
@@ -138,6 +149,8 @@ def cmd_table(args) -> int:
             }
         )
     if args.format == "json":
+        import json
+
         print(json.dumps({"schema": JSON_SCHEMA_VERSION, "rows": rows}, sort_keys=True))
     else:
         for row in rows:
@@ -183,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # the parser is freed before the command runs
     try:
         return args.func(args)
     except MismatchError as exc:

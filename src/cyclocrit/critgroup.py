@@ -5,25 +5,23 @@ ell = 3, carry enumeration otherwise) with the coprime part, which is a
 product of two homocyclic factors determined by the prime-to-p parts of
 the Laplacian eigenvalues.  The brute-force pipeline diagonalizes the
 integer Laplacian directly.  method="both" runs the two and requires
-elementary-divisor-level agreement.
+elementary-divisor-level agreement.  The numpy-backed modules (carries,
+field, snf) are imported only by the routes that run them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from typing import TYPE_CHECKING
 
 from .abelian import AbelianGroupDesc
-from .carries import check_enumeration_bound, p_part_from_carries
 from .errors import MethodMismatchError, MismatchError
-from .field import build_field
 from .index3 import check_walk_bound, p_part_from_recursion
 from .params import EigenFactors, Params, eigenvalue_factorizations, order_factorization
-from .snf import (
-    FULL_SNF_MAX_Q,
-    critical_group_by_local_snf,
-    critical_group_by_snf,
-)
+
+if TYPE_CHECKING:
+    from .field import FieldTable
 
 METHODS = ("formula", "bruteforce", "both")
 
@@ -41,11 +39,18 @@ def coprime_part(params: Params, eigen: EigenFactors | None = None) -> tuple[Abe
     return AbelianGroupDesc.from_prime_powers(entries), params.u // p ** fu[p], params.v // p ** fv[p]
 
 
+def _p_part_route(params: Params):
+    """(refusal, computation) of the p-part closed form: the walk recursion at ell = 3, else the carry histogram."""
+    if params.ell == 3:
+        return check_walk_bound, p_part_from_recursion
+    from .carries import check_enumeration_bound, p_part_from_carries
+
+    return check_enumeration_bound, p_part_from_carries
+
+
 def p_part_multiplicities(params: Params) -> dict[int, int]:
     """Sylow p-part multiplicities by the fastest applicable closed form."""
-    if params.ell == 3:
-        return p_part_from_recursion(params)
-    return p_part_from_carries(params)
+    return _p_part_route(params)[1](params)
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ def _first_difference(formula: AbelianGroupDesc, bruteforce: AbelianGroupDesc) -
 
 def _formula_group(params: Params) -> AbelianGroupDesc:
     # cheapest refusal first: the p-part's work bound, then factoring u and v, then the p-part
-    (check_walk_bound if params.ell == 3 else check_enumeration_bound)(params)
+    _p_part_route(params)[0](params)
     eigen = eigenvalue_factorizations(params)
     entries = [(params.p, j, m) for j, m in p_part_multiplicities(params).items() if j > 0]
     entries.extend(coprime_part(params, eigen)[0].divisors)
@@ -94,19 +99,23 @@ def _formula_group(params: Params) -> AbelianGroupDesc:
     return group
 
 
-def _bruteforce_group(params: Params) -> tuple[AbelianGroupDesc, list[str]]:
-    table = build_field(params)
+def _bruteforce_group(params: Params, table: FieldTable | None) -> tuple[AbelianGroupDesc, list[str]]:
+    from .field import build_field
+    from .snf import FULL_SNF_MAX_Q, critical_group_by_local_snf, critical_group_by_snf
+
+    table = build_field(params) if table is None else table
     if params.q <= FULL_SNF_MAX_Q:
         return critical_group_by_snf(table), ["bruteforce:full-snf"]
     return critical_group_by_local_snf(table), ["bruteforce:p-local-snf"]
 
 
-def critical_group(params: Params, method: str = "both") -> CriticalGroupResult:
+def critical_group(params: Params, method: str = "both", table: FieldTable | None = None) -> CriticalGroupResult:
     """Compute the critical group by the requested pipeline(s).
 
     method="both" compares formula and brute force divisor-by-divisor and
     raises MethodMismatchError on any discrepancy; the torsion order is
-    checked against the spanning-tree count in every mode.
+    checked against the spanning-tree count in every mode.  The brute
+    force reads table, the field table of params, or builds its own.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -115,7 +124,7 @@ def critical_group(params: Params, method: str = "both") -> CriticalGroupResult:
         group = _formula_group(params)
         checks.append("order-formula")
     if method in ("bruteforce", "both"):
-        bf_group, bf_checks = _bruteforce_group(params)
+        bf_group, bf_checks = _bruteforce_group(params, table)
         checks.extend(bf_checks)
         if method == "bruteforce":
             group = bf_group

@@ -1,66 +1,53 @@
 """Closed-form pipeline for the index-3 family (p = 2 mod 3).
 
 The p-part multiplicities of the critical group come from a bivariate
-generating polynomial computed by a three-term recursion.  Two anchors
-check it, both by traces 2 tr((XY)^t) of a matrix [[0, X], [Y, 0]]: the
-carry digraph, whose weighted closed walks it counts, and the 6x6
-transfer matrix, whose first three power sums fix its char polynomial.
+generating polynomial computed by a three-term recursion.  A polynomial
+in Z[x, y] is a nested list whose entry [a][b] is the coefficient of
+x^a y^b.  The recursion keeps each x-row as one Python integer, the
+row's polynomial in y evaluated at y = 2^S (Kronecker substitution), so
+a term c x^a y^b of P, Q or R is a shift-add of every row.  S is the
+bit length of C(2t)(1, 1): every coefficient counts weighted walks, so
+it lies in 0..C(2t)(1, 1), and each row is reduced mod 2^((2t+1)S).
 
-A polynomial in Z[x, y] is a numpy array of shape (deg_x+1, deg_y+1, 1, 1)
-whose entry [a, b, 0, 0] is the coefficient of x^a y^b; a matrix of
-polynomials is a (dx, dy, n, m) array, so one product serves both.
+Two anchors check it, both by traces 2 tr((XY)^t) of a matrix
+[[0, X], [Y, 0]]: the carry digraph, whose weighted closed walks it
+counts, and the 6x6 transfer matrix, whose first three power sums fix
+its char polynomial.  They run on numpy arrays, a matrix of polynomials
+being a (dx, dy, n, m) array, and numpy is imported only when they run.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .carries import p_part_from_lower_half
 from .errors import BadResidueError, BoundExceededError, MismatchError
-from .params import Params
+from .params import Params, p_part_from_lower_half
+
+if TYPE_CHECKING:
+    import numpy as np
+
+Poly = list[list[int]]
 
 # p_part_from_recursion's bound on t^3 log2 p, checked before the recursion:
 # t steps over about t^2 coefficients of up to 2t log2 p bits each.  At the
-# bound, `table` at p = 2, t = 158, the slowest admitted p, takes 10.0 s and
-# 70 MB; p = 5, t = 119 takes 5.6 s (2 vCPUs, x86-64, Python 3.11).
+# bound, `table` at p = 2, t = 158, the slowest admitted p, takes 1.5-2.2 s and
+# 38 MB; p = 5, t = 119 takes 1.3-1.7 s (2 shared vCPUs, x86-64, Python 3.11).
 WALK_WORK_BOUND = 4_000_000
 
 
-def _pmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of polynomial matrices: one matmul per nonzero layer of A."""
-    ax, ay, n, _ = A.shape
-    bx, by, _, m = B.shape
-    out = np.zeros((ax + bx - 1, ay + by - 1, n, m), dtype=np.result_type(A, B))
-    for a, b in np.argwhere(np.count_nonzero(A, axis=(2, 3))):
-        out[a : a + bx, b : b + by] += A[a, b] @ B
-    return out
-
-
-def _padd(*terms: np.ndarray) -> np.ndarray:
-    """Sum of polynomial matrices of unequal degree."""
-    dx = max(T.shape[0] for T in terms)
-    dy = max(T.shape[1] for T in terms)
-    out = np.zeros((dx, dy) + terms[0].shape[2:], dtype=np.result_type(*terms))
-    for T in terms:
-        out[: T.shape[0], : T.shape[1]] += T
-    return out
-
-
-def _peq(A: np.ndarray, B: np.ndarray) -> bool:
-    """Equality of polynomial matrices, ignoring zero padding."""
-    return np.count_nonzero(_padd(A, -B)) == 0
-
-
-def _poly(coeffs: dict[tuple[int, int], int]) -> np.ndarray:
-    """Exact (object-dtype) coefficient array of the sum of c x^a y^b over {(a, b): c}."""
-    dx = max(a for a, _ in coeffs) + 1
+def _poly(coeffs: dict[tuple[int, int], int]) -> Poly:
+    """The sum of c x^a y^b over {(a, b): c}, as rows up to the largest a and b."""
     dy = max(b for _, b in coeffs) + 1
-    out = np.zeros((dx, dy, 1, 1), dtype=object)
+    out = [[0] * dy for _ in range(max(a for a, _ in coeffs) + 1)]
     for (a, b), c in coeffs.items():
-        out[a, b] += c
+        out[a][b] += c
     return out
+
+
+def _nonzero(poly: Poly) -> dict[tuple[int, int], int]:
+    """{(a, b): c} over the nonzero coefficients: equal for equal polynomials, whatever the zero padding."""
+    return {(a, b): c for a, row in enumerate(poly) for b, c in enumerate(row) if c}
 
 
 def _require_index3_prime(p: int) -> None:
@@ -68,7 +55,7 @@ def _require_index3_prime(p: int) -> None:
         raise BadResidueError(f"p = {p} is not 2 mod 3")
 
 
-def recursion_coefficients(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def recursion_coefficients(p: int) -> tuple[Poly, Poly, Poly]:
     """The three polynomial coefficients (P, Q, R) of the walk recursion."""
     _require_index3_prime(p)
     c1 = (p + 1) // 3
@@ -83,20 +70,75 @@ def recursion_coefficients(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return P, Q, R
 
 
-def closed_walk_poly(p: int, t: int) -> np.ndarray:
-    """Weighted closed-walk sum C(2t), by the three-term recursion from Newton's seeds C(0), C(2), C(4)."""
-    _require_index3_prime(p)
-    if t < 1:
-        raise ValueError("t must be positive")
-    P, Q, R = recursion_coefficients(p)
-    window = [_poly({(0, 0): 6}), 2 * P, _padd(2 * _pmul(P, P), -4 * Q)]
+def _by_shift(f: Poly, S: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The terms c x^a y^b of f as (b*S, [(a, c), ...]), one entry per b that has a term."""
+    groups = [(b * S, [(a, row[b]) for a, row in enumerate(f) if row[b]]) for b in range(len(f[0]))]
+    return [(shift, terms) for shift, terms in groups if terms]
+
+
+def _walk_rows(P, Q, R, t: int, mask: int) -> list[int]:
+    """The rows of C(2t) by the three-term recursion from Newton's seeds C(0), C(2), C(4).
+
+    P, Q and R are given as _by_shift lists, and every row of every C(2s)
+    is reduced by & mask.
+    """
+
+    def combine(*products):  # the sum of f * rows over (f, rows)
+        out = [0] * max(len(rows) + max(a for _, terms in f for a, _ in terms) for f, rows in products)
+        for f, rows in products:
+            for shift, terms in f:
+                for i, row in enumerate(rows):
+                    row <<= shift
+                    for a, c in terms:
+                        out[i + a] += row if c == 1 else c * row
+        return [row & mask for row in out]
+
+    minus_Q = [(shift, [(a, -c) for a, c in terms]) for shift, terms in Q]
+    window = [[6], combine((P, [2]))]
+    window.append(combine((P, window[1]), (minus_Q, [4])))
     for _ in range(t - 2):
-        nxt = _padd(_pmul(P, window[2]), -_pmul(Q, window[1]), _pmul(R, window[0]))
-        window = [window[1], window[2], nxt]
+        window = [window[1], window[2], combine((P, window[2]), (minus_Q, window[1]), (R, window[0]))]
     return window[min(t, 2)]
 
 
+def _slot_bits(p: int, t: int) -> int:
+    """Bits per packed coefficient of C(2t): the bit length of C(2t)(1, 1), the recursion run on scalars."""
+    at_one = [[(0, [(0, sum(map(sum, f)))])] for f in recursion_coefficients(p)]
+    return _walk_rows(*at_one, t, -1)[0].bit_length()
+
+
+def _unpack(row: int, n: int, S: int) -> list[int]:
+    """The n S-bit slots of the nonnegative integer row, lowest first."""
+    data, m = row.to_bytes((n * S + 7) // 8, "little"), (1 << S) - 1
+    return [int.from_bytes(data[b * S >> 3 : (b + 1) * S + 7 >> 3], "little") >> (b * S & 7) & m for b in range(n)]
+
+
+def closed_walk_poly(p: int, t: int) -> Poly:
+    """Weighted closed-walk sum C(2t) as (2t+1) x (2t+1) rows of coefficients, by the packed recursion."""
+    _require_index3_prime(p)
+    if t < 1:
+        raise ValueError("t must be positive")
+    S, n = _slot_bits(p, t), 2 * t + 1
+    # at x = y = 1 the walk operator N = XY has eigenvalues p^2, 1, 1, so C(2t)(1, 1) = 2(p^(2t) + 2)
+    if (at_one := 2 * (p ** (2 * t) + 2)) >> S:
+        raise MismatchError(f"C({2 * t})(1, 1) = {at_one} does not fit the {S}-bit coefficient slots")
+    terms = [_by_shift(f, S) for f in recursion_coefficients(p)]
+    return [_unpack(row, n, S) for row in _walk_rows(*terms, t, (1 << n * S) - 1)]
+
+
 # --- walk oracle on the carry digraph --------------------------------------
+
+
+def _pmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Product of polynomial matrices: one matmul per nonzero layer of A."""
+    import numpy as np
+
+    ax, ay, n, _ = A.shape
+    bx, by, _, m = B.shape
+    out = np.zeros((ax + bx - 1, ay + by - 1, n, m), dtype=np.result_type(A, B))
+    for a, b in np.argwhere(np.count_nonzero(A, axis=(2, 3))):
+        out[a : a + bx, b : b + by] += A[a, b] @ B
+    return out
 
 
 def carry_digraph(p: int) -> np.ndarray:
@@ -109,6 +151,8 @@ def carry_digraph(p: int) -> np.ndarray:
     side 1.  An arc goes to every digit on the other side with those
     carries, and is weighted x^cx' * y^cy'.
     """
+    import numpy as np
+
     _require_index3_prime(p)
     n, th1, th2 = 4 * p, (p + 1) // 3, 2 * (p + 1) // 3
     a, cx, cy = np.arange(n) // 4, np.arange(n) // 2 % 2, np.arange(n) % 2
@@ -121,6 +165,8 @@ def carry_digraph(p: int) -> np.ndarray:
 
 def _walk_traces(X: np.ndarray, Y: np.ndarray, t_max: int) -> list[np.ndarray]:
     """[2 tr((XY)^t) for t = 1..t_max], in the dtype of X and Y."""
+    import numpy as np
+
     N = _pmul(X, Y)
     rows = N.reshape(N.shape[:2] + (1, -1))
     out, power = [], np.eye(N.shape[2], dtype=N.dtype)[None, None]
@@ -162,6 +208,8 @@ def transfer_blocks(p: int) -> tuple[np.ndarray, np.ndarray]:
     other side.  Both blocks are K = [[c1,c1,c2],[c1,c2,c1],[c2,c1,c1]],
     with rows scaled by (1, x, xy) in X and by (1, y, xy) in Y.
     """
+    import numpy as np
+
     _require_index3_prime(p)
     c1 = (p + 1) // 3
     c2 = (p - 2) // 3
@@ -185,14 +233,14 @@ def verify_transfer_matrix(p: int) -> None:
     built, and det M = -det N.
     """
     for t, trace in enumerate(_walk_traces(*transfer_blocks(p), 3), start=1):
-        if not _peq(trace, closed_walk_poly(p, t)):
+        if _nonzero(trace[:, :, 0, 0].tolist()) != _nonzero(closed_walk_poly(p, t)):
             raise MismatchError(f"transfer matrix char poly mismatch for p={p}: 2 tr (XY)^{t} != C({2 * t})")
 
 
 def verify_walks(p: int, t_max: int = 4) -> None:
     """Trace-of-power oracle equals the recursion for every t up to t_max."""
     for t, walks in enumerate(walk_polys_by_trace(p, t_max), start=1):
-        if not _peq(walks, closed_walk_poly(p, t)):
+        if _nonzero(walks[:, :, 0, 0].tolist()) != _nonzero(closed_walk_poly(p, t)):
             raise MismatchError(f"walk oracle disagrees with recursion at p={p}, t={t}")
 
 
@@ -221,13 +269,13 @@ def p_part_from_recursion(params: Params) -> dict[int, int]:
 
     The lower half e_a, 0 <= a < t, is a coefficient sum of the walk
     polynomial C(2t), and e_0 must equal the closed form above;
-    carries.p_part_from_lower_half mirrors it and forces the middle.
+    params.p_part_from_lower_half mirrors it and forces the middle.
     Refuses first what check_walk_bound refuses.
     """
     check_walk_bound(params)
     p, t = params.p, params.t
-    C = closed_walk_poly(p, t)[:, :, 0, 0]
-    lower = {a: int(C[a, a + 1 : t + 1].sum()) for a in range(t)}
+    C = closed_walk_poly(p, t)
+    lower = {a: sum(C[a][a + 1 : t + 1]) for a in range(t)}
     e0 = p_rank_closed_form(p, t)
     if lower[0] != e0:
         raise MismatchError(f"p-rank closed form {e0} disagrees with walk coefficients {lower[0]}")

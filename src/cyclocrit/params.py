@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass
 
 from .abelian import PSI_13, factorint, is_prime
-from .errors import BoundExceededError, DisconnectedError, MismatchError, NotPrimeError, NotPrimitiveError
+from .errors import (
+    BoundExceededError,
+    ConservationError,
+    DisconnectedError,
+    MismatchError,
+    NotPrimeError,
+    NotPrimitiveError,
+)
 
 # validate's bound on q = p^((ell-1)t), in bits, next to PSI_13 on p and ell.  It
 # is checked before q is formed and before the loop over residues mod ell: the
@@ -166,3 +173,48 @@ def order_factorization(params: Params, eigen: EigenFactors | None = None) -> di
     if out[params.p] == 0:
         del out[params.p]
     return dict(sorted(out.items()))
+
+
+def check_conservation(e_mult: dict[int, int], params: Params) -> None:
+    """Count and valuation conservation for a claimed p-part multiplicity map."""
+    total = sum(e_mult.values())
+    if total != params.q - 1:
+        raise ConservationError(
+            f"sum of multiplicities {total} != q - 1 = {params.q - 1}"
+        )
+    vsum = sum(j * m for j, m in e_mult.items())
+    expected = (
+        params.k * params.vp(params.u)
+        + (params.q - params.k - 1) * params.vp(params.v)
+        - params.ext_degree
+    )
+    if vsum != expected:
+        raise ConservationError(f"valuation sum {vsum} != v_p(order) = {expected}")
+
+
+def p_part_from_lower_half(lower: dict[int, int], params: Params) -> dict[int, int]:
+    """Sylow p-part multiplicities e_j from the lower half {j: e_j : 0 <= j < half}.
+
+    The upper range mirrors the lower one, e_(2half+d-j) = e_j for
+    0 < j < half and e_(2half+d) = e_0 - 2, with half = (ell-1)t/2 and
+    d = v_p(ell-1); the middle exponent(s) are forced by counting,
+    branching on whether p divides ell - 1.  The partial sum in the
+    middle-case formulas runs over all j below half (for ell = 3 this
+    coincides with j < t); the conservation check guards the reading at
+    runtime.  Zero multiplicities are dropped.
+    """
+    ell, q, k, d = params.ell, params.q, params.k, params.d
+    half, top = params.ext_degree // 2, params.ext_degree + d
+    e = dict(lower)
+    e[top] = e[0] - 2
+    for j in range(1, half):
+        e[top - j] = e[j]
+    below = sum(lower.values())
+    if d == 0:
+        e[half] = q + 1 - 2 * below
+    else:
+        e[half + d] = k + 2 - below
+        e[half] = (ell - 1) * k - below
+    e = {j: m for j, m in e.items() if m}
+    check_conservation(e, params)
+    return e

@@ -185,11 +185,18 @@ OPTIMIZED_SCENARIOS = {
         "from cyclocrit import index3\n"
         "good = index3.closed_walk_poly\n"
         "def bumped(p, t):\n"
-        "    C = good(p, t).copy()\n"
-        "    C[1, 2] += 40\n"
+        "    C = [row[:] for row in good(p, t)]\n"
+        "    C[1][2] += 40\n"
         "    return C\n"
         "index3.closed_walk_poly = bumped\n",
         _compute("--method", "formula"),
+    ),
+    # C(16)(1, 1) = 131076 needs 18 bits, but every coefficient fits in 16: only the slot check sees it
+    "short-slots": (
+        "from cyclocrit import index3\n"
+        "good = index3._slot_bits\n"
+        "index3._slot_bits = lambda p, t: good(p, t) - 2\n",
+        ["compute", "--p", "2", "--ell", "3", "--t", "8", "--method", "formula"],
     ),
     # X one off at its constant (0, 0) entry: 2 tr (XY) no longer equals C(2) = 2P
     "transfer-matrix": (
@@ -208,7 +215,7 @@ OPTIMIZED_SCENARIOS = {
 # and restores every attribute of the package's modules after each one.
 _OPTIMIZED_CHILD = """
 import contextlib, io, json, sys, traceback
-from cyclocrit import cli
+from cyclocrit import carries, cli, field, galois, graph, snf  # every module, so each patch is undone
 from conftest import OPTIMIZED_SCENARIOS
 modules = [m for name, m in sys.modules.items() if name.startswith("cyclocrit")]
 results = {}

@@ -96,6 +96,29 @@ def test_digit_sums_match_digit_strings(trip):
     assert digit_sums(r.reshape(-1, 1) + (P.q - 1), P).ravel().tolist() == want
 
 
+@pytest.mark.parametrize("trip", [(2, 3, 31), (3, 5, 9), (5, 3, 13), (11, 3, 9), (251, 3, 3)])
+def test_digit_sums_match_legendre_at_largest_e(trip):
+    """Table lookups equal Legendre's r - (p-1) sum_i floor(r / p^i), r random or all digits p - 1 below some p^j.
+
+    Each triple has the largest e = (ell-1)t an admissible triple reaches
+    with q - 1 in int64, for its p.
+    """
+    P = params_for(*trip)
+    r = np.concatenate([
+        np.random.default_rng(P.p).integers(1, P.q - 1, size=2000),
+        [P.p**j - 1 for j in range(1, P.ext_degree)] + [P.q - 2],
+    ])
+
+    def legendre(x):
+        floors, y = 0, x
+        while y:
+            y //= P.p
+            floors += y
+        return x - (P.p - 1) * floors
+
+    assert digit_sums(r, P).tolist() == [legendre(int(x)) for x in r]
+
+
 def test_carry_count_examples():
     P = params_for(2, 3, 2)
     assert carry_count(3, 5, P) == 3

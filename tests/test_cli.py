@@ -201,13 +201,13 @@ def test_mismatch_maps_to_exit_2(capsys, monkeypatch):
 @pytest.mark.parametrize("which", ["srg", "all"])
 def test_srg_failure_exits_2(capsys, monkeypatch, which):
     """A table whose u is off by one fails the Laplacian identity: exit 2, one mismatch line, no stdout."""
-    build = cli.build_field
+    build = field.build_field
 
     def wrong_u(params):
         tab = build(params)
         return dataclasses.replace(tab, params=dataclasses.replace(tab.params, u=tab.params.u + 1))
 
-    monkeypatch.setattr(cli, "build_field", wrong_u)
+    monkeypatch.setattr(field, "build_field", wrong_u)
     code, out, err = run_cli(capsys, "verify", "--p", "2", "--ell", "3", "--t", "2", "--which", which)
     assert code == 2 and out == ""
     assert err.splitlines() == ["mismatch: Laplacian identity fails at (0,0): 1 != 2"]
@@ -287,15 +287,21 @@ def test_unwritable_export_exits_1(capsys, tmp_path, option):
     assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: '{path}'\n"
 
 
-def test_exports_share_one_table(capsys, tmp_path, monkeypatch):
+def _count_build_field(monkeypatch) -> list:
+    """The argument tuples of every field.build_field call from here on."""
     calls = []
-    build = cli.build_field
+    build = field.build_field
 
     def counting(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_field", counting)
+    monkeypatch.setattr(field, "build_field", counting)
+    return calls
+
+
+def test_exports_share_one_table(capsys, tmp_path, monkeypatch):
+    calls = _count_build_field(monkeypatch)
     lap, adj = tmp_path / "lap.txt", tmp_path / "adj.txt"
     code, _, _ = run_cli(
         capsys, "compute", "--p", "2", "--ell", "3", "--t", "2", "--method", "formula",
@@ -305,6 +311,19 @@ def test_exports_share_one_table(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
     assert lap.read_text().splitlines()[0].split()[0] == "5"
     assert adj.read_text().splitlines()[0].split()[0] == "0"
+
+
+def test_both_with_export_builds_one_table(capsys, tmp_path, monkeypatch):
+    """compute --method both with an export: the brute force reads the export's table, built once."""
+    calls = _count_build_field(monkeypatch)
+    lap = tmp_path / "lap.txt"
+    code, out, err = run_cli(
+        capsys, "compute", "--p", "2", "--ell", "3", "--t", "4", "--method", "both", "--export-laplacian", str(lap)
+    )
+    assert code == 0, err
+    assert "formula==bruteforce" in json.loads(out)["checks"]
+    assert len(calls) == 1
+    assert lap.read_text().splitlines()[0].split()[0] == "85"
 
 
 def test_env_max_q(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from conftest import both_result_for, params_for, snf_group_for
-from cyclocrit import abelian, coprime_part, critgroup, critical_group, index3
+from cyclocrit import abelian, coprime_part, critgroup, critical_group, index3, snf
 from cyclocrit.abelian import AbelianGroupDesc, factorint
 from cyclocrit.carries import check_conservation
 from cyclocrit.cli import main
@@ -67,7 +67,7 @@ def test_method_mismatch_names_first_difference(monkeypatch):
     good = snf_group_for(2, 3, 2)
     assert good.divisors == ((2, 2, 4), (2, 3, 1), (2, 5, 4))
     bad = AbelianGroupDesc.from_prime_powers([(2, 2, 4), (2, 3, 1), (2, 5, 3), (2, 6, 1)], free_rank=1)
-    monkeypatch.setattr(critgroup, "critical_group_by_snf", lambda table: bad)
+    monkeypatch.setattr(snf, "critical_group_by_snf", lambda table: bad)
     with pytest.raises(MethodMismatchError) as err:
         critical_group(params_for(2, 3, 2), "both")
     assert str(err.value) == (

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -21,10 +22,15 @@ from cyclocrit.errors import BadResidueError, BoundExceededError, MismatchError
 from cyclocrit.index3 import transfer_blocks
 
 
-def _to_sympy(poly, i=0, j=0):
-    """Entry (i, j) of a coefficient array as a sympy polynomial in x, y."""
+def _to_sympy(poly):
+    """A polynomial given as rows poly[a][b] of coefficients of x^a y^b, in sympy."""
     x, y = sympy.symbols("x y")
-    return sum(int(c) * x**a * y**b for (a, b), c in np.ndenumerate(poly[:, :, i, j]))
+    return sum(int(c) * x**a * y**b for a, row in enumerate(poly) for b, c in enumerate(row))
+
+
+def _rows(block, i=0, j=0):
+    """Entry (i, j) of a (dx, dy, n, m) polynomial-matrix array as rows of coefficients."""
+    return block[:, :, i, j].tolist()
 
 
 def test_coefficients_p2():
@@ -39,7 +45,7 @@ def test_coefficients_p2():
 def test_coefficients_p5():
     P, Q, R = recursion_coefficients(5)
     assert _to_sympy(R) == 25 * sympy.symbols("x") ** 3 * sympy.symbols("y") ** 3
-    assert P[1, 1, 0, 0] == 3  # 3 ((p-2)/3)^2 = 3
+    assert P[1][1] == 3  # 3 ((p-2)/3)^2 = 3
 
 
 def test_bad_residue():
@@ -52,7 +58,7 @@ def test_bad_residue():
 
 def test_walk_poly_seed():
     P, _, _ = recursion_coefficients(2)
-    assert np.array_equal(closed_walk_poly(2, 1), 2 * P)
+    assert closed_walk_poly(2, 1) == [[2 * c for c in row] for row in P]
 
 
 def test_walk_poly_second_seed_via_sympy():
@@ -61,9 +67,9 @@ def test_walk_poly_second_seed_via_sympy():
     want = sympy.expand(2 * (_to_sympy(P) ** 2 - 2 * _to_sympy(Q)))
     assert sympy.expand(_to_sympy(closed_walk_poly(2, 2)) - want) == 0
     c4 = closed_walk_poly(2, 2)
-    assert c4[0, 1, 0, 0] == 4
-    assert c4[0, 2, 0, 0] == 2
-    assert c4[1, 2, 0, 0] == 0
+    assert c4[0][1] == 4
+    assert c4[0][2] == 2
+    assert c4[1][2] == 0
 
 
 def test_recursion_step_via_sympy():
@@ -81,11 +87,13 @@ def test_transfer_matrix_identities():
 
 
 def _at(poly, x0=10**12, y0=10**100):
-    """A polynomial matrix evaluated exactly at (x0, y0).
+    """A polynomial matrix array, or a polynomial given as rows, evaluated exactly at (x0, y0).
 
     An entry is zero only for the zero polynomial while its coefficients
     stay below x0 / 2 and its x-degree below 8.
     """
+    if isinstance(poly, list):
+        return sum(c * x0**a * y0**b for a, row in enumerate(poly) for b, c in enumerate(row))
     return sum(poly[a, b] * x0**a * y0**b for a, b in np.ndindex(poly.shape[:2]))
 
 
@@ -108,12 +116,17 @@ def test_transfer_matrix_catches_each_unit_bump(monkeypatch, p, name, source, sl
     blocks evaluated at one point, not from the package's trace loop.
     """
     good = getattr(index3, source)
-    C = [_at(closed_walk_poly(p, t))[0, 0] for t in (1, 2, 3)]
-    for entry in np.ndindex(good(p)[slot].shape):
+    C = [_at(closed_walk_poly(p, t)) for t in (1, 2, 3)]
+    part = good(p)[slot]
+    entries = np.ndindex(part.shape) if name in "XY" else [(a, b) for a, row in enumerate(part) for b in range(len(row))]
+    for entry in entries:
 
         def bumped(p, entry=entry):
-            parts = [part.copy() for part in good(p)]
-            parts[slot][entry] += 1
+            parts = copy.deepcopy(good(p))
+            if name in "XY":
+                parts[slot][entry] += 1
+            else:
+                parts[slot][entry[0]][entry[1]] += 1
             return tuple(parts)
 
         monkeypatch.setattr(index3, source, bumped)
@@ -136,6 +149,38 @@ def test_transfer_matrix_exits_2_under_optimize(optimized_runs):
     assert err == "mismatch: transfer matrix char poly mismatch for p=2: 2 tr (XY)^1 != C(2)\n"
 
 
+SHORT_SLOTS = "C(16)(1, 1) = 131076 does not fit the 16-bit coefficient slots"
+
+
+def test_short_slots_exit_2(monkeypatch, capsys):
+    """Slots two bits short of C(2t)(1, 1) at (2, 3, 8) hold every coefficient, yet the run exits 2."""
+    good = index3._slot_bits
+    assert max(map(max, closed_walk_poly(2, 8))) < 1 << 16 <= 2 * (2**16 + 2)
+    monkeypatch.setattr(index3, "_slot_bits", lambda p, t: good(p, t) - 2)
+    assert main(["compute", "--p", "2", "--ell", "3", "--t", "8", "--method", "formula"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"mismatch: {SHORT_SLOTS}\n")
+
+
+def test_short_slots_exit_2_under_optimize(optimized_runs):
+    """The slot check is a raise, so python -O reports it too."""
+    code, out, err = optimized_runs["short-slots"]
+    assert (code, out, err) == (2, "", f"mismatch: {SHORT_SLOTS}\n")
+
+
+@pytest.mark.parametrize("p", [2, 5, 11])
+def test_packed_recursion_matches_trace_oracle(p):
+    """The whole (2t+1) x (2t+1) C(2t), t <= 6, equals the digraph trace, entry by entry."""
+    for t, walks in enumerate(walk_polys_by_trace(p, 6), start=1):
+        C = closed_walk_poly(p, t)
+        assert [len(row) for row in C] == [2 * t + 1] * (2 * t + 1)
+        padded = np.zeros((2 * t + 1, 2 * t + 1), dtype=object)
+        trace = walks[:, :, 0, 0]
+        assert not trace[2 * t + 1 :].any() and not trace[:, 2 * t + 1 :].any()
+        padded[: trace.shape[0], : trace.shape[1]] = trace[: 2 * t + 1, : 2 * t + 1]
+        assert padded.tolist() == C, t
+
+
 @pytest.mark.parametrize("p", [2, 5, 11, 17, 23])
 def test_transfer_blocks_charpoly_via_sympy(p):
     """sympy's charpoly of [[0, X], [Y, 0]] is z^6 - P z^4 + Q z^2 - R."""
@@ -143,8 +188,8 @@ def test_transfer_blocks_charpoly_via_sympy(p):
     M = sympy.zeros(6, 6)
     for i in range(3):
         for j in range(3):
-            M[i, 3 + j] = _to_sympy(X, i, j)
-            M[3 + i, j] = _to_sympy(Y, i, j)
+            M[i, 3 + j] = _to_sympy(_rows(X, i, j))
+            M[3 + i, j] = _to_sympy(_rows(Y, i, j))
     z = sympy.symbols("z")
     P, Q, R = (_to_sympy(f) for f in recursion_coefficients(p))
     got = M.charpoly(z).as_expr()
@@ -157,7 +202,7 @@ def test_walk_oracle_matches_recursion():
 
 
 def test_walk_oracle_p11_t2():
-    assert np.array_equal(walk_polys_by_trace(11, 2)[-1], closed_walk_poly(11, 2))
+    assert _rows(walk_polys_by_trace(11, 2)[-1]) == closed_walk_poly(11, 2)
 
 
 def test_wrong_R_fails_both_anchors(monkeypatch, capsys):
@@ -166,8 +211,8 @@ def test_wrong_R_fails_both_anchors(monkeypatch, capsys):
 
     def wrong(p):
         P, Q, R = right(p)
-        R = R.copy()
-        R[3, 3, 0, 0] += 1
+        R = [row[:] for row in R]
+        R[3][3] += 1
         return P, Q, R
 
     monkeypatch.setattr(index3, "recursion_coefficients", wrong)
@@ -236,7 +281,7 @@ def test_recursion_matches_enumeration():
     """Closed form against the general-ell carry enumeration.
 
     Both routes hand their lower half e_0 .. e_(t-1) to the one assembly,
-    carries.p_part_from_lower_half, so this compares the two lower halves
+    params.p_part_from_lower_half, so this compares the two lower halves
     (walk coefficient sums against the carry histogram): the only parts
     they compute independently.
     """

@@ -2,7 +2,12 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cyclocrit
 
@@ -48,3 +53,59 @@ def test_trace_names_resolve():
     for span, stat in three_part:
         assert span in spans, f"{span}.{stat} names no traced span"
         assert stat in ("self_s", "calls") or (span, stat) == (tracer.FACTORINT, "max_arg_bits"), f"{span}.{stat}"
+
+
+def _imported_modules(argv):
+    """The modules a fresh `python -m cyclocrit argv` imports, read from -X importtime."""
+    src = str(Path(cyclocrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cyclocrit", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {ln.rsplit("|", 1)[1].strip() for ln in proc.stderr.splitlines() if ln.startswith("import time:")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--p", "2", "--ell", "3", "--t", "8", "--method", "formula"], ["table", "--t", "8", "--p-list", "2,5"]],
+)
+def test_walk_route_imports_no_numpy(argv):
+    """The ell = 3 formula route runs on Python integers alone."""
+    modules = _imported_modules(argv)
+    assert "cyclocrit.index3" in modules
+    assert "numpy" not in modules
+
+
+def test_carry_route_imports_no_table_modules():
+    """compute --method formula at ell = 5 loads the carry kernels but no field, graph, ring or SNF module."""
+    modules = _imported_modules(["compute", "--p", "2", "--ell", "5", "--t", "2", "--method", "formula"])
+    assert {"numpy", "cyclocrit.carries"} <= modules
+    assert not modules & {f"cyclocrit.{name}" for name in ("galois", "snf", "graph", "field")}
+
+
+_LAZY_CHILD = """
+import importlib, json, sys
+import cyclocrit
+listed = sorted(set(cyclocrit.__all__) - set(dir(cyclocrit)))
+loaded = "numpy" in sys.modules
+wrong = [n for n in cyclocrit.__all__ if getattr(importlib.import_module(getattr(cyclocrit, n).__module__), n)
+         is not getattr(cyclocrit, n)]
+try:
+    cyclocrit.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([listed, loaded, wrong, unknown]))
+"""
+
+
+def test_public_names_resolve_lazily():
+    """In a fresh interpreter, `import cyclocrit` loads no numpy and dir() lists every __all__ name;
+    each name resolves to its defining module's object; an unknown name raises AttributeError."""
+    src = str(Path(cyclocrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_CHILD], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], False, [], "module 'cyclocrit' has no attribute 'no_such_name'"]
