@@ -3,34 +3,36 @@
 GR(p^N, e) is modeled as coefficient vectors of length e with entries in
 0..p^N-1, reduced modulo the same irreducible polynomial the field
 tables use (lifted coefficientwise), so reduction mod p lands exactly on
-the field module's representation.  Elements are numpy arrays whose
-last axis is the e coefficients, a single element as much as a stack of
-blocks; a*b = a @ T(b), T(b) = b @ W the matrix of multiplication by b
-(W[j, i] = X^(i+j)), by the field module's arithmetic at m = p^N in
-place of m = p.  The Teichmuller generator omega is the lifted field
-generator raised to q^2, which omega^(q-1) = 1 certifies (omega_table).
-Jacobi sums and class sums are counts of Teichmuller exponents times the
-float64 table of their powers (_count_sums).  Jacobi valuations realize
+the field module's representation; a*b = a @ T(b), T(b) = b @ W, by the
+field module's arithmetic at m = p^N in place of m = p.  The Teichmuller
+generator omega is the lifted field generator raised to q^2, which
+omega^(q-1) = 1 certifies (omega_table).
+
+Every Jacobi sum lies in Z/p^N, the constants: Frobenius maps omega^j to
+omega^(pj), so J(T^a, T^b) to the sum over x of T^a(x^p) T^b(1-x^p), as
+1 - x^p = (1 - x)^p, which is J again since x -> x^p permutes F_q; and
+Frobenius fixes exactly Z/p^N.  So only coefficient 0 is computed: a
+Jacobi sum is a count of Teichmuller exponents times kappa, the float64
+column 0 of the powers of omega (_count_sums), and block entries, Schur
+steps and valuations are int64 scalars mod p^N, at the precision
+N = v_p(uv) + 1 that _precision explains.  Jacobi valuations realize
 carry counts (Stickelberger), which the verification suite checks: up to
-q = 256 every pair, from the 2-D character transform (float64 GEMM tiles
-of the coefficients of omega^(-a dlog x) and of omega^(-b dlog(1-x)) over
-x, exact below 2^53), beyond it a seeded sample.  The ring is int64, at
-the precision N = v_p(uv) + 1 that _precision explains.
+q = 256 every pair, by one float64 GEMM per tile, exact while
+e(q-2)(p^N-1)^2 < 2^53; beyond it a seeded sample.
 
 The Laplacian restricted to each multiplicative isotypic component is a
-small matrix over this ring whose local Smith form the block checks
-compare against the closed-form pattern.  Its off-diagonal entries are
-J(T^a, T^(-nk)), n = 1..ell-1, and T^(-nk)(1-x) depends only on the coset
-class c(x) = dlog(1-x) mod ell; so each block row is the class sums
-S_c(a) (T^a(x) summed over x not in {0, 1} with c(x) = c) times a fixed
-matrix of powers of omega^k.  The class sums obey S_c(p*r) = S_{p*c}(r):
-x -> x^p permutes F_q minus {0, 1}, multiplies dlog x by p, and
-multiplies c(x) by p because 1 - x^p = (1 - x)^p.  So block p*i mod k is
-block i with rows and columns permuted alike.  block_p_multiplicities,
-which verify_all_blocks runs, is one pass: one block per orbit of i -> p*i
-mod k (the carry histogram's) checked on the closed form and counted once
-per orbit member, then a sample of the others against their representative.
-Blocks of one shape are eliminated as one (nb, n, n, e) array, inverse-free.
+small matrix over Z/p^N whose local Smith form the block checks compare
+against the closed-form pattern.  Its off-diagonal entries are
+J(T^a, T^(-nk)), the sum over x of T^a(x) zeta^(-n c(x)), zeta = omega^k,
+c(x) = dlog(1-x) mod ell.  With M[c, m] coefficient 0 of S_c(a) zeta^(-m),
+the class sum S_c(a) being T^a(x) summed over the x not in {0, 1} with
+c(x) = c, entry n is the sum over c of M[c, n*c mod ell].  Class sums obey
+S_c(p*r) = S_{p*c}(r), by x -> x^p again, so block p*i mod k is block i
+with rows and columns permuted alike.  block_p_multiplicities, which
+verify_all_blocks runs, is one pass: one block per orbit of i -> p*i mod k
+(the carry histogram's) checked on the closed form and counted once per
+orbit member, then a sample of the others against their representative.
+Blocks of one shape are eliminated as one (nb, n, n) array, inverse-free.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ def _precision(P) -> int:
 
     Block divisors are at most v_p(uv) = (ell-1)t + d and Jacobi valuations
     (carry counts) at most (ell-1)t; one at or above N reads as an extra zero
-    and fails the check.  Raises BoundExceededError unless the widest int64
-    sum, a Jacobi row's ell*e products of reduced entries, stays below 2^62.
+    and fails the check.  Raises BoundExceededError unless ell*e*p^(2N) < 2^62:
+    int64 then holds omega_table's sums of e products and each scalar Schur
+    step's two products, and p^N < 2^31 keeps _count_sums' float64 sums below
+    2^47.  The Stickelberger tiles check their own float64 bound.
     """
     N = P.ext_degree + P.d + 1
     if P.ell * P.ext_degree * P.p ** (2 * N) >= 1 << 62:
@@ -73,18 +77,13 @@ class GaloisRing:
         self.precision = _precision(P)  # v_p(uv) + 1: every expected valuation reads exactly
         self.pN = P.p**self.precision
         self.mod_poly = field.mod_poly
-        q, ell, e, k = field.q, P.ell, self.e, P.k
+        q, ell, k = field.q, P.ell, P.k
         self._times = _times_table(self.mod_poly, self.pN)  # _times[j, i] = X^(i+j), reduced
-        # Every table is built here and never changed, so a ring can be shared freely.  _omega[i, j] is
-        # coefficient i of omega^j: float64 for BLAS, and (e, q-1) so that products and np.take read it as is.
-        table = self.omega_table()
-        self._omega = np.ascontiguousarray(table.T, dtype=np.float64)
-        # _row_map[c, j, (n-1)e + i] is coefficient i of zeta^(-nc) X^j, with
-        # zeta = omega^k, so the class sums times it give the Jacobi row.
-        powers = _times_matrix(table[np.arange(ell) * k], self._times, self.pN)
-        del table  # the int64 copy of _omega: free it before the q-sized dlog arrays
-        s = -np.arange(ell)[:, None] * np.arange(1, ell) % ell
-        self._row_map = powers[s].transpose(0, 2, 1, 3).reshape(ell, e, (ell - 1) * e)
+        # Every table is built here and never changed, so a ring can be shared freely.  Jacobi sums are
+        # constants (module docstring), so only coefficient 0 is kept: _kappa[j] of omega^j, float64 for
+        # BLAS, and _K[j, m] of omega^j zeta^(-m) = omega^(j - mk), zeta = omega^k, for the class sums.
+        self._kappa = self.omega_table()[:, 0].astype(np.float64)
+        self._K = self._kappa[(np.arange(q - 1)[:, None] - np.arange(ell) * k) % (q - 1)]
         # -x = (-1) * x with -1 at index p-1, and 1 + y changes only digit 0 of y
         self._dlog_x = field.dlog[2:]  # x runs over F_q minus {0, 1}
         minus_x = field.antilog[(self._dlog_x + field.dlog[self.p - 1]) % (q - 1)]
@@ -115,8 +114,8 @@ class GaloisRing:
 # --- Jacobi sums ---------------------------------------------------------
 
 
-def _count_sums(ring: GaloisRing, bins: np.ndarray, width: int) -> np.ndarray:
-    """(len(bins), width, e) sums mod pN: entry c*(q-1) + r of row i adds omega^r to sum (i, c).
+def _count_sums(ring: GaloisRing, bins: np.ndarray, width: int, table: np.ndarray) -> np.ndarray:
+    """(len(bins), width, *table.shape[1:]) sums mod pN: entry c*(q-1) + r of row i adds table[r] to sum (i, c).
 
     Offsets bins in place; one bincount with unit weights (so the counts are float64) and one
     product with the table.  Exact: a sum's counts add to at most q-2 < 2^16 (DEFAULT_MAX_Q) and
@@ -125,69 +124,68 @@ def _count_sums(ring: GaloisRing, bins: np.ndarray, width: int) -> np.ndarray:
     n, q = len(bins), ring.field.q
     bins += np.arange(n)[:, None] * (width * (q - 1))
     counts = np.bincount(bins.ravel(), np.ones(bins.size), n * width * (q - 1)).reshape(n * width, q - 1)
-    return ((counts @ ring._omega.T).astype(np.int64) % ring.pN).reshape(n, width, -1)
+    return ((counts @ table).astype(np.int64) % ring.pN).reshape(n, width, *table.shape[1:])
 
 
 def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
     """J(T^a, T^b) = sum over x in K of T^a(x) T^b(1-x), exactly mod p^N.
 
-    a and b are broadcast exponent arrays; the result has shape
-    (..., e).  Exponents are taken mod q-1; a literal 0 selects the
-    all-ones character (nonzero multiples of q-1 select the character
-    vanishing at zero), matching the usual boundary conventions.  Over
-    x not in {0, 1} the sum is sum_r N(r) omega^r, where N(r) counts the
-    x with a*dlog(x) + b*dlog(1-x) = r mod q-1: one sum of _count_sums
-    per pair, in batches of max(BATCH_BYTES, 24*(q-1)) bytes (one pair from q = 2^14).
+    a and b are broadcast exponent arrays; the result has their broadcast
+    shape, one element of Z/p^N per pair: a Jacobi sum is fixed by
+    Frobenius, so it is its coefficient 0 (module docstring).  Exponents
+    are taken mod q-1; a literal 0 selects the all-ones character (nonzero
+    multiples of q-1 select the character vanishing at zero), matching the
+    usual boundary conventions.  Over x not in {0, 1} the sum is
+    sum_r N(r) kappa[r], where N(r) counts the x with
+    a*dlog(x) + b*dlog(1-x) = r mod q-1: one sum of _count_sums per pair,
+    in batches of max(BATCH_BYTES, 24*(q-1)) bytes (one pair from q = 2^14).
     """
     q = ring.field.q
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
     fa, fb = a.reshape(-1, 1) % (q - 1), b.reshape(-1, 1) % (q - 1)
     per = max(1, BATCH_BYTES // (24 * (q - 1)))  # a pair's exponents, one temporary and its counts
-    acc = np.empty((a.size, 1, ring.e), dtype=np.int64)
+    acc = np.empty(a.size, dtype=np.int64)
     for lo in range(0, a.size, per):
         bins = fa[lo : lo + per] * ring._dlog_x
         bins += fb[lo : lo + per] * ring._dlog_1mx
-        acc[lo : lo + per] = _count_sums(ring, bins % (q - 1), 1)
-    acc[:, 0, 0] = (acc[:, 0, 0] + (a == 0).ravel() + (b == 0).ravel()) % ring.pN  # x = 1 and x = 0 terms
-    return acc.reshape(a.shape + (ring.e,))
+        acc[lo : lo + per] = _count_sums(ring, bins % (q - 1), 1, ring._kappa)[:, 0]
+    return ((acc + (a == 0).ravel() + (b == 0).ravel()) % ring.pN).reshape(a.shape)  # x = 1 and x = 0 terms
 
 
 def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
-    """(len(rs), ell, e) class sums S_c(r) mod pN: sum (r, c) of _count_sums counts r*dlog x, c(x) = c.
+    """(len(rs), ell, ell) array M mod pN: M[r, c, m] is coefficient 0 of S_c(r) zeta^(-m).
 
-    A batch holds max(BATCH_BYTES, 8*ell*(q-1)) bytes of counts: at least one exponent (1.57 MB at (2,3,8)).
+    Sum (r, c) of _count_sums counts r*dlog x over the x with c(x) = c, times _K.  A batch
+    holds max(BATCH_BYTES, 8*ell*(q-1)) bytes of counts: at least one exponent (1.57 MB at (2,3,8)).
     """
     q, ell = ring.field.q, ring.field.params.ell
     per = max(1, BATCH_BYTES // (8 * ell * (q - 1)))  # the counts of one exponent
     cls = ring._dlog_1mx % ell * (q - 1)  # x counts into the bins of its class c(x)
     batches = (rs[lo : lo + per, None] * ring._dlog_x % (q - 1) + cls for lo in range(0, len(rs), per))
-    return np.concatenate([_count_sums(ring, bins, ell) for bins in batches])
+    return np.concatenate([_count_sums(ring, bins, ell, ring._K) for bins in batches])
 
 
-def _jacobi_rows(ring: GaloisRing, sums: np.ndarray) -> np.ndarray:
-    """(R, ell-1, e) Jacobi rows J(T^r, T^(-nk)), n = 1..ell-1, from (R, ell, e) class sums."""
-    R, ell, e = sums.shape
-    return (sums.reshape(R, ell * e) @ ring._row_map.reshape(ell * e, -1) % ring.pN).reshape(R, ell - 1, e)
+def _jacobi_rows(ring: GaloisRing, M: np.ndarray) -> np.ndarray:
+    """(R, ell-1) Jacobi rows J(T^r, T^(-nk)) = sum over c of M[r, c, n*c mod ell], n = 1..ell-1."""
+    ell = M.shape[1]
+    c, n = np.arange(ell), np.arange(1, ell)[:, None]
+    return M[:, c, n * c % ell].sum(axis=-1) % ring.pN
 
 
-def _jacobi_chunk(ring: GaloisRing, a: np.ndarray, n: int) -> np.ndarray:
-    """(len(a), q-2, e) Jacobi sums J(T^-a, T^-b) mod pN, 0 < a, b < q-1, one dgemm per n exponents b.
+def _jacobi_chunk(ring: GaloisRing, a: np.ndarray, n: int, tables) -> np.ndarray:
+    """(len(a), q-2) Jacobi sums J(T^-a, T^-b) mod pN, 0 < a, b < q-1, one dgemm per n exponents b.
 
-    Row (i, a) of U holds coefficient i of omega^(-a dlog x) over the x not
-    in {0, 1}, and row (j, b) of V that of omega^(-b dlog(1-x)), both read
-    from the ring's float64 table; the tile G = U @ V.T sums each product
-    of coefficients over x, and G @ W folds X^(i+j) back into the ring.
-    Every value is an integer in [0, (q-2) e^2 (pN-1)^3], exact in float64
-    while that is below 2^53.
+    tables are float64 (q-1, e): (s, j) holds coefficient 0 of omega^s X^j, and coefficient j of omega^s.
+    U[a, (x, j)] reads the first at s = -a dlog x and V[b, (x, j)] the second at s = -b dlog(1-x), x not
+    in {0, 1}; so U @ V.T sums coefficient 0 of omega^(-a dlog x) omega^(-b dlog(1-x)), the Jacobi sum.
+    Every value is an integer in [0, e (q-2) (pN-1)^2], exact in float64 while that is below 2^53.
     """
-    q, e = ring.field.q, ring.e
-    omega, W = ring._omega, ring._times.reshape(e * e, e).astype(np.float64)
-    U = np.take(omega, -a[:, None] * ring._dlog_x % (q - 1), axis=1).reshape(e * len(a), q - 2)
-    out = np.empty((len(a), q - 2, e), dtype=np.int64)
+    q, (low, omega) = ring.field.q, tables
+    U = low[-a[:, None] * ring._dlog_x % (q - 1)].reshape(len(a), -1)
+    out = np.empty((len(a), q - 2), dtype=np.int64)
     for lo in range(0, q - 2, n):
         b = np.arange(lo + 1, min(lo + n, q - 2) + 1)
-        G = U @ np.take(omega, -b[:, None] * ring._dlog_1mx % (q - 1), axis=1).reshape(e * len(b), q - 2).T
-        out[:, lo : lo + len(b)] = G.reshape(e, len(a), e, len(b)).transpose(1, 3, 0, 2).reshape(len(a), len(b), -1) @ W
+        out[:, lo : lo + len(b)] = U @ omega[-b[:, None] * ring._dlog_1mx % (q - 1)].reshape(len(b), -1).T
     out %= ring.pN
     return out
 
@@ -196,14 +194,15 @@ def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
     """Jacobi valuation == carry count over admissible exponent pairs.
 
     Exhaustive when q <= STICKELBERGER_EXHAUSTIVE_Q: the Jacobi sums of a
-    chunk of rows a come from float64 GEMM tiles (_jacobi_chunk), and the
-    chunk's pairs are checked in lexicographic order with one carry_count.
-    The tiles are exact while (q-2) e^2 (pN-1)^3 < 2^53, else
-    BoundExceededError before the first one; the triples with q <= 256
-    use at most 2^47, at (2, 5, 2).  Otherwise STICKELBERGER_SAMPLE pairs drawn
-    with the seed, summed by one jacobi_sum and checked in the order drawn with
-    one carry_count.  Returns the number of pairs checked.  Raises MismatchError
-    on the first failing pair; a Jacobi sum that vanishes mod p^N counts as valuation N.
+    chunk of rows a come from float64 GEMM tiles (_jacobi_chunk) of two
+    (q-1, e) tables built here from omega_table, and the chunk's pairs are
+    checked in lexicographic order with one carry_count.  The tiles are
+    exact while e (q-2) (pN-1)^2 < 2^53, else BoundExceededError before the
+    first one; the triples with q <= 256 use at most 8.5e9, at (2, 5, 2).
+    Otherwise STICKELBERGER_SAMPLE pairs drawn with the seed, summed by one
+    jacobi_sum and checked in the order drawn with one carry_count.  Returns
+    the number of pairs checked.  Raises MismatchError on the first failing
+    pair; a Jacobi sum that vanishes mod p^N counts as valuation N.
     """
     P = ring.field.params
     p, q, e, pN, N, sample = P.p, P.q, ring.e, ring.pN, ring.precision, STICKELBERGER_SAMPLE
@@ -216,11 +215,15 @@ def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
                 made += 1
         chunks = [(*pairs, _valuations(jacobi_sum(-pairs[0], -pairs[1], ring), p, N))]
     else:
-        if (q - 2) * e * e * (pN - 1) ** 3 >= 1 << 53:
-            raise BoundExceededError(f"Jacobi tiles at q = {q} need (q-2)*e^2*(p^N-1)^3 < 2^53 to be exact in float64")
+        if e * (q - 2) * (pN - 1) ** 2 >= 1 << 53:
+            raise BoundExceededError(f"Jacobi tiles at q = {q} need e*(q-2)*(p^N-1)^2 < 2^53 to be exact in float64")
+        omega = ring.omega_table()
+        tables = (omega @ ring._times[:, :, 0] % pN).astype(np.float64), omega.astype(np.float64)
         n, ex = max(1, BATCH_BYTES // (16 * e * (q - 2))), np.arange(1, q - 1)  # U and V fill BATCH_BYTES
         rows = (ex[lo : lo + n] for lo in range(0, q - 2, n))
-        chunks = ((*np.broadcast_arrays(a[:, None], ex), _valuations(_jacobi_chunk(ring, a, n), p, N)) for a in rows)
+        chunks = (
+            (*np.broadcast_arrays(a[:, None], ex), _valuations(_jacobi_chunk(ring, a, n, tables), p, N)) for a in rows
+        )
     checked = 0
     for a, b, v in chunks:
         keep = (a + b) % (q - 1) != 0
@@ -244,7 +247,7 @@ def _row_residues(P, idx: np.ndarray) -> np.ndarray:
 
 
 def _blocks(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
-    """(len(idx), n, n, e) stack of ell*L on the isotypic components i in idx.
+    """(len(idx), n, n) stack of ell*L, entries in Z/p^N, on the isotypic components i in idx.
 
     For i > 0 (n = ell), row m holds the image of the basis character-sum
     vector indexed by i + m*k: q on the diagonal, minus Jacobi sums from the
@@ -256,17 +259,17 @@ def _blocks(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
     ell, q, pN = P.ell, P.q, ring.pN
     jac = -_jacobi_rows(ring, _gather_class_sums(ring, _row_residues(P, idx).ravel())) % pN
     if idx[0] > 0:
-        out = np.zeros((len(idx), ell, ell, ring.e), dtype=np.int64)
+        out = np.zeros((len(idx), ell, ell), dtype=np.int64)
         m = np.arange(ell)
-        out[:, m, m, 0] = q % pN
-        out[:, m[:, None], (m[:, None] + np.arange(1, ell)) % ell] = jac.reshape(len(idx), ell, ell - 1, -1)
+        out[:, m, m] = q % pN
+        out[:, m[:, None], (m[:, None] + np.arange(1, ell)) % ell] = jac.reshape(len(idx), ell, ell - 1)
         return out
-    out = np.zeros((1, ell + 1, ell + 1, ring.e), dtype=np.int64)
-    out[0, 1, :, 0] = pN - 1  # the image of the all-ones vector (row 0) is 0
-    out[0, 1, 1, 0] = q % pN
+    out = np.zeros((1, ell + 1, ell + 1), dtype=np.int64)
+    out[0, 1, :] = pN - 1  # the image of the all-ones vector (row 0) is 0
+    out[0, 1, 1] = q % pN
     for j in range(1, ell):
-        out[0, 1 + j, :2, 0] = 1, -q % pN
-        out[0, 1 + j, 1 + j, 0] = q % pN
+        out[0, 1 + j, :2] = 1, -q % pN
+        out[0, 1 + j, 1 + j] = q % pN
         for n in range(1, ell):
             if (j + n) % ell:
                 out[0, 1 + j, 1 + (j + n) % ell] = jac[j, n - 1]
@@ -274,17 +277,16 @@ def _blocks(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
 
 
 def _valuations(M: np.ndarray, p: int, zero: int) -> np.ndarray:
-    """Least coefficient valuation of every entry of M (last axis e); `zero` for zero entries."""
-    g = np.gcd.reduce(M, axis=-1)
-    v = np.where(g == 0, zero, 0)
-    while (step := (g % p == 0) & (g != 0)).any():
+    """p-adic valuation of every entry of M; `zero` for zero entries."""
+    v = np.where(M == 0, zero, 0)
+    while (step := (M % p == 0) & (M != 0)).any():
         v += step
-        g = np.where(step, g // p, g)
+        M = np.where(step, M // p, M)
     return v
 
 
 def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[list[int], int]]:
-    """Local Smith form of each block of an (nb, n, n, e) stack: (valuations, zero count).
+    """Local Smith form of each block of an (nb, n, n) stack mod p^N: (valuations, zero count).
 
     Valuation-pivot elimination, on every block at once.  Take the first
     entry of least valuation in row-major order of the remaining
@@ -301,17 +303,17 @@ def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[
     live, shift, rank = np.arange(nb), np.zeros(nb, dtype=np.int64), np.zeros(nb, dtype=np.int64)
     exps = np.zeros((nb, n), dtype=np.int64)
     for t in range(n):
-        g = np.gcd.reduce(M, axis=-1).reshape(len(live), -1)
-        vmin = _valuations(g, p, prec)
+        g = M.reshape(len(live), -1)
+        vmin = _valuations(np.gcd.reduce(g, axis=1), p, prec)
         going = vmin < prec
         live, M, g, vmin = live[going], M[going], g[going], vmin[going]
         if not len(live):
             break
         pv = np.array([p**v for v in vmin.tolist()], dtype=np.int64)
-        # the first entry of valuation vmin is the first whose coefficient gcd p^(vmin+1) does not divide
+        # the first entry of valuation vmin is the first that p^(vmin+1) does not divide
         pos = (g % (p * pv)[:, None] != 0).argmax(axis=1)
         if vmin.any():
-            M //= pv[:, None, None, None]
+            M //= pv[:, None, None]
         shift[live] += vmin
         modulus = np.array([p ** (prec - s) for s in shift[live].tolist()], dtype=np.int64)
         # swap rows 0 and i0, and columns 0 and j0, to put the pivot in the corner
@@ -320,11 +322,7 @@ def ring_divisor_valuations(blocks: np.ndarray, ring: GaloisRing) -> list[tuple[
         perm[0, at, pos // m], perm[1, at, pos % m] = 0, 0
         perm[:, :, 0] = pos // m, pos % m
         M = M[at[:, None, None], perm[0, :, :, None], perm[1, :, None, :]]
-        T = _times_matrix(M[:, 0], ring._times, ring.pN)  # T[:, j] multiplies by M[:, 0, j]
-        S = M[:, 1:, 1:] @ T[:, None, 0]
-        S -= (M[:, None, 1:, 0] @ T[:, 1:]).transpose(0, 2, 1, 3)
-        S %= modulus[:, None, None, None]
-        M = S
+        M = (M[:, :1, :1] * M[:, 1:, 1:] - M[:, 1:, :1] * M[:, :1, 1:]) % modulus[:, None, None]
         exps[live, t] = shift[live]
         rank[live] += 1
     return [(row[:r].tolist(), n - r) for row, r in zip(exps, rank.tolist())]
@@ -352,8 +350,8 @@ def _block_valuations(ring: GaloisRing, indices):
     """
     P = ring.field.params
     idx = np.asarray(indices, dtype=np.int64)
-    # about the words of one block's Schur-step temporaries: T of its pivot row and two products
-    per = max(1, BATCH_BYTES // (8 * (2 * ring.e - 1) * P.ell * (P.ell + ring.e)))
+    # about 4*ell^3 words a block: its class sums (ell^3), their row gather and the elimination temporaries
+    per = max(1, BATCH_BYTES // (32 * P.ell**3))
     first = int(0 in idx[:1])  # the trivial block has a shape of its own
     for batch in [idx[:1]] * first + [idx[lo : lo + per] for lo in range(first, len(idx), per)]:
         yield batch, ring_divisor_valuations(_blocks(ring, batch), ring)

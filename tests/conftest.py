@@ -110,8 +110,8 @@ OPTIMIZED_SCENARIOS = {
     "stickelberger-tile": (
         "from cyclocrit import galois\n"
         "good = galois._jacobi_chunk\n"
-        "def corrupt(ring, a, n):\n"
-        "    out = good(ring, a, n)\n"
+        "def corrupt(ring, a, n, tables):\n"
+        "    out = good(ring, a, n, tables)\n"
         "    out[a == 5, 6 - 1] = 0\n"
         "    return out\n"
         "galois._jacobi_chunk = corrupt\n",
@@ -144,6 +144,17 @@ OPTIMIZED_SCENARIOS = {
         "    out[idx == 2] = 0\n"
         "    return out\n"
         "galois._blocks = corrupt\n",
+        _verify("blocks"),
+    ),
+    # class c = 1 left out of every Jacobi row's sum over c of M[c, n*c mod ell]
+    "dropped-class": (
+        "from cyclocrit import galois\n"
+        "good = galois._jacobi_rows\n"
+        "def corrupt(ring, M):\n"
+        "    M = M.copy()\n"
+        "    M[:, 1] = 0\n"
+        "    return good(ring, M)\n"
+        "galois._jacobi_rows = corrupt\n",
         _verify("blocks"),
     ),
     "valuation": (
