@@ -6,19 +6,19 @@ tables use (lifted coefficientwise), so reduction mod p lands exactly on
 the field module's representation; a*b = a @ T(b), T(b) = b @ W, by the
 field module's arithmetic at m = p^N in place of m = p.  The Teichmuller
 generator omega is the lifted field generator raised to q^2, which
-omega^(q-1) = 1 certifies (omega_table).
+omega^(q-1) = 1 certifies (_omega_chunks).
 
 Every Jacobi sum lies in Z/p^N, the constants: Frobenius maps omega^j to
 omega^(pj), so J(T^a, T^b) to the sum over x of T^a(x^p) T^b(1-x^p), as
 1 - x^p = (1 - x)^p, which is J again since x -> x^p permutes F_q; and
 Frobenius fixes exactly Z/p^N.  So only coefficient 0 is computed: a
-Jacobi sum is a count of Teichmuller exponents times kappa, the float64
-column 0 of the powers of omega (_count_sums), and block entries, Schur
-steps and valuations are int64 scalars mod p^N, at the precision
-N = v_p(uv) + 1 that _precision explains.  Jacobi valuations realize
-carry counts (Stickelberger), which the verification suite checks: up to
-q = 256 every pair, by one float64 GEMM per tile, exact while
-e(q-2)(p^N-1)^2 < 2^53; beyond it a seeded sample.
+Jacobi sum is a sum of kappa, the float64 column 0 of the powers of
+omega (jacobi_sum), and block entries, Schur steps and valuations are
+int64 scalars mod p^N, at the precision N = v_p(uv) + 1 that _precision
+explains.  Jacobi valuations realize carry counts (Stickelberger), which
+the verification suite checks: up to q = 256 every pair, by float64
+products summed over batches of x, exact while e(q-2)(p^N-1)^2 < 2^53;
+beyond it a seeded sample.
 
 The Laplacian restricted to each multiplicative isotypic component is a
 small matrix over Z/p^N whose local Smith form the block checks compare
@@ -57,8 +57,8 @@ def _precision(P) -> int:
     (carry counts) at most (ell-1)t; one at or above N reads as an extra zero
     and fails the check.  Raises BoundExceededError unless ell*e*p^(2N) < 2^62:
     int64 then holds omega_table's sums of e products and each scalar Schur
-    step's two products, and p^N < 2^31 keeps _count_sums' float64 sums below
-    2^47.  The Stickelberger tiles check their own float64 bound.
+    step's two products, and p^N < 2^31 keeps the float64 sums of jacobi_sum
+    and _gather_class_sums below 2^47.  The Stickelberger check tests its own float64 bound.
     """
     N = P.ext_degree + P.d + 1
     if P.ell * P.ext_degree * P.p ** (2 * N) >= 1 << 62:
@@ -81,8 +81,8 @@ class GaloisRing:
         self._times = _times_table(self.mod_poly, self.pN)  # _times[j, i] = X^(i+j), reduced
         # Every table is built here and never changed, so a ring can be shared freely.  Jacobi sums are
         # constants (module docstring), so only coefficient 0 is kept: _kappa[j] of omega^j, float64 for
-        # BLAS, and _K[j, m] of omega^j zeta^(-m) = omega^(j - mk), zeta = omega^k, for the class sums.
-        self._kappa = self.omega_table()[:, 0].astype(np.float64)
+        # exact sums, and _K[j, m] of omega^j zeta^(-m) = omega^(j - mk), zeta = omega^k, for the class sums.
+        self._kappa = np.concatenate([chunk[:, 0].astype(np.float64) for chunk in self._omega_chunks()])
         self._K = self._kappa[(np.arange(q - 1)[:, None] - np.arange(ell) * k) % (q - 1)]
         # -x = (-1) * x with -1 at index p-1, and 1 + y changes only digit 0 of y
         self._dlog_x = field.dlog[2:]  # x runs over F_q minus {0, 1}
@@ -90,41 +90,35 @@ class GaloisRing:
         self._dlog_1mx = field.dlog[minus_x + 1 - self.p * (minus_x % self.p == self.p - 1)]
 
     # --- Teichmuller lifts --------------------------------------------------
-    def omega_table(self) -> np.ndarray:
-        """(q-1, e) array of all Teichmuller lifts omega^j, filled by doubling as build_field fills antilog.
+    def _omega_chunks(self):
+        """Yield omega^0, ..., omega^(q-2) in (B, e) chunks, B a power of two, the first filled by doubling (as
+        build_field fills antilog), each next one the last times omega^B; a chunk of 2+ rows fits BATCH_BYTES.
 
         omega = x^(q^2), x the coefficientwise lift of the field generator: x = omega*u with v_p(u-1) >= 1,
         each q-th power raises v_p(u-1) by e or more, and 1 + 2e > e + d = N - 1 as d = v_p(ell-1) < ell-1 <= e.
-        omega^(q-1) = 1 certifies the lift, else MismatchError.
+        omega^(q-1) = 1 certifies the lift, else MismatchError after the last chunk.
         """
-        q, pN = self.field.q, self.pN
-        T = T_w = _power(_times_matrix(_digits(self.field.generator, self.p, self.e), self._times, pN), q * q, pN)
-        table = np.zeros((q - 1, self.e), dtype=np.int64)
-        table[0, 0] = 1
-        n = 1
-        while n < q - 1:  # T multiplies by omega^n
-            m = min(n, q - 1 - n)
-            table[n : n + m] = _mul(table[:m], T, pN)
+        q, pN, e = self.field.q, self.pN, self.e
+        T = T_w = _power(_times_matrix(_digits(self.field.generator, self.p, e), self._times, pN), q * q, pN)
+        B = min(q - 1, 1 << (max(1, BATCH_BYTES // (8 * e)).bit_length() - 1))
+        chunk = np.zeros((B, e), dtype=np.int64)
+        chunk[0, 0] = n = 1
+        while n < B:  # T multiplies by omega^n
+            m = min(n, B - n)
+            chunk[n : n + m] = _mul(chunk[:m], T, pN)
             T, n = T @ T % pN, n + m
-        if not np.array_equal(_mul(table[-1], T_w, pN), table[0]):
+        yield chunk
+        for n in range(B, q - 1, B):  # T multiplies by omega^B
+            yield (chunk := _mul(chunk[: q - 1 - n], T, pN))
+        if not np.array_equal(_mul(chunk[-1], T_w, pN), np.eye(1, e, dtype=np.int64)[0]):
             raise MismatchError(f"Teichmuller generator does not have order q-1 = {q - 1}")
-        return table
+
+    def omega_table(self) -> np.ndarray:
+        """(q-1, e) array of all Teichmuller lifts omega^j: the chunks of _omega_chunks, joined."""
+        return np.concatenate(list(self._omega_chunks()))
 
 
 # --- Jacobi sums ---------------------------------------------------------
-
-
-def _count_sums(ring: GaloisRing, bins: np.ndarray, width: int, table: np.ndarray) -> np.ndarray:
-    """(len(bins), width, *table.shape[1:]) sums mod pN: entry c*(q-1) + r of row i adds table[r] to sum (i, c).
-
-    Offsets bins in place; one bincount with unit weights (so the counts are float64) and one
-    product with the table.  Exact: a sum's counts add to at most q-2 < 2^16 (DEFAULT_MAX_Q) and
-    its entries are below p^N < 2^31 (_precision's bound), so partial sums stay below 2^47 < 2^53.
-    """
-    n, q = len(bins), ring.field.q
-    bins += np.arange(n)[:, None] * (width * (q - 1))
-    counts = np.bincount(bins.ravel(), np.ones(bins.size), n * width * (q - 1)).reshape(n * width, q - 1)
-    return ((counts @ table).astype(np.int64) % ring.pN).reshape(n, width, *table.shape[1:])
 
 
 def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
@@ -135,34 +129,46 @@ def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
     Frobenius, so it is its coefficient 0 (module docstring).  Exponents
     are taken mod q-1; a literal 0 selects the all-ones character (nonzero
     multiples of q-1 select the character vanishing at zero), matching the
-    usual boundary conventions.  Over x not in {0, 1} the sum is
-    sum_r N(r) kappa[r], where N(r) counts the x with
-    a*dlog(x) + b*dlog(1-x) = r mod q-1: one sum of _count_sums per pair,
-    in batches of max(BATCH_BYTES, 24*(q-1)) bytes (one pair from q = 2^14).
+    usual boundary conventions.  Over x not in {0, 1} it sums the q-2 terms
+    kappa[a*dlog(x) + b*dlog(1-x) mod q-1] < p^N < 2^31, exactly below 2^47:
+    one gather and one row sum per batch of max(BATCH_BYTES, 24*(q-1)) bytes.
     """
     q = ring.field.q
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
     fa, fb = a.reshape(-1, 1) % (q - 1), b.reshape(-1, 1) % (q - 1)
-    per = max(1, BATCH_BYTES // (24 * (q - 1)))  # a pair's exponents, one temporary and its counts
+    per = max(1, BATCH_BYTES // (24 * (q - 1)))  # a pair's exponents, one temporary and its kappa values
     acc = np.empty(a.size, dtype=np.int64)
     for lo in range(0, a.size, per):
-        bins = fa[lo : lo + per] * ring._dlog_x
-        bins += fb[lo : lo + per] * ring._dlog_1mx
-        acc[lo : lo + per] = _count_sums(ring, bins % (q - 1), 1, ring._kappa)[:, 0]
+        r = fa[lo : lo + per] * ring._dlog_x
+        r += fb[lo : lo + per] * ring._dlog_1mx
+        acc[lo : lo + per] = ring._kappa[r % (q - 1)].sum(axis=1)
     return ((acc + (a == 0).ravel() + (b == 0).ravel()) % ring.pN).reshape(a.shape)  # x = 1 and x = 0 terms
 
 
 def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
     """(len(rs), ell, ell) array M mod pN: M[r, c, m] is coefficient 0 of S_c(r) zeta^(-m).
 
-    Sum (r, c) of _count_sums counts r*dlog x over the x with c(x) = c, times _K.  A batch
-    holds max(BATCH_BYTES, 8*ell*(q-1)) bytes of counts: at least one exponent (1.57 MB at (2,3,8)).
+    Per batch of exponents, r*dlog x is counted into row (r, c(x)) of a float64 buffer, which is
+    then multiplied by _K.  Exact: a row's counts add to at most q-2 < 2^16 (DEFAULT_MAX_Q) and
+    _K's entries are below p^N < 2^31 (_precision's bound), so partial sums stay below 2^47.  The
+    buffers hold max(BATCH_BYTES, 8*ell*(q-1)) bytes of counts, at least one exponent (1.57 MB at
+    (2,3,8)), and are made once: fresh arrays that size can page-fault again on every batch.
     """
     q, ell = ring.field.q, ring.field.params.ell
-    per = max(1, BATCH_BYTES // (8 * ell * (q - 1)))  # the counts of one exponent
-    cls = ring._dlog_1mx % ell * (q - 1)  # x counts into the bins of its class c(x)
-    batches = (rs[lo : lo + per, None] * ring._dlog_x % (q - 1) + cls for lo in range(0, len(rs), per))
-    return np.concatenate([_count_sums(ring, bins, ell, ring._K) for bins in batches])
+    per = max(1, min(len(rs), BATCH_BYTES // (8 * ell * (q - 1))))  # the counts of one exponent
+    bins, counts = np.empty((per, q - 2), dtype=np.int64), np.empty((per * ell, q - 1))
+    rows, cls = np.arange(per)[:, None] * (ell * (q - 1)), ring._dlog_1mx % ell * (q - 1)  # x counts in row c(x)
+    out = np.empty((len(rs), ell, ell), dtype=np.int64)
+    for lo in range(0, len(rs), per):
+        b, c = bins[: len(rs) - lo], counts[: (len(rs) - lo) * ell]
+        np.multiply(rs[lo : lo + per, None], ring._dlog_x, out=b)
+        b %= q - 1
+        b += cls
+        b += rows[: len(b)]
+        c.fill(0)
+        np.add.at(c.reshape(-1), b.ravel(), 1.0)
+        out[lo : lo + per] = (c @ ring._K).reshape(-1, ell, ell)
+    return out % ring.pN
 
 
 def _jacobi_rows(ring: GaloisRing, M: np.ndarray) -> np.ndarray:
@@ -173,36 +179,35 @@ def _jacobi_rows(ring: GaloisRing, M: np.ndarray) -> np.ndarray:
 
 
 def _jacobi_chunk(ring: GaloisRing, a: np.ndarray, n: int, tables) -> np.ndarray:
-    """(len(a), q-2) Jacobi sums J(T^-a, T^-b) mod pN, 0 < a, b < q-1, one dgemm per n exponents b.
+    """(len(a), q-2) Jacobi sums J(T^-a, T^-b) mod pN, 0 < a, b < q-1, summed over batches of n elements x.
 
     tables are float64 (q-1, e): (s, j) holds coefficient 0 of omega^s X^j, and coefficient j of omega^s.
-    U[a, (x, j)] reads the first at s = -a dlog x and V[b, (x, j)] the second at s = -b dlog(1-x), x not
-    in {0, 1}; so U @ V.T sums coefficient 0 of omega^(-a dlog x) omega^(-b dlog(1-x)), the Jacobi sum.
-    Every value is an integer in [0, e (q-2) (pN-1)^2], exact in float64 while that is below 2^53.
+    U_x[a, (x, j)] reads the first at s = -a dlog x and V_x[b, (x, j)] the second at s = -b dlog(1-x), for
+    every b; J += U_x @ V_x.T adds coefficient 0 of omega^(-a dlog x) omega^(-b dlog(1-x)).  The terms are
+    nonnegative integers, so every partial sum is at most e (q-2) (pN-1)^2: exact while that is below 2^53.
     """
     q, (low, omega) = ring.field.q, tables
-    U = low[-a[:, None] * ring._dlog_x % (q - 1)].reshape(len(a), -1)
-    out = np.empty((len(a), q - 2), dtype=np.int64)
+    b, J = np.arange(1, q - 1)[:, None], np.zeros((len(a), q - 2))
     for lo in range(0, q - 2, n):
-        b = np.arange(lo + 1, min(lo + n, q - 2) + 1)
-        out[:, lo : lo + len(b)] = U @ omega[-b[:, None] * ring._dlog_1mx % (q - 1)].reshape(len(b), -1).T
-    out %= ring.pN
-    return out
+        U = low[-a[:, None] * ring._dlog_x[lo : lo + n] % (q - 1)].reshape(len(a), -1)
+        J += U @ omega[-b * ring._dlog_1mx[lo : lo + n] % (q - 1)].reshape(q - 2, -1).T
+    J %= ring.pN  # exact on integers below 2^53
+    return J.astype(np.int64)
 
 
 def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
     """Jacobi valuation == carry count over admissible exponent pairs.
 
-    Exhaustive when q <= STICKELBERGER_EXHAUSTIVE_Q: the Jacobi sums of a
-    chunk of rows a come from float64 GEMM tiles (_jacobi_chunk) of two
-    (q-1, e) tables built here from omega_table, and the chunk's pairs are
-    checked in lexicographic order with one carry_count.  The tiles are
-    exact while e (q-2) (pN-1)^2 < 2^53, else BoundExceededError before the
-    first one; the triples with q <= 256 use at most 8.5e9, at (2, 5, 2).
-    Otherwise STICKELBERGER_SAMPLE pairs drawn with the seed, summed by one
-    jacobi_sum and checked in the order drawn with one carry_count.  Returns
-    the number of pairs checked.  Raises MismatchError on the first failing
-    pair; a Jacobi sum that vanishes mod p^N counts as valuation N.
+    Exhaustive when q <= STICKELBERGER_EXHAUSTIVE_Q: each chunk of rows a
+    gets its Jacobi sums from _jacobi_chunk on two (q-1, e) tables built
+    here from omega_table, checked in slices of n rows in lexicographic
+    order, one carry_count a slice; exact while e (q-2) (pN-1)^2 < 2^53
+    (at most 8.5e9, at (2, 5, 2)), else BoundExceededError first.  Otherwise
+    STICKELBERGER_SAMPLE pairs drawn with the seed, summed by one
+    jacobi_sum and checked in the order drawn with one carry_count.
+    Returns the number of pairs checked.  Raises MismatchError on the
+    first failing pair; a Jacobi sum that vanishes mod p^N counts as
+    valuation N.
     """
     P = ring.field.params
     p, q, e, pN, N, sample = P.p, P.q, ring.e, ring.pN, ring.precision, STICKELBERGER_SAMPLE
@@ -219,11 +224,15 @@ def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
             raise BoundExceededError(f"Jacobi tiles at q = {q} need e*(q-2)*(p^N-1)^2 < 2^53 to be exact in float64")
         omega = ring.omega_table()
         tables = (omega @ ring._times[:, :, 0] % pN).astype(np.float64), omega.astype(np.float64)
-        n, ex = max(1, BATCH_BYTES // (16 * e * (q - 2))), np.arange(1, q - 1)  # U and V fill BATCH_BYTES
-        rows = (ex[lo : lo + n] for lo in range(0, q - 2, n))
-        chunks = (
-            (*np.broadcast_arrays(a[:, None], ex), _valuations(_jacobi_chunk(ring, a, n, tables), p, N)) for a in rows
-        )
+        ex, n = np.arange(1, q - 1), max(1, BATCH_BYTES // (16 * e * (q - 2)))  # V_x: half of BATCH_BYTES
+        rows = max(1, BATCH_BYTES // (16 * (q - 2)))  # J and its int64 copy fill BATCH_BYTES
+        def row_slices():  # each chunk's sums are freed before the next chunk's are made
+            for a in np.split(ex, range(rows, q - 2, rows)):
+                J = _jacobi_chunk(ring, a, n, tables)
+                for i in range(0, len(a), n):
+                    yield (*np.broadcast_arrays(a[i : i + n, None], ex), _valuations(J[i : i + n], p, N))
+                del J
+        chunks = row_slices()
     checked = 0
     for a, b, v in chunks:
         keep = (a + b) % (q - 1) != 0

@@ -181,9 +181,9 @@ def walk_polys_by_trace(p: int, t_max: int) -> list[np.ndarray]:
 
     Independent of the recursion: only the digraph arcs are used.  The
     digraph is bipartite, M = [[0, X], [Y, 0]], so tr M^(2t) = 2 tr((XY)^t).
-    Every vertex has p out-arcs, so a coefficient counts at most the
-    8p * p^(2t) walks of length 2t; the int64 counts are exact while
-    8 p^(2 t_max + 1) < 2^63, and larger p is refused before any work.
+    Every vertex has p out-arcs, so a coefficient counts at most the 8p * p^(2t)
+    walks of length 2t, which bounds every partial sum: exact in float64 (BLAS)
+    while 8 p^(2 t_max + 1) < 2^53, in int64 while < 2^63, refused above.
     """
     _require_index3_prime(p)
     if t_max < 1:
@@ -194,7 +194,8 @@ def walk_polys_by_trace(p: int, t_max: int) -> list[np.ndarray]:
             f"walk counts up to 8 p^(2t+1) = {bound} at p = {p}, t = {t_max} "
             "exceed the int64 bound 2^63"
         )
-    return _walk_traces(*carry_digraph(p), t_max)
+    arcs = carry_digraph(p).astype("float64" if bound < 1 << 53 else "int64")
+    return [trace.astype("int64") for trace in _walk_traces(*arcs, t_max)]
 
 
 # --- collapsed 6x6 transfer matrix ------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -388,6 +389,43 @@ def test_short_lift_fails_order_check(monkeypatch, trip, exponent):
         GaloisRing(field_for(*trip))
 
 
+@pytest.mark.parametrize("batch_bytes", [1, 8 * 6 * 5])
+def test_omega_chunks_are_successive_powers(monkeypatch, batch_bytes):
+    """Chunks of 1 and of 4 rows at (2, 3, 3), 63 = 15*4 + 3 so the last is short: row j is omega^j.
+
+    The reference multiplies by omega one row at a time in TupleRing; the order check still runs after the
+    last chunk, and kappa is column 0 of the joined table.
+    """
+    monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
+    ring = GaloisRing(field_for(2, 3, 3))
+    assert [len(chunk) for chunk in ring._omega_chunks()] == ([1] * 63 if batch_bytes == 1 else [4] * 15 + [3])
+    tr, omega = TupleRing(ring), ring.omega_table()
+    w, want = tuple(omega[1].tolist()), [tr.one()]
+    for _ in range(62):
+        want.append(tr.mul(want[-1], w))
+    assert omega.tolist() == [list(row) for row in want]
+    assert np.array_equal(ring._kappa, omega[:, 0])
+    power = galois._power
+    monkeypatch.setattr(galois, "_power", lambda T, n, m: power(T, math.isqrt(n), m))
+    with pytest.raises(MismatchError, match="order q-1"):
+        GaloisRing(field_for(2, 3, 3))
+
+
+def test_ring_build_memory():
+    """GaloisRing at (2, 3, 8) peaks under 5 MB (tracemalloc): the powers of omega come in chunks, only column 0 kept.
+
+    Building the whole (q-1, e) int64 table there peaked at 12.6 MB.
+    """
+    tab = field_for(2, 3, 8)
+    tracemalloc.start()
+    try:
+        GaloisRing(tab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+
+
 def test_jacobi_boundary_conventions():
     ring = ring_for(2, 3, 2)
     q = ring.field.q
@@ -557,7 +595,7 @@ def test_ring_keeps_no_coefficient_table():
 
 
 def test_count_sums_exact_in_table_dtype():
-    """Every sum _count_sums forms, at most (q-2)(p^N-1), is an integer its table's dtype holds exactly.
+    """Every sum of kappa (jacobi_sum) or _K (_gather_class_sums), at most (q-2)(p^N-1), is exact in their dtype.
 
     For every admissible q <= DEFAULT_MAX_Q, and for any q up to that bound
     from _precision's int64 bound p^N < 2^31 alone: raising the field's q
@@ -608,24 +646,44 @@ def tile_tables(ring):
 
 @pytest.mark.parametrize("trip", [(2, 3, 2), (5, 3, 1), (3, 5, 1), (11, 3, 1), (2, 3, 3), (2, 3, 4)])
 def test_jacobi_tiles_match_jacobi_sum(trip):
-    """The float64 tiles equal jacobi_sum(-a, -b).
+    """_jacobi_chunk equals jacobi_sum(-a, -b).
 
-    Every pair up to q = 121, in chunks of 5 rows and tiles of 5 columns,
-    so most chunks end in a short tile; at q = 256 every 7th chunk of the
-    check's own tiling.  The tables come from TupleRing products, not from
+    Every pair up to q = 121, in chunks of 5 rows summed over batches of 5
+    elements x, so the last batch is short (q-2 = 14, 23, 79, 119, 62); at
+    q = 256 every 9th row in one chunk, with the check's own batch of 8
+    (254 = 31*8 + 6).  The tables come from TupleRing products, not from
     the check's own table product.
     """
     ring = ring_for(*trip)
     q, tables = ring.field.q, tile_tables(ring)
     ex = np.arange(1, q - 1)
-    n = 5 if q < 256 else galois.BATCH_BYTES // (16 * ring.e * (q - 2))
-    for lo in range(0, q - 2, n if q < 256 else 7 * n):
-        a = ex[lo : lo + n]
+    if q < 256:
+        n, chunks = 5, [ex[lo : lo + 5] for lo in range(0, q - 2, 5)]
+    else:
+        n, chunks = galois.BATCH_BYTES // (16 * ring.e * (q - 2)), [ex[::9]]
+        assert n == 8
+    for a in chunks:
         assert np.array_equal(galois._jacobi_chunk(ring, a, n, tables), jacobi_sum(-a[:, None], -ex, ring)), a
 
 
+def test_stickelberger_memory():
+    """verify_stickelberger peaks at or under 0.75 MB (tracemalloc) on every triple with q <= 256."""
+    for P in admissible(galois.STICKELBERGER_EXHAUSTIVE_Q):
+        ring = ring_for(P.p, P.ell, P.t)
+        tracemalloc.start()
+        try:
+            verify_stickelberger(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 750_000, (P.p, P.ell, P.t, peak)
+
+
 def test_stickelberger_sampled_mode(monkeypatch):
-    """The sample is the seeded stream of admissible pairs, checked in the order drawn, batch after batch."""
+    """The sample is the seeded stream of admissible pairs, checked in the order drawn, batch after batch.
+
+    jacobi_sum sums them in batches of 7 pairs by kappa gathers alone: the class sums are never counted.
+    """
     tab = field_for(3, 5, 1)
     q = tab.q
     rng, want = random.Random(7), []
@@ -639,7 +697,11 @@ def test_stickelberger_sampled_mode(monkeypatch):
         seen.extend(zip(a.tolist(), b.tolist()))
         return good(a, b, P)
 
+    def no_counts(*args):
+        raise AssertionError("the sampled route sums kappa directly, without counting exponents")
+
     monkeypatch.setattr(galois, "carry_count", recording)
+    monkeypatch.setattr(galois, "_gather_class_sums", no_counts)
     monkeypatch.setattr(galois, "BATCH_BYTES", 24 * (q - 1) * 7)  # batches of 7 pairs
     monkeypatch.setattr(galois, "STICKELBERGER_EXHAUSTIVE_Q", 10)
     monkeypatch.setattr(galois, "STICKELBERGER_SAMPLE", 300)
@@ -663,13 +725,14 @@ def test_stickelberger_names_first_failing_pair(monkeypatch, batch_bytes):
     assert str(err.value) == "Stickelberger fails at (a,b)=(3,5): valuation 3 != carries 4"
 
 
-@pytest.mark.parametrize("batch_bytes", [1, galois.BATCH_BYTES])
+@pytest.mark.parametrize("batch_bytes", [1, 16 * 62 * 4, galois.BATCH_BYTES])
 def test_stickelberger_names_first_zeroed_jacobi_sum(monkeypatch, batch_bytes):
-    """Two zeroed Jacobi sums in different tiles fail as the lexicographically first.
+    """Two zeroed Jacobi sums, (2, 50) and (3, 7), fail as the lexicographically first.
 
-    At q = 64 the default tiles hold 44 exponents a side, so (3, 7) sits in
-    the chunk's first tile and (2, 50) in its second; with BATCH_BYTES = 1
-    every pair is a tile of its own.
+    At q = 64 the default chunk holds every row a and its first check slice
+    44 of them, so both sit in one slice; 16*62*4 bytes give chunks of 4
+    rows checked one row a slice, so they sit in one chunk but two slices;
+    with BATCH_BYTES = 1 every row is a chunk of its own.
     """
     ring = ring_for(2, 3, 3)
     good = galois._jacobi_chunk
@@ -713,7 +776,7 @@ def test_stickelberger_tiles_refused_past_float64_bound(monkeypatch, capsys):
 
 
 def test_stickelberger_zeroed_jacobi_sum_exits_2_under_optimize(optimized_runs):
-    """One zeroed tile entry in verify --which stickelberger at q=16: exit 2 naming the pair, under python -O."""
+    """One zeroed _jacobi_chunk sum in verify --which stickelberger at q=16: exit 2 naming the pair, under python -O."""
     code, out, err = optimized_runs["stickelberger-tile"]
     assert code == 2, err
     assert err == "mismatch: Stickelberger fails at (a,b)=(5,6): valuation 6 != carries 1\n" and not out

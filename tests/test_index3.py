@@ -226,6 +226,25 @@ def test_wrong_R_fails_both_anchors(monkeypatch, capsys):
     assert out == "" and "mismatch" in err
 
 
+@pytest.mark.parametrize("t, dtype", [(10, np.float64), (11, np.int64)])
+def test_walk_oracle_float64_below_2_53(monkeypatch, t, dtype):
+    """8 * 5^21 < 2^53 <= 8 * 5^23: at p = 5 the traces run in float64 at t = 10, in int64 at t = 11.
+
+    On both sides the oracle equals the recursion, and the traces come back as int64.
+    """
+    assert (8 * 5 ** (2 * t + 1) < 1 << 53) == (dtype == np.float64)
+    seen, good = [], index3._walk_traces
+
+    def recording(X, Y, t_max):
+        seen.append(X.dtype)
+        return good(X, Y, t_max)
+
+    monkeypatch.setattr(index3, "_walk_traces", recording)
+    verify_walks(5, t)
+    assert all(walks.dtype == np.int64 for walks in walk_polys_by_trace(5, t))
+    assert seen == [dtype, dtype]
+
+
 def test_walk_oracle_refuses_int64_overflow(capsys):
     """8 p^(2t+1) >= 2^63 at p = 107, t = 4: refused before any work, exit 1."""
     with pytest.raises(BoundExceededError, match="2\\^63"):
