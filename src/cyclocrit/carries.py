@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundExceededError, MismatchError, UndefinedSumError, ZeroResidueError
-from .params import Params, check_conservation, p_part_from_lower_half  # the assembly, re-exported
+from .params import Params, p_part_from_lower_half
 
 DEFAULT_ENUM_BOUND = 1 << 24
 # Candidate cosets per step of the histogram.  A candidate leaves at its first

@@ -89,24 +89,12 @@ def _first_difference(formula: AbelianGroupDesc, bruteforce: AbelianGroupDesc) -
 
 
 def _formula_group(params: Params) -> AbelianGroupDesc:
-    # cheapest refusal first: the p-part's work bound, then factoring u and v, then the p-part
-    _p_part_route(params)[0](params)
     eigen = eigenvalue_factorizations(params)
     entries = [(params.p, j, m) for j, m in p_part_multiplicities(params).items() if j > 0]
     entries.extend(coprime_part(params, eigen)[0].divisors)
     group = AbelianGroupDesc.from_prime_powers(entries, free_rank=1)
     _check_order(group, params, eigen)
     return group
-
-
-def _bruteforce_group(params: Params, table: FieldTable | None) -> tuple[AbelianGroupDesc, list[str]]:
-    from .field import build_field
-    from .snf import FULL_SNF_MAX_Q, critical_group_by_local_snf, critical_group_by_snf
-
-    table = build_field(params) if table is None else table
-    if params.q <= FULL_SNF_MAX_Q:
-        return critical_group_by_snf(table), ["bruteforce:full-snf"]
-    return critical_group_by_local_snf(table), ["bruteforce:p-local-snf"]
 
 
 def critical_group(params: Params, method: str = "both", table: FieldTable | None = None) -> CriticalGroupResult:
@@ -119,13 +107,21 @@ def critical_group(params: Params, method: str = "both", table: FieldTable | Non
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    # cheapest refusal first: the p-part's work bound, the dense oracle's bound, factoring u and v, the p-part
+    if method != "bruteforce":
+        _p_part_route(params)[0](params)
+    if method != "formula":
+        from .field import build_field
+        from .snf import bruteforce_route
+
+        label, route = bruteforce_route(params.q)
     checks: list[str] = []
     if method in ("formula", "both"):
         group = _formula_group(params)
         checks.append("order-formula")
     if method in ("bruteforce", "both"):
-        bf_group, bf_checks = _bruteforce_group(params, table)
-        checks.extend(bf_checks)
+        bf_group = route(build_field(params) if table is None else table)
+        checks.append(label)
         if method == "bruteforce":
             group = bf_group
             _check_order(group, params)

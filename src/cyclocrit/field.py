@@ -13,9 +13,9 @@ coefficient vector (the digits of its index), and the product a * b is
 a @ T(b), where T(b) = b @ W is the matrix of multiplication by b and
 W[j, i] = X^(i+j) reduced.  The Galois ring in `galois` is the same
 arithmetic at m = p^N.  A candidate modulus passes Berlekamp's criterion
-on its Frobenius matrix; generator powers are powers of T(g); and the
-antilog table is filled by doubling, the digits of g^n, ..., g^(2n-1)
-being one product of those of g^0, ..., g^(n-1) with T(g^n).
+on its Frobenius matrix; generator powers are powers of T(g); and one
+fill (_powers) lists the powers of g, here and in `galois`: by doubling,
+g^n, ..., g^(2n-1) being g^0, ..., g^(n-1) times T(g^n), then by chunks.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .params import Params
 DEFAULT_MAX_Q = 1 << 16
 # Bytes of the largest array in one batch of `graph` or `galois` work, at least one row.
 BATCH_BYTES = 1 << 18
-# Antilog entries mapped per product in the fill: its (chunk, e) int64
-# temporaries stay at 64 KiB or less for every q up to DEFAULT_MAX_Q.
-_FILL_CHUNK = 1 << 9
 
 
 def _times_table(f: tuple[int, ...], m: int) -> np.ndarray:
@@ -67,6 +64,26 @@ def _power(T: np.ndarray, n: int, m: int) -> np.ndarray:
         return T
     R = _power(T @ T % m, n >> 1, m)
     return R @ T % m if n & 1 else R
+
+
+def _powers(T: np.ndarray, n: int, m: int, what: str):
+    """Yield b^0, ..., b^(n-1) mod m, T = T(b), in (B, e) int64 chunks of at most BATCH_BYTES or one row.
+
+    The first chunk is filled by doubling, each later one is the last times T(b^B).  After the last
+    chunk, MismatchError(what) unless b^n = 1: the one certificate of the order of b.
+    """
+    e, T_b = T.shape[-1], T
+    B = min(n, 1 << (max(1, BATCH_BYTES // (8 * e)).bit_length() - 1))
+    chunk = np.zeros((B, e), dtype=np.int64)
+    chunk[0, 0] = j = 1
+    while j < B:  # T = T(b^j) maps rows 0..j-1 onto rows j..2j-1
+        chunk[j : 2 * j] = _mul(chunk[: min(j, B - j)], T, m)
+        T, j = T @ T % m, 2 * j
+    yield chunk
+    for j in range(B, n, B):  # T = T(b^B)
+        yield (chunk := _mul(chunk[: n - j], T, m))
+    if not np.array_equal(_mul(chunk[-1], T_b, m), np.eye(1, e, dtype=np.int64)[0]):
+        raise MismatchError(what)
 
 
 def _digits(xs, p: int, e: int) -> np.ndarray:
@@ -153,9 +170,9 @@ def build_field(params: Params) -> FieldTable:
     """Construct the full F_q table set for the given parameters.
 
     The antilog fill doubles as a correctness guard: it lists every
-    nonzero index exactly once iff the modulus is irreducible and the
-    generator has full order.  Any failed construction check raises
-    MismatchError, also under python -O.
+    nonzero index exactly once, and _powers certifies generator^(q-1) = 1,
+    iff the modulus is irreducible and the generator has full order.  Any
+    failed construction check raises MismatchError, also under python -O.
     """
     p, e, q, ell = params.p, params.ext_degree, params.q, params.ell
     if q > DEFAULT_MAX_Q:
@@ -171,23 +188,14 @@ def build_field(params: Params) -> FieldTable:
     if generator is None:
         raise MismatchError(f"no element of order {q - 1}: modulus {mod_poly} not irreducible?")
 
-    antilog = np.zeros(q - 1, dtype=np.int64)
-    antilog[0] = 1
-    T = T_g = _times_matrix(_digits(generator, p, e), W, p)
-    n = 1
-    while n < q - 1:  # T multiplies by generator^n: it maps antilog[:n] onto antilog[n:2n]
-        for lo in range(0, min(n, q - 1 - n), _FILL_CHUNK):
-            hi = min(lo + _FILL_CHUNK, n, q - 1 - n)
-            antilog[n + lo : n + hi] = _mul(_digits(antilog[lo:hi], p, e), T, p) @ powers
-        T, n = T @ T % p, 2 * n
+    T_g = _times_matrix(_digits(generator, p, e), W, p)
+    fill = _powers(T_g, q - 1, p, f"generator^{q - 1} is not 1: modulus {mod_poly} not irreducible?")
+    antilog = np.concatenate([chunk @ powers for chunk in fill])
     missing = np.bincount(antilog, minlength=q)[1:] == 0  # none missing: q-1 entries, each index once
     if missing.any():
         raise MismatchError(
             f"powers of generator {generator} miss index {np.argmax(missing) + 1}: modulus {mod_poly} not irreducible?"
         )
-    last = _mul(_digits(antilog[-1], p, e), T_g, p) @ powers
-    if last != 1:
-        raise MismatchError(f"generator^{q - 1} = index {last}, not 1")
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[antilog] = np.arange(q - 1)
 

@@ -5,8 +5,8 @@ GR(p^N, e) is modeled as coefficient vectors of length e with entries in
 tables use (lifted coefficientwise), so reduction mod p lands exactly on
 the field module's representation; a*b = a @ T(b), T(b) = b @ W, by the
 field module's arithmetic at m = p^N in place of m = p.  The Teichmuller
-generator omega is the lifted field generator raised to q^2, which
-omega^(q-1) = 1 certifies (_omega_chunks).
+generator omega is the lifted field generator raised to q^2, whose
+powers come from the field module's fill, which certifies omega^(q-1) = 1.
 
 Every Jacobi sum lies in Z/p^N, the constants: Frobenius maps omega^j to
 omega^(pj), so J(T^a, T^b) to the sum over x of T^a(x^p) T^b(1-x^p), as
@@ -43,7 +43,7 @@ import numpy as np
 
 from .carries import ORBIT_SAMPLE, _orbit_representatives, carry_count, min_carries
 from .errors import BoundExceededError, MismatchError
-from .field import BATCH_BYTES, FieldTable, _digits, _mul, _power, _times_matrix, _times_table
+from .field import BATCH_BYTES, FieldTable, _digits, _power, _powers, _times_matrix, _times_table
 
 # verify_stickelberger checks every pair up to this q, else STICKELBERGER_SAMPLE seeded pairs.
 STICKELBERGER_EXHAUSTIVE_Q = 256
@@ -84,34 +84,21 @@ class GaloisRing:
         # exact sums, and _K[j, m] of omega^j zeta^(-m) = omega^(j - mk), zeta = omega^k, for the class sums.
         self._kappa = np.concatenate([chunk[:, 0].astype(np.float64) for chunk in self._omega_chunks()])
         self._K = self._kappa[(np.arange(q - 1)[:, None] - np.arange(ell) * k) % (q - 1)]
-        # -x = (-1) * x with -1 at index p-1, and 1 + y changes only digit 0 of y
         self._dlog_x = field.dlog[2:]  # x runs over F_q minus {0, 1}
-        minus_x = field.antilog[(self._dlog_x + field.dlog[self.p - 1]) % (q - 1)]
+        minus_x = field.antilog[(self._dlog_x + field.dlog[self.p - 1]) % (q - 1)]  # -1 is index p-1
+        # 1 + y changes only digit 0 of y; add_many would page in its p = 2 xor kernel, 64 KiB of RSS
         self._dlog_1mx = field.dlog[minus_x + 1 - self.p * (minus_x % self.p == self.p - 1)]
 
     # --- Teichmuller lifts --------------------------------------------------
     def _omega_chunks(self):
-        """Yield omega^0, ..., omega^(q-2) in (B, e) chunks, B a power of two, the first filled by doubling (as
-        build_field fills antilog), each next one the last times omega^B; a chunk of 2+ rows fits BATCH_BYTES.
+        """Yield omega^0, ..., omega^(q-2) in (B, e) chunks from field._powers, which certifies omega^(q-1) = 1.
 
         omega = x^(q^2), x the coefficientwise lift of the field generator: x = omega*u with v_p(u-1) >= 1,
         each q-th power raises v_p(u-1) by e or more, and 1 + 2e > e + d = N - 1 as d = v_p(ell-1) < ell-1 <= e.
-        omega^(q-1) = 1 certifies the lift, else MismatchError after the last chunk.
         """
-        q, pN, e = self.field.q, self.pN, self.e
-        T = T_w = _power(_times_matrix(_digits(self.field.generator, self.p, e), self._times, pN), q * q, pN)
-        B = min(q - 1, 1 << (max(1, BATCH_BYTES // (8 * e)).bit_length() - 1))
-        chunk = np.zeros((B, e), dtype=np.int64)
-        chunk[0, 0] = n = 1
-        while n < B:  # T multiplies by omega^n
-            m = min(n, B - n)
-            chunk[n : n + m] = _mul(chunk[:m], T, pN)
-            T, n = T @ T % pN, n + m
-        yield chunk
-        for n in range(B, q - 1, B):  # T multiplies by omega^B
-            yield (chunk := _mul(chunk[: q - 1 - n], T, pN))
-        if not np.array_equal(_mul(chunk[-1], T_w, pN), np.eye(1, e, dtype=np.int64)[0]):
-            raise MismatchError(f"Teichmuller generator does not have order q-1 = {q - 1}")
+        q, pN = self.field.q, self.pN
+        T = _power(_times_matrix(_digits(self.field.generator, self.p, self.e), self._times, pN), q * q, pN)
+        return _powers(T, q - 1, pN, f"Teichmuller generator does not have order q-1 = {q - 1}")
 
     def omega_table(self) -> np.ndarray:
         """(q-1, e) array of all Teichmuller lifts omega^j: the chunks of _omega_chunks, joined."""

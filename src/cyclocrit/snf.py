@@ -181,7 +181,7 @@ def _is_unit(x: np.ndarray, p: int) -> np.ndarray:
     return np.rint(x / p) * p != x
 
 
-def p_local_multiplicities(mat, p: int, precision: int) -> tuple[dict[int, int], int]:
+def p_local_multiplicities(mat, p: int, precision: int, out: np.ndarray | None = None) -> tuple[dict[int, int], int]:
     """Multiplicities of p^j among invariant factors, working mod p^precision.
 
     Returns ({j: multiplicity}, count of factors indistinguishable from
@@ -190,14 +190,14 @@ def p_local_multiplicities(mat, p: int, precision: int) -> tuple[dict[int, int],
     zero.  Treats an n x m input as a map Z^m -> Z^n and stops after
     min(n, m) pivots.
 
-    Entries are balanced residues mod p^(precision - shift) held exactly
-    in float64.  Up to b pivots stay pending in n x b and b x m buffers
-    (the LU multipliers and pivot rows since the last flush); column t,
-    and the pivot row, are read through one gemv against them, and a
-    flush applies them to the trailing block as one dgemm per panel of
+    Entries are balanced residues mod p^(precision - shift), exact in the
+    float64 array out (fresh when None; loaded a panel of rows at a time,
+    so it may be mat's memory).  Up to b pivots stay pending in n x b and
+    b x m buffers (the LU multipliers and pivot rows since the last flush);
+    column t and the pivot row are read through one gemv against them, and
+    a flush applies them to the trailing block as one dgemm per panel of
     PANEL_ROWS rows, then reduces.  Exactness needs b*mod^2 + mod < 2^53
-    (see _block_width); a precision past that raises BoundExceededError
-    before anything is allocated.
+    (_block_width); a precision past it raises BoundExceededError first.
 
     The pivot is the first unit of column t; else the first unit of row
     t; else the first unit of the first of the next b columns that held a
@@ -209,18 +209,10 @@ def p_local_multiplicities(mat, p: int, precision: int) -> tuple[dict[int, int],
     only costs time.
     """
     M = np.asarray(mat)
-    b = _block_width(M.shape[0], p**precision)
-    return _eliminate(M, np.empty(M.shape), p, precision, b)
-
-
-def _eliminate(M: np.ndarray, A: np.ndarray, p: int, precision: int, b: int) -> tuple[dict[int, int], int]:
-    """The p_local_multiplicities kernel, loading M's residues into the float64 array A.
-
-    The load goes one panel of rows at a time, M's before A's, so A may be
-    M's own memory viewed as float64.
-    """
     n, ncols = M.shape
     mod = p**precision
+    b = _block_width(n, mod)
+    A = np.empty(M.shape) if out is None else out
     L = np.empty((n, b))
     U = np.empty((b, ncols))
     flat = np.empty(min(n, PANEL_ROWS) * ncols)
@@ -319,13 +311,11 @@ def laplacian_p_multiplicities(table: FieldTable, p: int | None = None) -> dict[
     """
     P = table.params
     p = P.p if p is None else p
-    if P.q > PLOCAL_MAX_Q:
-        raise BoundExceededError(f"q = {P.q} exceeds the p-local bound {PLOCAL_MAX_Q}")
     precision = p_adic_valuation(P.u * P.v, p) + 1
-    b = _block_width(P.q, p**precision)
+    _block_width(P.q, p**precision)  # refuses a precision past exact float64 before L is allocated
     L = laplacian(table)
     # L's rows become their float64 residues in place: one q x q matrix, not two
-    hist, zeros = _eliminate(L, L.view(np.float64), p, precision, b)
+    hist, zeros = p_local_multiplicities(L, p, precision, out=L.view(np.float64))
     if zeros != 1 or sum(hist.values()) != P.q - 1:
         raise MismatchError(f"p-local SNF at p={p}: free rank {zeros}, {sum(hist.values())} factors")
     return hist
@@ -373,3 +363,12 @@ def critical_group_by_local_snf(table: FieldTable) -> AbelianGroupDesc:
     if group.order_factorization() != order:
         raise MismatchError("p-local SNF: torsion order differs from the spanning-tree count")
     return group
+
+
+def bruteforce_route(q: int):
+    """(check label, route on a table) of the dense oracle at q, or BoundExceededError past PLOCAL_MAX_Q."""
+    if q > PLOCAL_MAX_Q:
+        raise BoundExceededError(f"q = {q} exceeds the p-local bound {PLOCAL_MAX_Q}")
+    if q <= FULL_SNF_MAX_Q:
+        return "bruteforce:full-snf", critical_group_by_snf
+    return "bruteforce:p-local-snf", critical_group_by_local_snf

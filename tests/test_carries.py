@@ -16,6 +16,7 @@ from cyclocrit import (
     p_part_from_carries,
 )
 from cyclocrit.errors import BoundExceededError, MismatchError, UndefinedSumError, ZeroResidueError
+from cyclocrit.params import p_part_from_lower_half
 
 
 def digits(a, params):
@@ -297,10 +298,10 @@ def test_p_part_q256_published_table():
 
 def test_lower_half_assembly():
     """e_(2half+d-j) = e_j for 0 < j < half, e_(2half+d) = e_0 - 2, the middle forced, zeros dropped."""
-    assert carries.p_part_from_lower_half({0: 8}, params_for(5, 3, 1)) == {0: 8, 1: 10, 2: 6}  # d = 0
-    assert carries.p_part_from_lower_half({0: 6, 1: 0}, params_for(2, 3, 2)) == {0: 6, 2: 4, 3: 1, 5: 4}  # d = 1
+    assert p_part_from_lower_half({0: 8}, params_for(5, 3, 1)) == {0: 8, 1: 10, 2: 6}  # d = 0
+    assert p_part_from_lower_half({0: 6, 1: 0}, params_for(2, 3, 2)) == {0: 6, 2: 4, 3: 1, 5: 4}  # d = 1
     want = {0: 78, 1: 24, 3: 522, 4: 4, 6: 24, 7: 76}  # (3, 7, 1): d = v_3(6) = 1, half = 3
-    assert carries.p_part_from_lower_half({0: 78, 1: 24, 2: 0}, params_for(3, 7, 1)) == want
+    assert p_part_from_lower_half({0: 78, 1: 24, 2: 0}, params_for(3, 7, 1)) == want
 
 
 def test_p_part_middle_sum_reading_ell7():

@@ -4,12 +4,12 @@ import hashlib
 import pytest
 
 from conftest import both_result_for, params_for, snf_group_for
-from cyclocrit import abelian, coprime_part, critgroup, critical_group, index3, snf
+from cyclocrit import abelian, coprime_part, critgroup, critical_group, field, index3, snf
 from cyclocrit.abelian import AbelianGroupDesc, factorint
-from cyclocrit.carries import check_conservation
 from cyclocrit.cli import main
 from cyclocrit.critgroup import order_factorization
 from cyclocrit.errors import BoundExceededError, MethodMismatchError
+from cyclocrit.params import check_conservation
 
 
 def test_coprime_part_trivial_q16():
@@ -155,6 +155,27 @@ def test_work_bound_refusal_precedes_factoring(monkeypatch, trip):
     with pytest.raises(BoundExceededError):
         critical_group(params_for(*trip), "formula")
     assert calls == []
+
+
+@pytest.mark.parametrize("method", ["both", "bruteforce"])
+@pytest.mark.parametrize("trip", [(2, 3, 7), (2, 3, 158), (2, 13, 2)])
+def test_dense_bound_refusal_precedes_factoring_and_tables(monkeypatch, method, trip):
+    """Above PLOCAL_MAX_Q no dense route runs: refused before u and v are factored or any table is built."""
+    calls = []
+    monkeypatch.setattr(critgroup, "eigenvalue_factorizations", calls.append)
+    monkeypatch.setattr(field, "build_field", calls.append)
+    P = params_for(*trip)
+    with pytest.raises(BoundExceededError, match=f"q = {P.q} exceeds the p-local bound 4096"):
+        critical_group(P, method)
+    assert calls == []
+
+
+def test_dense_bound_exits_1_at_t158(capsys):
+    """compute at (2, 3, 158), default method both, names the p-local bound and prints nothing."""
+    assert main(["compute", "--p", "2", "--ell", "3", "--t", "158"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: BoundExceededError: q = {2**316} exceeds the p-local bound 4096\n"
 
 
 def test_group_desc_canonical_form():

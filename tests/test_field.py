@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -309,6 +310,22 @@ def test_bound_enforced(monkeypatch):
     monkeypatch.setattr(field, "smallest_irreducible", refuse)
     with pytest.raises(BoundExceededError, match=f"q = {1 << 18} exceeds the table bound {1 << 16}"):
         build_field(params_for(2, 3, 9))
+
+
+def test_build_field_memory():
+    """build_field at (2, 3, 8), q = 2^16, peaks under 5 MB (tracemalloc; 4.65 MB measured).
+
+    The powers of the generator come in chunks of at most BATCH_BYTES; the (q-1, e) int64 digits of
+    every power at once would take 8.4 MB.
+    """
+    P = params_for(2, 3, 8)
+    tracemalloc.start()
+    try:
+        build_field(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
 
 
 def test_reducible_modulus_is_a_mismatch(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import admissible, admissible_up_to_table_bound, field_for, params_for, ring_for, snf_group_for
 from cyclocrit import (
+    build_field,
     carries,
     carry_count,
     cli,
@@ -390,25 +391,49 @@ def test_short_lift_fails_order_check(monkeypatch, trip, exponent):
 
 
 @pytest.mark.parametrize("batch_bytes", [1, 8 * 6 * 5])
-def test_omega_chunks_are_successive_powers(monkeypatch, batch_bytes):
-    """Chunks of 1 and of 4 rows at (2, 3, 3), 63 = 15*4 + 3 so the last is short: row j is omega^j.
+@pytest.mark.parametrize("table", ["antilog", "omega"])
+def test_power_chunks_are_successive_powers(monkeypatch, table, batch_bytes):
+    """field._powers fills the antilog table and the ring's powers of omega at (2, 3, 3), e = 6, in chunks of
+    1 and of 4 rows (63 = 15*4 + 3, so the last chunk is short): row j is b^j, then b^63 = 1 is certified.
 
-    The reference multiplies by omega one row at a time in TupleRing; the order check still runs after the
-    last chunk, and kappa is column 0 of the joined table.
+    The reference multiplies by b one row at a time in TupleRing: by omega, or for the antilog table by the
+    coefficientwise lift of the generator, whose powers read mod p are the generator's.  The certificate
+    still runs after the last chunk: a reducible modulus fails it in the field, a short lift in the ring.
     """
-    monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
-    ring = GaloisRing(field_for(2, 3, 3))
-    assert [len(chunk) for chunk in ring._omega_chunks()] == ([1] * 63 if batch_bytes == 1 else [4] * 15 + [3])
-    tr, omega = TupleRing(ring), ring.omega_table()
-    w, want = tuple(omega[1].tolist()), [tr.one()]
+    tr = TupleRing(ring_for(2, 3, 3))  # built before the patches
+    monkeypatch.setattr(field, "BATCH_BYTES", batch_bytes)
+    module, chunks = (field if table == "antilog" else galois), []
+    fill = module._powers
+
+    def recorded(*args):
+        for chunk in fill(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(module, "_powers", recorded)
+    if table == "antilog":
+        tab = build_field(params_for(2, 3, 3))
+        b, got = tuple(field._digits(tab.generator, 2, 6).tolist()), tab.antilog
+    else:
+        ring = GaloisRing(field_for(2, 3, 3))
+        got = np.concatenate(chunks)
+        b = tuple(got[1].tolist())
+        assert np.array_equal(ring._kappa, got[:, 0])
+    assert [len(chunk) for chunk in chunks] == ([1] * 63 if batch_bytes == 1 else [4] * 15 + [3])
+    want = [tr.one()]
     for _ in range(62):
-        want.append(tr.mul(want[-1], w))
-    assert omega.tolist() == [list(row) for row in want]
-    assert np.array_equal(ring._kappa, omega[:, 0])
-    power = galois._power
-    monkeypatch.setattr(galois, "_power", lambda T, n, m: power(T, math.isqrt(n), m))
-    with pytest.raises(MismatchError, match="order q-1"):
-        GaloisRing(field_for(2, 3, 3))
+        want.append(tr.mul(want[-1], b))
+    if table == "antilog":
+        assert got.tolist() == [sum(c % 2 << i for i, c in enumerate(row)) for row in want]
+        monkeypatch.setattr(field, "smallest_irreducible", lambda p, e: (1, 0, 0, 0, 0, 0))  # x^6 + 1 = (x^3 + 1)^2
+        with pytest.raises(MismatchError, match=r"generator\^63 is not 1: .* not irreducible"):
+            build_field(params_for(2, 3, 3))
+    else:
+        assert got.tolist() == [list(row) for row in want]
+        power = galois._power
+        monkeypatch.setattr(galois, "_power", lambda T, n, m: power(T, math.isqrt(n), m))
+        with pytest.raises(MismatchError, match="order q-1"):
+            GaloisRing(field_for(2, 3, 3))
 
 
 def test_ring_build_memory():

@@ -263,6 +263,48 @@ def test_p_local_memory_q1024():
     assert peak <= 1.5 * 8 * P.q**2, peak / (8 * P.q**2)
 
 
+def test_p_local_route_memory_q1024():
+    """laplacian_p_multiplicities peaks at or under 1.5 * 8q^2 (tracemalloc): L's residues go into L's memory.
+
+    A fresh float64 array for them would add a second 8q^2.
+    """
+    tab = field_for(2, 11, 1)
+    tracemalloc.start()
+    try:
+        laplacian_p_multiplicities(tab, p=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * tab.q**2, peak / (8 * tab.q**2)
+
+
+def test_p_local_route_calls_the_kernel_once_per_prime(monkeypatch):
+    """At (5, 3, 2) the route runs p_local_multiplicities once per prime of the order, in L's own memory."""
+    tab, calls = field_for(5, 3, 2), []
+    kernel = snf.p_local_multiplicities
+
+    def recorded(mat, p, precision, out=None):
+        calls.append((p, precision, out is not None and np.shares_memory(mat, out)))
+        return kernel(mat, p, precision, out=out)
+
+    monkeypatch.setattr(snf, "p_local_multiplicities", recorded)
+    critical_group_by_local_snf(tab)
+    P = tab.params
+    assert calls == [(prime, p_adic_valuation(P.u * P.v, prime) + 1, True) for prime in order_factorization(P)]
+
+
+def test_p_local_width_refusal_precedes_the_laplacian(monkeypatch):
+    """A precision past exact float64 is refused by _block_width before laplacian() allocates L."""
+
+    def fail(table):
+        raise AssertionError("laplacian built before the float64 refusal")
+
+    monkeypatch.setattr(snf, "laplacian", fail)
+    monkeypatch.setattr(snf, "FLOAT_EXACT", 1 << 8)
+    with pytest.raises(BoundExceededError, match="past exact float64"):
+        laplacian_p_multiplicities(field_for(2, 3, 3))
+
+
 def test_local_snf_assembly_q1024():
     tab = field_for(2, 11, 1)
     group = critical_group_by_local_snf(tab)

@@ -22,6 +22,22 @@ def test_no_assert_in_src():
     assert not found, f"assert statements in src/cyclocrit: {', '.join(found)}"
 
 
+def test_dense_bounds_read_only_in_snf():
+    """FULL_SNF_MAX_Q and PLOCAL_MAX_Q are named (read, imported or as an attribute) only in snf.py.
+
+    snf.bruteforce_route is the one place that chooses a dense route, so callers refuse through it.
+    """
+    bounds, found = {"FULL_SNF_MAX_Q", "PLOCAL_MAX_Q"}, []
+    for path in sorted(Path(cyclocrit.__file__).parent.glob("*.py")):
+        if path.name == "snf.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in bounds:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found, f"dense bounds named outside snf.py: {', '.join(found)}"
+
+
 def test_trace_names_resolve():
     """Every traced method exists, and every <layer>.<function>.<stat> benchmark metric names a span.
 
