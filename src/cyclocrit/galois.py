@@ -22,11 +22,14 @@ beyond it a seeded sample.
 
 The Laplacian restricted to each multiplicative isotypic component is a
 small matrix over Z/p^N whose local Smith form the block checks compare
-against the closed-form pattern.  Its off-diagonal entries are
-J(T^a, T^(-nk)), the sum over x of T^a(x) zeta^(-n c(x)), zeta = omega^k,
-c(x) = dlog(1-x) mod ell.  With M[c, m] coefficient 0 of S_c(a) zeta^(-m),
-the class sum S_c(a) being T^a(x) summed over the x not in {0, 1} with
-c(x) = c, entry n is the sum over c of M[c, n*c mod ell].  Class sums obey
+against the closed-form pattern.  Row m of block i holds J(T^r, T^(-nk)),
+r = -(i + m*k), the sum over x of T^r(x) zeta^(-n c(x)), zeta = omega^k,
+c(x) = dlog(1-x) mod ell.  With tau(x) = dlog x mod ell and k*ell = q-1,
+r*dlog x = -i*dlog x - k*m*tau(x) mod q-1, so the whole block comes from
+one gather: W[c, tau, s], coefficient 0 of omega^(-i dlog x) zeta^(-s)
+summed over the x not in {0, 1} of group (c(x), tau(x)) = (c, tau), and
+entry (m, n) is the sum over (c, tau) of W[c, tau, (m*tau + n*c) mod ell].
+The class sums S_c(r), T^r(x) summed over the x with c(x) = c, obey
 S_c(p*r) = S_{p*c}(r), by x -> x^p again, so block p*i mod k is block i
 with rows and columns permuted alike.  block_p_multiplicities, which
 verify_all_blocks runs, is one pass: one block per orbit of i -> p*i mod k
@@ -58,7 +61,7 @@ def _precision(P) -> int:
     and fails the check.  Raises BoundExceededError unless ell*e*p^(2N) < 2^62:
     int64 then holds omega_table's sums of e products and each scalar Schur
     step's two products, and p^N < 2^31 keeps the float64 sums of jacobi_sum
-    and _gather_class_sums below 2^47.  The Stickelberger check tests its own float64 bound.
+    and of the block route (_group_sums and its fold) below 2^47.  The Stickelberger check tests its own float64 bound.
     """
     N = P.ext_degree + P.d + 1
     if P.ell * P.ext_degree * P.p ** (2 * N) >= 1 << 62:
@@ -81,7 +84,7 @@ class GaloisRing:
         self._times = _times_table(self.mod_poly, self.pN)  # _times[j, i] = X^(i+j), reduced
         # Every table is built here and never changed, so a ring can be shared freely.  Jacobi sums are
         # constants (module docstring), so only coefficient 0 is kept: _kappa[j] of omega^j, float64 for
-        # exact sums, and _K[j, m] of omega^j zeta^(-m) = omega^(j - mk), zeta = omega^k, for the class sums.
+        # exact sums, and _K[j, m] of omega^j zeta^(-m) = omega^(j - mk), zeta = omega^k, for the block route.
         self._kappa = np.concatenate([chunk[:, 0].astype(np.float64) for chunk in self._omega_chunks()])
         self._K = self._kappa[(np.arange(q - 1)[:, None] - np.arange(ell) * k) % (q - 1)]
         self._dlog_x = field.dlog[2:]  # x runs over F_q minus {0, 1}
@@ -130,39 +133,6 @@ def jacobi_sum(a, b, ring: GaloisRing) -> np.ndarray:
         r += fb[lo : lo + per] * ring._dlog_1mx
         acc[lo : lo + per] = ring._kappa[r % (q - 1)].sum(axis=1)
     return ((acc + (a == 0).ravel() + (b == 0).ravel()) % ring.pN).reshape(a.shape)  # x = 1 and x = 0 terms
-
-
-def _gather_class_sums(ring: GaloisRing, rs: np.ndarray) -> np.ndarray:
-    """(len(rs), ell, ell) array M mod pN: M[r, c, m] is coefficient 0 of S_c(r) zeta^(-m).
-
-    Per batch of exponents, r*dlog x is counted into row (r, c(x)) of a float64 buffer, which is
-    then multiplied by _K.  Exact: a row's counts add to at most q-2 < 2^16 (DEFAULT_MAX_Q) and
-    _K's entries are below p^N < 2^31 (_precision's bound), so partial sums stay below 2^47.  The
-    buffers hold max(BATCH_BYTES, 8*ell*(q-1)) bytes of counts, at least one exponent (1.57 MB at
-    (2,3,8)), and are made once: fresh arrays that size can page-fault again on every batch.
-    """
-    q, ell = ring.field.q, ring.field.params.ell
-    per = max(1, min(len(rs), BATCH_BYTES // (8 * ell * (q - 1))))  # the counts of one exponent
-    bins, counts = np.empty((per, q - 2), dtype=np.int64), np.empty((per * ell, q - 1))
-    rows, cls = np.arange(per)[:, None] * (ell * (q - 1)), ring._dlog_1mx % ell * (q - 1)  # x counts in row c(x)
-    out = np.empty((len(rs), ell, ell), dtype=np.int64)
-    for lo in range(0, len(rs), per):
-        b, c = bins[: len(rs) - lo], counts[: (len(rs) - lo) * ell]
-        np.multiply(rs[lo : lo + per, None], ring._dlog_x, out=b)
-        b %= q - 1
-        b += cls
-        b += rows[: len(b)]
-        c.fill(0)
-        np.add.at(c.reshape(-1), b.ravel(), 1.0)
-        out[lo : lo + per] = (c @ ring._K).reshape(-1, ell, ell)
-    return out % ring.pN
-
-
-def _jacobi_rows(ring: GaloisRing, M: np.ndarray) -> np.ndarray:
-    """(R, ell-1) Jacobi rows J(T^r, T^(-nk)) = sum over c of M[r, c, n*c mod ell], n = 1..ell-1."""
-    ell = M.shape[1]
-    c, n = np.arange(ell), np.arange(1, ell)[:, None]
-    return M[:, c, n * c % ell].sum(axis=-1) % ring.pN
 
 
 def _jacobi_chunk(ring: GaloisRing, a: np.ndarray, n: int, tables) -> np.ndarray:
@@ -236,40 +206,69 @@ def verify_stickelberger(ring: GaloisRing, seed: int = 0) -> int:
 
 
 def _row_residues(P, idx: np.ndarray) -> np.ndarray:
-    """(len(idx), ell) exponents -(i + m*k) mod q-1 of the Jacobi rows of each block i."""
+    """Exponents -i mod q-1 of the blocks i in idx; row m of block i has exponent -(i + m*k)."""
     if not 0 <= idx.min() <= idx.max() <= P.k - 1:
         raise ValueError(f"block indices must lie in 0..k-1, got {idx.min()}..{idx.max()}")
-    return -(idx[:, None] + np.arange(P.ell) * P.k) % (P.q - 1)
+    return -idx % (P.q - 1)
+
+
+def _group_sums(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
+    """(len(idx), ell, ell, ell) float64 W: W[b, c, tau, s] sums _K[-idx[b]*dlog x, s] over the x of group (c, tau).
+
+    x not in {0, 1} is in group (c, tau) = (dlog(1-x), dlog x) mod ell.  One gather of _K rows per block,
+    with x grouped once per call, in chunks of x and of blocks through one reused buffer of at
+    most BATCH_BYTES, each chunk summed by group with np.add.reduceat over the groups it holds rows of.
+    Exact: a group sums at most q-2 values of kappa < p^N < 2^31, below 2^47.
+    """
+    q, ell = ring.field.q, ring.field.params.ell
+    exps, group = _row_residues(ring.field.params, idx), ring._dlog_1mx % ell * ell + ring._dlog_x % ell
+    sizes = np.bincount(group, minlength=ell * ell)
+    # grouped by masks: a sort of q-2 keys first touches numpy's sort kernels, 128-256 KiB more RSS
+    dlx, ends = np.concatenate([ring._dlog_x[group == g] for g in range(ell * ell)]), np.cumsum(sizes)
+    starts = ends - sizes
+    rows = min(q - 2, max(1, BATCH_BYTES // (8 * ell)))  # the x of a chunk
+    per = max(1, BATCH_BYTES // (8 * ell * rows))  # its blocks
+    ex, buf, W = np.empty(per * rows, dtype=np.int64), np.empty(per * rows * ell), np.zeros((len(idx), ell * ell, ell))
+    for lo in range(0, q - 2, rows):
+        n = min(rows, q - 2 - lo)
+        gs = np.flatnonzero(np.minimum(ends, lo + n) > np.maximum(starts, lo))  # groups with rows in the chunk
+        for b in range(0, len(idx), per):
+            e = exps[b : b + per, None]
+            j = np.multiply(e, dlx[lo : lo + n], out=ex[: len(e) * n].reshape(len(e), n))
+            j %= q - 1
+            G = np.take(ring._K, j, axis=0, out=buf[: len(e) * n * ell].reshape(len(e), n, ell), mode="clip")
+            W[b : b + per, gs] += np.add.reduceat(G, np.maximum(starts[gs], lo) - lo, axis=1)
+    return W.reshape(-1, ell, ell, ell)
 
 
 def _blocks(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
     """(len(idx), n, n) stack of ell*L, entries in Z/p^N, on the isotypic components i in idx.
 
     For i > 0 (n = ell), row m holds the image of the basis character-sum
-    vector indexed by i + m*k: q on the diagonal, minus Jacobi sums from the
-    class sums of exponent -(i + m*k) elsewhere.  idx = [0] gives the
-    trivial-character component (n = ell+1) in the basis: all-ones vector,
-    the zero-vertex indicator, then the subgroup-coset character sums.
+    vector indexed by i + m*k: q on the diagonal and -J(T^r, T^(-nk)),
+    r = -(i + m*k), in column m + n mod ell.  As r*dlog x = -i*dlog x - k*m*tau
+    mod q-1 (k*ell = q-1), that Jacobi sum is the sum over (c, tau) of
+    W[c, tau, (m*tau + n*c) mod ell] (_group_sums), folded over n.  idx = [0]
+    gives the trivial-character component (n = ell+1) in the basis: all-ones
+    vector, the zero-vertex indicator, then the subgroup-coset character sums.
     """
     P = ring.field.params
     ell, q, pN = P.ell, P.q, ring.pN
-    jac = -_jacobi_rows(ring, _gather_class_sums(ring, _row_residues(P, idx).ravel())) % pN
+    W, m = _group_sums(ring, idx), np.arange(ell)
+    c, tau = m[:, None], m
+    out = np.empty((len(idx), ell, ell), dtype=np.int64)
+    out[:, m, m] = q % pN
+    for n in range(1, ell):  # exact: an entry sums at most q-2 values of kappa, like a group
+        fold = -W[:, c, tau, (m[:, None, None] * tau + n * c) % ell].sum(axis=(2, 3))
+        out[:, m, (m + n) % ell] = fold.astype(np.int64) % pN  # a float64 fancy store pages in one more cast kernel
     if idx[0] > 0:
-        out = np.zeros((len(idx), ell, ell), dtype=np.int64)
-        m = np.arange(ell)
-        out[:, m, m] = q % pN
-        out[:, m[:, None], (m[:, None] + np.arange(1, ell)) % ell] = jac.reshape(len(idx), ell, ell - 1)
         return out
-    out = np.zeros((1, ell + 1, ell + 1), dtype=np.int64)
-    out[0, 1, :] = pN - 1  # the image of the all-ones vector (row 0) is 0
-    out[0, 1, 1] = q % pN
-    for j in range(1, ell):
-        out[0, 1 + j, :2] = 1, -q % pN
-        out[0, 1 + j, 1 + j] = q % pN
-        for n in range(1, ell):
-            if (j + n) % ell:
-                out[0, 1 + j, 1 + (j + n) % ell] = jac[j, n - 1]
-    return out
+    block = np.zeros((1, ell + 1, ell + 1), dtype=np.int64)
+    block[0, 1, :] = pN - 1  # the image of the all-ones vector (row 0) is 0
+    block[0, 1, 1] = q % pN
+    block[0, 2:, :2] = 1, -q % pN
+    block[0, 2:, 2:] = out[0, 1:, 1:]  # row j of block 0: exponent -j*k
+    return block
 
 
 def _valuations(M: np.ndarray, p: int, zero: int) -> np.ndarray:
@@ -341,13 +340,13 @@ def expected_block_valuations(table: FieldTable, idx) -> tuple[np.ndarray, int]:
 def _block_valuations(ring: GaloisRing, indices):
     """Yield (batch, [(valuations, zero count) per block]) over the increasing indices.
 
-    Each batch computes the class sums of its own rows; the blocks are
+    Each batch gathers the group sums of its own blocks; the blocks are
     built and eliminated in batches, the trivial block on its own.
     """
     P = ring.field.params
     idx = np.asarray(indices, dtype=np.int64)
-    # about 4*ell^3 words a block: its class sums (ell^3), their row gather and the elimination temporaries
-    per = max(1, BATCH_BYTES // (32 * P.ell**3))
+    # about 2*ell^3 words a block: its group sums W (ell^3) and their gather in the fold over n (ell^3)
+    per = max(1, BATCH_BYTES // (16 * P.ell**3))
     first = int(0 in idx[:1])  # the trivial block has a shape of its own
     for batch in [idx[:1]] * first + [idx[lo : lo + per] for lo in range(first, len(idx), per)]:
         yield batch, ring_divisor_valuations(_blocks(ring, batch), ring)

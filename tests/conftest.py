@@ -16,6 +16,7 @@ from cyclocrit import (
     build_field,
     critical_group,
     critical_group_by_snf,
+    galois,
     min_carries,
     validate,
 )
@@ -68,6 +69,56 @@ def field_for(p, ell, t):
 @lru_cache(maxsize=None)
 def ring_for(p, ell, t):
     return GaloisRing(field_for(p, ell, t))
+
+
+def class_sums_reference(ring, rs):
+    """(len(rs), ell, ell) int64 M mod p^N: M[r, c, m] is coefficient 0 of S_c(r) zeta^(-m), zeta = omega^k.
+
+    S_c(r) sums T^r(x) over the x not in {0, 1} with dlog(1-x) = c mod ell.  The block route's former
+    count-and-multiply formulation: r*dlog x counted into row (r, c(x)), the counts times ring._K, in
+    batches of about galois.BATCH_BYTES of counts.  Exact: a row's counts add to q-2 and _K < p^N.
+    """
+    q, ell = ring.field.q, ring.field.params.ell
+    per = max(1, galois.BATCH_BYTES // (8 * ell * (q - 1)))
+    cls = ring._dlog_1mx % ell * (q - 1)
+    out = []
+    for lo in range(0, len(rs), per):
+        r = np.asarray(rs[lo : lo + per], dtype=np.int64)[:, None]
+        bins = r * ring._dlog_x % (q - 1) + cls + np.arange(len(r))[:, None] * (ell * (q - 1))
+        counts = np.bincount(bins.ravel(), minlength=len(r) * ell * (q - 1)).reshape(-1, q - 1)
+        out.append((counts.astype(np.float64) @ ring._K).astype(np.int64).reshape(-1, ell, ell))
+    return np.concatenate(out) % ring.pN
+
+
+def jacobi_rows_reference(ring, rs):
+    """(len(rs), ell-1) rows J(T^r, T^(-nk)) = sum over c of M[r, c, n*c mod ell], n = 1..ell-1 (class_sums_reference)."""
+    M = class_sums_reference(ring, rs)
+    ell = M.shape[1]
+    c, n = np.arange(ell), np.arange(1, ell)[:, None]
+    return M[:, c, n * c % ell].sum(axis=-1) % ring.pN
+
+
+def blocks_reference(ring, idx):
+    """(len(idx), n, n) blocks of ell*L from jacobi_rows_reference, laid out as the block route lays them out."""
+    P, pN = ring.field.params, ring.pN
+    ell, q, idx = P.ell, P.q, np.asarray(idx)
+    jac = -jacobi_rows_reference(ring, (-(idx[:, None] + np.arange(ell) * P.k) % (q - 1)).ravel()) % pN
+    m = np.arange(ell)
+    if idx[0] > 0:
+        out = np.zeros((len(idx), ell, ell), dtype=np.int64)
+        out[:, m, m] = q % pN
+        out[:, m[:, None], (m[:, None] + np.arange(1, ell)) % ell] = jac.reshape(len(idx), ell, ell - 1)
+        return out
+    out = np.zeros((1, ell + 1, ell + 1), dtype=np.int64)
+    out[0, 1, :] = pN - 1
+    out[0, 1, 1] = q % pN
+    for j in range(1, ell):
+        out[0, 1 + j, :2] = 1, -q % pN
+        out[0, 1 + j, 1 + j] = q % pN
+        for n in range(1, ell):
+            if (j + n) % ell:
+                out[0, 1 + j, 1 + (j + n) % ell] = jac[j, n - 1]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -146,15 +197,15 @@ OPTIMIZED_SCENARIOS = {
         "galois._blocks = corrupt\n",
         _verify("blocks"),
     ),
-    # class c = 1 left out of every Jacobi row's sum over c of M[c, n*c mod ell]
+    # class c = 1 left out of every block's grouped sums W[c, tau, s], so of every Jacobi row
     "dropped-class": (
         "from cyclocrit import galois\n"
-        "good = galois._jacobi_rows\n"
-        "def corrupt(ring, M):\n"
-        "    M = M.copy()\n"
-        "    M[:, 1] = 0\n"
-        "    return good(ring, M)\n"
-        "galois._jacobi_rows = corrupt\n",
+        "good = galois._group_sums\n"
+        "def corrupt(ring, idx):\n"
+        "    W = good(ring, idx)\n"
+        "    W[:, 1] = 0\n"
+        "    return W\n"
+        "galois._group_sums = corrupt\n",
         _verify("blocks"),
     ),
     "valuation": (

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible, admissible_up_to_table_bound, field_for, params_for, ring_for, snf_group_for
+from conftest import (
+    admissible,
+    admissible_up_to_table_bound,
+    blocks_reference,
+    class_sums_reference,
+    field_for,
+    jacobi_rows_reference,
+    params_for,
+    ring_for,
+    snf_group_for,
+)
 from cyclocrit import (
     build_field,
     carries,
@@ -125,9 +135,11 @@ def jac(a, b, ring):
     return TupleRing(ring).scalar(int(jacobi_sum(a, b, ring)))
 
 
-def jacobi_row(a, ring):
-    """(ell-1,) row [J(T^a, T^(-nk)) for n = 1..ell-1] from the coset-class sums of a, 0 < a < q-1."""
-    return galois._jacobi_rows(ring, galois._gather_class_sums(ring, np.array([a])))[0]
+def route_rows(ring, idx):
+    """(len(idx) * ell, ell-1) rows J(T^r, T^(-nk)), r = -(i + m*k), n = 1..ell-1, read off the route's blocks i > 0."""
+    ell = ring.field.params.ell
+    m, n = np.arange(ell)[:, None], np.arange(1, ell)
+    return (-galois._blocks(ring, np.asarray(idx))[:, m, (m + n) % ell] % ring.pN).reshape(-1, ell - 1)
 
 
 def laplacian_block(ring, i):
@@ -451,6 +463,23 @@ def test_ring_build_memory():
     assert peak < 5_000_000, peak
 
 
+@pytest.mark.parametrize("trip, bound", [((2, 13, 1), 660_000), ((2, 3, 6), 420_000)])
+def test_block_route_memory(trip, bound):
+    """verify_all_blocks peaks no higher than the class-count route it replaced (tracemalloc, ring built first).
+
+    That route peaked at 0.657 MB at (2, 13, 1) and 0.412 MB at (2, 3, 6), one exponent's ell*(q-1) float64
+    counts at a time; the grouped gathers read 0.557 and 0.383 MB.
+    """
+    ring = ring_for(*trip)
+    tracemalloc.start()
+    try:
+        verify_all_blocks(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
+
+
 def test_jacobi_boundary_conventions():
     ring = ring_for(2, 3, 2)
     q = ring.field.q
@@ -484,12 +513,13 @@ def test_jacobi_reflection_symmetry():
 
 @pytest.mark.parametrize("trip", [(2, 3, 2), (5, 3, 1), (3, 5, 1), (2, 5, 2), (3, 7, 1)])
 def test_jacobi_row_matches_jacobi_sum(trip):
-    """The coset-class row equals the direct sums J(T^a, T^(-nk)), n = 1..ell-1."""
+    """Rows J(T^r, T^(-nk)), n = 1..ell-1, equal the direct sums: the reference's at every r, the route's in every block i > 0."""
     ring = ring_for(*trip)
     P = ring.field.params
-    n = np.arange(1, P.ell)
-    for a in range(1, P.q - 1):
-        assert np.array_equal(jacobi_row(a, ring), jacobi_sum(a, -(n * P.k), ring)), a
+    n, rs, i = np.arange(1, P.ell), np.arange(1, P.q - 1), np.arange(1, P.k)
+    assert np.array_equal(jacobi_rows_reference(ring, rs), jacobi_sum(rs[:, None], -(n * P.k), ring))
+    rs = -(i[:, None] + np.arange(P.ell) * P.k).reshape(-1, 1)
+    assert np.array_equal(route_rows(ring, i), jacobi_sum(rs, -(n * P.k), ring))
 
 
 def one_minus(tab, x):
@@ -547,7 +577,7 @@ def test_jacobi_sum_matches_definition(monkeypatch, trip, sample):
 
 @pytest.mark.parametrize("trip", [(2, 3, 2), (3, 5, 1)])
 def test_class_sums_match_definition(monkeypatch, trip):
-    """_gather_class_sums[r, c, m] is coefficient 0 of S_c(r) zeta^(-m), S_c(r) being T^r(x) summed in TupleRing
+    """class_sums_reference[r, c, m] is coefficient 0 of S_c(r) zeta^(-m), S_c(r) being T^r(x) summed in TupleRing
     over the x not in {0, 1} with dlog(1-x) = c mod ell, for every exponent r; once in one batch and once one
     exponent per batch."""
     ring = ring_for(*trip)
@@ -562,7 +592,7 @@ def test_class_sums_match_definition(monkeypatch, trip):
     want = [[[tr.mul(s, z)[0] for z in zeta] for s in row] for row in sums]
     for batch_bytes in (galois.BATCH_BYTES, 1):
         monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
-        assert galois._gather_class_sums(ring, np.arange(q - 1)).tolist() == want
+        assert class_sums_reference(ring, np.arange(q - 1)).tolist() == want
 
 
 def full_jacobi_sums(ring, omega, a, b):
@@ -594,7 +624,8 @@ def test_jacobi_sums_are_constants(P):
 
     On 200 seeded pairs and on the rows of block 0 and of the least block of
     every Frobenius orbit, coefficients 1..e-1 are 0 and coefficient 0 equals
-    jacobi_sum and the rows from the class sums.
+    jacobi_sum and the rows of the class-sum reference (equal to the block
+    route's by test_blocks_match_class_sum_reference).
     """
     ring, q, ell, k = ring_for(P.p, P.ell, P.t), P.q, P.ell, P.k
     omega = ring.omega_table()
@@ -606,8 +637,25 @@ def test_jacobi_sums_are_constants(P):
     n = np.arange(1, ell)
     full = full_jacobi_sums(ring, omega, np.repeat(rs.ravel(), ell - 1), np.tile(-n * k % (q - 1), rs.size))
     assert not full[:, 1:].any()
-    rows = galois._jacobi_rows(ring, galois._gather_class_sums(ring, rs.ravel()))
+    rows = jacobi_rows_reference(ring, rs.ravel())
     assert np.array_equal(full[:, 0].reshape(rows.shape), rows)
+
+
+@pytest.mark.parametrize(
+    "P", [P for P in admissible_up_to_table_bound() if P.q <= 4096], ids=lambda P: f"{P.p}-{P.ell}-{P.t}"
+)
+def test_blocks_match_class_sum_reference(monkeypatch, P):
+    """Blocks from one grouped gather each equal the count-and-multiply reference's: block 0 and every orbit's least.
+
+    (2, 3, 2) has an empty group (c, tau) = (0, 0); ell = 13 at q = 4096 gathers each block in two chunks of x,
+    and ell = 3 there two blocks a chunk.  Up to q = 256 again with chunks of 5 x, which split groups.
+    """
+    ring = ring_for(P.p, P.ell, P.t)
+    reps = np.array(sorted(min(orbit) for orbit in _block_orbits(P)))
+    for batch_bytes in (galois.BATCH_BYTES, 8 * P.ell * 5)[: 1 + (P.q <= 256)]:
+        monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
+        for idx in (np.array([0]), reps):
+            assert np.array_equal(galois._blocks(ring, idx), blocks_reference(ring, idx)), (batch_bytes, idx)
 
 
 def test_ring_keeps_no_coefficient_table():
@@ -620,7 +668,7 @@ def test_ring_keeps_no_coefficient_table():
 
 
 def test_count_sums_exact_in_table_dtype():
-    """Every sum of kappa (jacobi_sum) or _K (_gather_class_sums), at most (q-2)(p^N-1), is exact in their dtype.
+    """Every sum of kappa (jacobi_sum) or _K (_group_sums), at most (q-2)(p^N-1), is exact in their dtype.
 
     For every admissible q <= DEFAULT_MAX_Q, and for any q up to that bound
     from _precision's int64 bound p^N < 2^31 alone: raising the field's q
@@ -707,7 +755,7 @@ def test_stickelberger_memory():
 def test_stickelberger_sampled_mode(monkeypatch):
     """The sample is the seeded stream of admissible pairs, checked in the order drawn, batch after batch.
 
-    jacobi_sum sums them in batches of 7 pairs by kappa gathers alone: the class sums are never counted.
+    jacobi_sum sums them in batches of 7 pairs by kappa gathers alone: no block's groups are summed.
     """
     tab = field_for(3, 5, 1)
     q = tab.q
@@ -722,11 +770,11 @@ def test_stickelberger_sampled_mode(monkeypatch):
         seen.extend(zip(a.tolist(), b.tolist()))
         return good(a, b, P)
 
-    def no_counts(*args):
-        raise AssertionError("the sampled route sums kappa directly, without counting exponents")
+    def no_groups(*args):
+        raise AssertionError("the sampled route sums kappa directly, without grouped block sums")
 
     monkeypatch.setattr(galois, "carry_count", recording)
-    monkeypatch.setattr(galois, "_gather_class_sums", no_counts)
+    monkeypatch.setattr(galois, "_group_sums", no_groups)
     monkeypatch.setattr(galois, "BATCH_BYTES", 24 * (q - 1) * 7)  # batches of 7 pairs
     monkeypatch.setattr(galois, "STICKELBERGER_EXHAUSTIVE_Q", 10)
     monkeypatch.setattr(galois, "STICKELBERGER_SAMPLE", 300)
@@ -863,7 +911,7 @@ def test_ring_not_mutated_by_use():
     before = dict(vars(ring))
     snapshot = pickle.dumps(before)
     jacobi_sum(-np.arange(1, 5), -5, ring)
-    jacobi_row(3, ring)
+    galois._group_sums(ring, np.arange(1, 5))
     verify_stickelberger(ring)
     verify_block(tab, ring, 1)
     verify_block(tab, ring, 0)
@@ -998,10 +1046,10 @@ def _block_orbits(P):
 
 @pytest.mark.parametrize("trip", [(2, 3, 4), (5, 3, 2), (3, 7, 1)])
 def test_one_gather_per_orbit(monkeypatch, trip):
-    """The block route sums classes for and eliminates block 0, the least block of each Frobenius orbit, then 8 others."""
+    """The block route gathers once for, and eliminates, block 0, the least block of each Frobenius orbit, then 8 others."""
     P, ring = params_for(*trip), ring_for(*trip)
     built, eliminated, gathered = [], [], []
-    good_blocks, good_gather = galois._blocks, galois._gather_class_sums
+    good_blocks, good_gather = galois._blocks, galois._group_sums
     good_valuations = galois.ring_divisor_valuations
 
     def building(ring, idx):
@@ -1012,20 +1060,20 @@ def test_one_gather_per_orbit(monkeypatch, trip):
         eliminated.append(len(blocks))
         return good_valuations(blocks, ring)
 
-    def gathering(ring, rs):
-        gathered.append(len(rs))
-        return good_gather(ring, rs)
+    def gathering(ring, idx):
+        gathered.extend(idx.tolist())
+        return good_gather(ring, idx)
 
     monkeypatch.setattr(galois, "_blocks", building)
     monkeypatch.setattr(galois, "ring_divisor_valuations", eliminating)
-    monkeypatch.setattr(galois, "_gather_class_sums", gathering)
+    monkeypatch.setattr(galois, "_group_sums", gathering)
     verify_all_blocks(ring)
     least = sorted(min(orbit) for orbit in _block_orbits(P))
     assert sum(eliminated) == 1 + len(least) + carries.ORBIT_SAMPLE == len(built)
     assert built[: 1 + len(least)] == [0, *least]
     sample = built[1 + len(least) :]
     assert sample == sorted(set(sample)) and not set(sample) & {0, *least}
-    assert sum(gathered) == P.ell * len(built)
+    assert gathered == built  # one grouped gather per built block
 
 
 def test_orbit_identity_is_checked(monkeypatch):
@@ -1048,7 +1096,7 @@ def test_orbit_identity_is_checked(monkeypatch):
 
 @pytest.mark.parametrize("trip", [(2, 3, 4), (3, 7, 1), (2, 5, 2)])
 def test_row_lookup_matches_direct_rows(trip):
-    """Rows looked up from each orbit representative of r -> p*r equal rows from direct class sums, at every residue.
+    """Rows looked up from each orbit representative of r -> p*r equal the class-sum reference's rows, at every residue.
 
     The rows of p^j * r are those of r with J_n read at n * p^(-j) mod ell:
     the row identity behind block p*i mod k being block i permuted.
@@ -1056,7 +1104,7 @@ def test_row_lookup_matches_direct_rows(trip):
     ring = ring_for(*trip)
     P = ring.field.params
     rs = np.arange(P.q - 1)
-    direct = galois._jacobi_rows(ring, galois._gather_class_sums(ring, rs))
+    direct = jacobi_rows_reference(ring, rs)
     multipliers = set()
     for r in range(P.q - 1):
         rep, back = min((r * P.p**j % (P.q - 1), -j % P.ext_degree) for j in range(P.ext_degree))
