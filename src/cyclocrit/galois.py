@@ -212,20 +212,25 @@ def _row_residues(P, idx: np.ndarray) -> np.ndarray:
     return -idx % (P.q - 1)
 
 
-def _group_sums(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
-    """(len(idx), ell, ell, ell) float64 W: W[b, c, tau, s] sums _K[-idx[b]*dlog x, s] over the x of group (c, tau).
-
-    x not in {0, 1} is in group (c, tau) = (dlog(1-x), dlog x) mod ell.  One gather of _K rows per block,
-    with x grouped once per call, in chunks of x and of blocks through one reused buffer of at
-    most BATCH_BYTES, each chunk summed by group with np.add.reduceat over the groups it holds rows of.
-    Exact: a group sums at most q-2 values of kappa < p^N < 2^31, below 2^47.
-    """
-    q, ell = ring.field.q, ring.field.params.ell
-    exps, group = _row_residues(ring.field.params, idx), ring._dlog_1mx % ell * ell + ring._dlog_x % ell
+def _x_groups(ring: GaloisRing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dlog x, group starts, group ends) of the x not in {0, 1}, grouped by (dlog(1-x), dlog x) mod ell."""
+    ell = ring.field.params.ell
+    group = ring._dlog_1mx % ell * ell + ring._dlog_x % ell
     sizes = np.bincount(group, minlength=ell * ell)
     # grouped by masks: a sort of q-2 keys first touches numpy's sort kernels, 128-256 KiB more RSS
     dlx, ends = np.concatenate([ring._dlog_x[group == g] for g in range(ell * ell)]), np.cumsum(sizes)
-    starts = ends - sizes
+    return dlx, ends - sizes, ends
+
+
+def _group_sums(ring: GaloisRing, idx: np.ndarray, groups) -> np.ndarray:
+    """(len(idx), ell, ell, ell) float64 W: W[b, c, tau, s] sums _K[-idx[b]*dlog x, s] over the x of group (c, tau).
+
+    One gather of _K rows per block, x grouped by _x_groups, in chunks of x and of blocks through one reused
+    buffer of at most BATCH_BYTES, each chunk summed by group with np.add.reduceat over the groups it holds rows of.
+    Exact: a group sums at most q-2 values of kappa < p^N < 2^31, below 2^47.
+    """
+    q, ell = ring.field.q, ring.field.params.ell
+    exps, (dlx, starts, ends) = _row_residues(ring.field.params, idx), groups
     rows = min(q - 2, max(1, BATCH_BYTES // (8 * ell)))  # the x of a chunk
     per = max(1, BATCH_BYTES // (8 * ell * rows))  # its blocks
     ex, buf, W = np.empty(per * rows, dtype=np.int64), np.empty(per * rows * ell), np.zeros((len(idx), ell * ell, ell))
@@ -241,7 +246,7 @@ def _group_sums(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
     return W.reshape(-1, ell, ell, ell)
 
 
-def _blocks(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
+def _blocks(ring: GaloisRing, idx: np.ndarray, groups) -> np.ndarray:
     """(len(idx), n, n) stack of ell*L, entries in Z/p^N, on the isotypic components i in idx.
 
     For i > 0 (n = ell), row m holds the image of the basis character-sum
@@ -254,7 +259,7 @@ def _blocks(ring: GaloisRing, idx: np.ndarray) -> np.ndarray:
     """
     P = ring.field.params
     ell, q, pN = P.ell, P.q, ring.pN
-    W, m = _group_sums(ring, idx), np.arange(ell)
+    W, m = _group_sums(ring, idx, groups), np.arange(ell)
     c, tau = m[:, None], m
     out = np.empty((len(idx), ell, ell), dtype=np.int64)
     out[:, m, m] = q % pN
@@ -337,7 +342,7 @@ def expected_block_valuations(table: FieldTable, idx) -> tuple[np.ndarray, int]:
     return np.sort(np.hstack([c, np.full((len(idx), P.ell - 2), half), P.vp(P.u * P.v) - c]), axis=1), 0
 
 
-def _block_valuations(ring: GaloisRing, indices):
+def _block_valuations(ring: GaloisRing, indices, groups):
     """Yield (batch, [(valuations, zero count) per block]) over the increasing indices.
 
     Each batch gathers the group sums of its own blocks; the blocks are
@@ -349,7 +354,7 @@ def _block_valuations(ring: GaloisRing, indices):
     per = max(1, BATCH_BYTES // (16 * P.ell**3))
     first = int(0 in idx[:1])  # the trivial block has a shape of its own
     for batch in [idx[:1]] * first + [idx[lo : lo + per] for lo in range(first, len(idx), per)]:
-        yield batch, ring_divisor_valuations(_blocks(ring, batch), ring)
+        yield batch, ring_divisor_valuations(_blocks(ring, batch, groups), ring)
 
 
 def block_p_multiplicities(ring: GaloisRing) -> dict[int, int]:
@@ -367,9 +372,9 @@ def block_p_multiplicities(ring: GaloisRing) -> dict[int, int]:
     reps, sizes = _orbit_representatives(1, k, P)
     if sizes.sum() != k - 1:
         raise MismatchError(f"Frobenius orbit sizes sum to {sizes.sum()}, not k - 1 = {k - 1}")
-    idx, sizes = np.concatenate([[0], reps]), np.concatenate([[1], sizes])
+    idx, sizes, groups = np.concatenate([[0], reps]), np.concatenate([[1], sizes]), _x_groups(ring)
     got = {}
-    for batch, found in _block_valuations(ring, idx):
+    for batch, found in _block_valuations(ring, idx, groups):
         want, want_zeros = expected_block_valuations(ring.field, batch)
         for i, (exps, zeros), w in zip(batch.tolist(), found, want.tolist()):
             got[i] = sorted(exps), zeros
@@ -388,7 +393,7 @@ def block_p_multiplicities(ring: GaloisRing) -> dict[int, int]:
     n = min(ORBIT_SAMPLE, len(others))
     sample = others[np.arange(n) * (len(others) - 1) // max(n - 1, 1)]
     least = (sample * P.p ** np.arange(P.ext_degree)[:, None] % k).min(axis=0)
-    for batch, found in _block_valuations(ring, sample):
+    for batch, found in _block_valuations(ring, sample, groups):
         for i, r, (exps, zeros) in zip(batch.tolist(), least[np.searchsorted(sample, batch)].tolist(), found):
             if (sorted(exps), zeros) != got.get(r):
                 raise MismatchError(

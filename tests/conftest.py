@@ -190,8 +190,8 @@ OPTIMIZED_SCENARIOS = {
     "sampled-block": (
         "from cyclocrit import galois\n"
         "good = galois._blocks\n"
-        "def corrupt(ring, idx):\n"
-        "    out = good(ring, idx)\n"
+        "def corrupt(ring, idx, groups):\n"
+        "    out = good(ring, idx, groups)\n"
         "    out[idx == 2] = 0\n"
         "    return out\n"
         "galois._blocks = corrupt\n",
@@ -201,8 +201,8 @@ OPTIMIZED_SCENARIOS = {
     "dropped-class": (
         "from cyclocrit import galois\n"
         "good = galois._group_sums\n"
-        "def corrupt(ring, idx):\n"
-        "    W = good(ring, idx)\n"
+        "def corrupt(ring, idx, groups):\n"
+        "    W = good(ring, idx, groups)\n"
         "    W[:, 1] = 0\n"
         "    return W\n"
         "galois._group_sums = corrupt\n",

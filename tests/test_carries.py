@@ -1,11 +1,14 @@
+import math
+import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible, field_for, min_carries_histogram_reference, params_for
+from conftest import admissible, admissible_up_to_table_bound, field_for, min_carries_histogram_reference, params_for
 from cyclocrit import (
     carry_count,
     carries,
@@ -212,6 +215,26 @@ def test_min_carries_examples():
             min_carries(bad, P16)
 
 
+def min_carries_by_pairwise_sums(idx, P):
+    """Reference for min_carries' shortcut: the least (s(i + m*k) + s(n*k) - s(i + (m+n)*k)) / (p-1) over every m, n."""
+    ell, k = P.ell, P.k
+    sums = digit_sums(np.arange(ell)[:, None] * k + idx, P)
+    s_k = digit_sums(np.arange(1, ell) * k, P)
+    return np.min([sums[m] + s_k[n - 1] - sums[(m + n) % ell] for m in range(ell) for n in range(1, ell)], axis=0) // (
+        P.p - 1
+    )
+
+
+def test_min_carries_matches_pairwise_sums():
+    """The least digit sum less the largest equals the minimum over all ell(ell-1) pairs, ell = 3 to 13."""
+    triples = admissible(1 << 40) + [params_for(2, 13, 1), params_for(2, 13, 2)]
+    assert {P.ell for P in triples} == {3, 5, 7, 11, 13}
+    rng = np.random.default_rng(0)
+    for P in triples:
+        idx = np.arange(1, P.k) if P.k < 5000 else rng.integers(1, P.k, 5000)
+        assert np.array_equal(min_carries(idx, P), min_carries_by_pairwise_sums(idx, P)), (P.p, P.ell, P.t)
+
+
 def test_histogram_matches_scalar_path(monkeypatch):
     """The chunked histogram counts the addition-loop minimum over every coset, whatever the chunk."""
     for trip in [(2, 3, 2), (5, 3, 1), (2, 3, 3), (3, 5, 1)]:
@@ -223,12 +246,98 @@ def test_histogram_matches_scalar_path(monkeypatch):
             assert min_carries_histogram(P) == dict(Counter(ref))
 
 
-def test_orbit_histogram_matches_reference():
-    """One coset per Frobenius orbit gives the full-enumeration histogram, up to (2,11,2)."""
+def test_orbit_histogram_matches_reference(monkeypatch):
+    """One coset per Frobenius orbit gives the full-enumeration histogram, up to (2,11,2), and below k = 5000
+    also with 1 or 3 sieved candidates a step."""
     triples = [P for P in admissible(11 * 10**5 + 1) if P.k <= 10**5] + [params_for(2, 13, 1)]
     assert (2, 11, 2) in {(P.p, P.ell, P.t) for P in triples}
     for P in triples:
-        assert min_carries_histogram(P) == min_carries_histogram_reference(P), (P.p, P.ell, P.t)
+        want = min_carries_histogram_reference(P)
+        for chunk in (carries.HIST_CHUNK, 1, 3)[: 1 if P.k > 5000 else 3]:
+            monkeypatch.setattr(carries, "HIST_CHUNK", chunk)
+            assert min_carries_histogram(P) == want, (P.p, P.ell, P.t, chunk)
+        monkeypatch.undo()
+
+
+def spans_to_array(starts, ends):
+    return np.concatenate([np.arange(0)] + [np.arange(x, y) for x, y in zip(starts.tolist(), ends.tolist())])
+
+
+def test_sieve_matches_brute_force():
+    """Each sieved rotation's intervals are {i : p^j * i mod k >= i}, and the sieve keeps the i that pass all of them.
+
+    Every admissible triple with k - 1 <= 2^16.  The sieve goes exactly as deep as s < e largest with
+    p^(2s) <= k; one level, _sieve(a, k, 2) with a^2 <= k, is the closed form for a alone.
+    """
+    triples = admissible(11 * ((1 << 16) + 1) + 1) + admissible_up_to_table_bound()
+    triples = {(P.p, P.k, P.ext_degree) for P in triples if P.k - 1 <= 1 << 16}
+    assert len(triples) > 40 and max(k for _, k, _ in triples) > 50_000
+    for p, k, e in sorted(triples):
+        starts, ends, s = carries._sieve(p, k, e)
+        assert s == max(j for j in range(e) if p ** (2 * j) <= k), (p, k, e)
+        i, keep = np.arange(1, k), np.ones(k - 1, dtype=bool)
+        for a in (p**j for j in range(1, s + 1)):
+            *one, depth = carries._sieve(a, k, 2)
+            assert depth == 1 and np.array_equal(spans_to_array(*one), i[a * i % k >= i]), (p, k, e, a)
+            keep &= a * i % k >= i
+        assert np.array_equal(spans_to_array(starts, ends), i[keep]), (p, k, e)
+
+
+def orbits_by_enumeration(p, k, e):
+    """{least member: size} of every orbit of i -> p*i mod k on 1..k-1, from the orbits' members."""
+    orbits = {frozenset(i * p**j % k for j in range(e)) for i in range(1, k)}
+    return {min(orbit): len(orbit) for orbit in orbits}
+
+
+def test_orbit_representatives_match_enumeration():
+    """Representatives and orbit sizes on whole and partial ranges, for p = 2, 3, 5, 7, 17 and every k < 10."""
+    cases = [(P.p, P.k, P.ext_degree) for P in admissible(2401) + [params_for(17, 3, 1), params_for(17, 3, 2)]]
+    for p in (2, 3, 5, 7, 17):
+        for k in range(2, 10):
+            if math.gcd(p, k) == 1:
+                order = next(d for d in range(1, k) if pow(p, d, k) == 1)
+                cases += [(p, k, order), (p, k, 2 * order)]
+    assert {p for p, _, _ in cases} >= {3, 5, 7, 17} and any(k > 20_000 for _, k, _ in cases)
+    for p, k, e in cases:
+        want, P = orbits_by_enumeration(p, k, e), SimpleNamespace(p=p, k=k, ext_degree=e)
+        for lo, hi in {(1, k), (1, 1 + k // 3), (k // 3 + 1, k // 2 + 1), (k // 2 + 1, k)}:
+            reps, sizes = carries._orbit_representatives(lo, hi, P)
+            assert reps.tolist() == sorted(r for r in want if lo <= r < hi), (p, k, e, lo, hi)
+            assert sizes.tolist() == [want[r] for r in reps.tolist()], (p, k, e, lo, hi)
+
+
+@pytest.mark.parametrize("trip", [(2, 13, 2), (2, 5, 6)])
+def test_sieve_leaves_a_fifth(monkeypatch, trip):
+    """The sieve hands numpy at most 0.2 (k-1) candidates (0.155 at both), at most HIST_CHUNK a step.
+
+    A sieve that quietly stopped sieving would still give the right histogram, only slower.
+    """
+    P = params_for(*trip)
+    starts, ends, _ = carries._sieve(P.p, P.k, P.ext_degree)
+    upto, ranges, good = np.cumsum(ends - starts), [], carries._orbit_representatives
+
+    def recording(lo, hi, P):
+        ranges.append((lo, hi))
+        return good(lo, hi, P)
+
+    monkeypatch.setattr(carries, "_orbit_representatives", recording)
+    min_carries_histogram(P)
+    assert upto[-1] <= 0.2 * (P.k - 1)
+    assert len(ranges) == -(-upto[-1] // carries.HIST_CHUNK)
+    for lo, hi in ranges:
+        assert 0 < np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0, None).sum() <= carries.HIST_CHUNK
+
+
+def test_histogram_memory():
+    """min_carries_histogram at (2,5,6) peaks below the 525 KB of 4,096 unsieved cosets a step (tracemalloc)."""
+    P = params_for(2, 5, 6)
+    tracemalloc.start()
+    try:
+        min_carries_histogram(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 525_000, peak
 
 
 @given(st.data())
@@ -332,4 +441,7 @@ def test_carry_invariants_raise_mismatch(monkeypatch):
         carry_count([3, 1], [4, 2], P3)
     monkeypatch.setattr(carries, "digit_sums", lambda a, P: good(a, P) + 10 * (np.asarray(a) == 1))
     with pytest.raises(MismatchError, match=r"^min_carries\(1\)"):
+        min_carries(np.arange(1, 5), params_for(2, 3, 2))
+    monkeypatch.setattr(carries, "digit_sums", lambda a, P: good(a, P) + (np.asarray(a) == 2 * P.k))
+    with pytest.raises(MismatchError, match=r"^digit sums of n\*k, n = 1..ell-1, are \[2, 3\], not one value$"):
         min_carries(np.arange(1, 5), params_for(2, 3, 2))

@@ -139,17 +139,18 @@ def route_rows(ring, idx):
     """(len(idx) * ell, ell-1) rows J(T^r, T^(-nk)), r = -(i + m*k), n = 1..ell-1, read off the route's blocks i > 0."""
     ell = ring.field.params.ell
     m, n = np.arange(ell)[:, None], np.arange(1, ell)
-    return (-galois._blocks(ring, np.asarray(idx))[:, m, (m + n) % ell] % ring.pN).reshape(-1, ell - 1)
+    blocks = galois._blocks(ring, np.asarray(idx), galois._x_groups(ring))
+    return (-blocks[:, m, (m + n) % ell] % ring.pN).reshape(-1, ell - 1)
 
 
 def laplacian_block(ring, i):
     """(n, n) array of ell*L on the i-th isotypic component (0 is the trivial one)."""
-    return galois._blocks(ring, np.array([i]))[0]
+    return galois._blocks(ring, np.array([i]), galois._x_groups(ring))[0]
 
 
 def verify_block(table, ring, i):
     """Block i alone, eliminated as the block route does, has its closed-form pattern."""
-    [(batch, [(exps, zeros)])] = galois._block_valuations(ring, [i])
+    [(batch, [(exps, zeros)])] = galois._block_valuations(ring, [i], galois._x_groups(ring))
     want, want_zeros = expected_block_valuations(table, batch)
     assert (sorted(exps), zeros) == (want[0].tolist(), want_zeros), i
 
@@ -158,7 +159,7 @@ def block_results(ring, indices):
     """(i, valuations, zeros) of each block, flattened from the batched route."""
     return [
         (i, exps, zeros)
-        for batch, found in galois._block_valuations(ring, indices)
+        for batch, found in galois._block_valuations(ring, indices, galois._x_groups(ring))
         for i, (exps, zeros) in zip(batch.tolist(), found)
     ]
 
@@ -258,8 +259,8 @@ def as_tuples(block, tr):
 
 def all_blocks(table, ring):
     """Every block from the batched builder: the trivial block, then blocks 1..k-1 as one stack."""
-    idx = np.arange(table.params.k)
-    return [galois._blocks(ring, idx[:1])[0], *galois._blocks(ring, idx[1:])]
+    idx, groups = np.arange(table.params.k), galois._x_groups(ring)
+    return [galois._blocks(ring, idx[:1], groups)[0], *galois._blocks(ring, idx[1:], groups)]
 
 
 def test_ring_basics():
@@ -655,7 +656,8 @@ def test_blocks_match_class_sum_reference(monkeypatch, P):
     for batch_bytes in (galois.BATCH_BYTES, 8 * P.ell * 5)[: 1 + (P.q <= 256)]:
         monkeypatch.setattr(galois, "BATCH_BYTES", batch_bytes)
         for idx in (np.array([0]), reps):
-            assert np.array_equal(galois._blocks(ring, idx), blocks_reference(ring, idx)), (batch_bytes, idx)
+            got = galois._blocks(ring, idx, galois._x_groups(ring))
+            assert np.array_equal(got, blocks_reference(ring, idx)), (batch_bytes, idx)
 
 
 def test_ring_keeps_no_coefficient_table():
@@ -686,8 +688,8 @@ def test_block_count_is_a_mismatch(monkeypatch):
     """A block that loses one divisor must fail the q-1 count, under python -O too."""
     good = galois._block_valuations
 
-    def short(ring, indices):
-        for batch, found in good(ring, indices):
+    def short(ring, indices, groups):
+        for batch, found in good(ring, indices, groups):
             yield batch, [(exps[1:] if i == 1 else exps, zeros) for i, (exps, zeros) in zip(batch, found)]
 
     monkeypatch.setattr(galois, "_block_valuations", short)
@@ -911,7 +913,7 @@ def test_ring_not_mutated_by_use():
     before = dict(vars(ring))
     snapshot = pickle.dumps(before)
     jacobi_sum(-np.arange(1, 5), -5, ring)
-    galois._group_sums(ring, np.arange(1, 5))
+    galois._group_sums(ring, np.arange(1, 5), galois._x_groups(ring))
     verify_stickelberger(ring)
     verify_block(tab, ring, 1)
     verify_block(tab, ring, 0)
@@ -1046,28 +1048,34 @@ def _block_orbits(P):
 
 @pytest.mark.parametrize("trip", [(2, 3, 4), (5, 3, 2), (3, 7, 1)])
 def test_one_gather_per_orbit(monkeypatch, trip):
-    """The block route gathers once for, and eliminates, block 0, the least block of each Frobenius orbit, then 8 others."""
+    """The block route groups x once, then gathers once for, and eliminates, block 0, each orbit's least block and 8 others."""
     P, ring = params_for(*trip), ring_for(*trip)
-    built, eliminated, gathered = [], [], []
-    good_blocks, good_gather = galois._blocks, galois._group_sums
+    built, eliminated, gathered, grouped = [], [], [], []
+    good_blocks, good_gather, good_groups = galois._blocks, galois._group_sums, galois._x_groups
     good_valuations = galois.ring_divisor_valuations
 
-    def building(ring, idx):
+    def building(ring, idx, groups):
         built.extend(idx.tolist())
-        return good_blocks(ring, idx)
+        return good_blocks(ring, idx, groups)
 
     def eliminating(blocks, ring):
         eliminated.append(len(blocks))
         return good_valuations(blocks, ring)
 
-    def gathering(ring, idx):
+    def gathering(ring, idx, groups):
         gathered.extend(idx.tolist())
-        return good_gather(ring, idx)
+        return good_gather(ring, idx, groups)
+
+    def grouping(ring):
+        grouped.append(ring)
+        return good_groups(ring)
 
     monkeypatch.setattr(galois, "_blocks", building)
     monkeypatch.setattr(galois, "ring_divisor_valuations", eliminating)
     monkeypatch.setattr(galois, "_group_sums", gathering)
+    monkeypatch.setattr(galois, "_x_groups", grouping)
     verify_all_blocks(ring)
+    assert grouped == [ring]  # once per call, not once per batch
     least = sorted(min(orbit) for orbit in _block_orbits(P))
     assert sum(eliminated) == 1 + len(least) + carries.ORBIT_SAMPLE == len(built)
     assert built[: 1 + len(least)] == [0, *least]
@@ -1082,8 +1090,8 @@ def test_orbit_identity_is_checked(monkeypatch):
     least = {min(orbit) for orbit in _block_orbits(P)}
     good = galois._blocks
 
-    def corrupt(ring, idx):
-        out = good(ring, idx)
+    def corrupt(ring, idx, groups):
+        out = good(ring, idx, groups)
         out[[i > 0 and i not in least for i in idx.tolist()]] = 0
         return out
 
@@ -1145,8 +1153,8 @@ def test_corrupt_block_names_lowest_index(monkeypatch, batch_bytes):
     tab, ring = field_for(2, 3, 4), ring_for(2, 3, 4)
     good = galois._blocks
 
-    def corrupt(ring, idx):
-        out = good(ring, idx)
+    def corrupt(ring, idx, groups):
+        out = good(ring, idx, groups)
         out[np.isin(idx, (29, 7))] = 0
         return out
 
